@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from . import lattice
 from .colist import CoList, StepFn, observe, reachable_states, state_key
@@ -109,10 +109,15 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """The two lists differ; `index` is the first disagreeing prefix position."""
+    """The two lists differ; `index` is the first disagreeing prefix position.
+
+    `keys` are the state keys of the two lists at that position, the
+    pair whose observations disagree.
+    """
 
     index: int
     reason: str
+    keys: Optional[KeyPair] = None
 
 
 @dataclass(frozen=True)
@@ -210,10 +215,10 @@ def find_bisimulation(
         if o1 is None and o2 is None:
             break
         if o1 is None or o2 is None:
-            return Counterexample(idx, "nil/cons mismatch")
+            return Counterexample(idx, "nil/cons mismatch", keys)
         (x, t1), (y, t2) = o1, o2
         if x != y:
-            return Counterexample(idx, "heads differ")
+            return Counterexample(idx, "heads differ", keys)
         cur = (t1, t2)
         idx += 1
     return Certificate(kind, frozenset(seen), root)

@@ -8,6 +8,7 @@ pair budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="coinduct")
     sub = parser.add_subparsers(dest="command", required=True)
 

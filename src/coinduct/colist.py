@@ -99,13 +99,14 @@ class StepFn:
         self.name = name
         self.seeds = tuple(seeds)
         self.table = {k: (None if v is None else (v[0], v[1])) for k, v in table.items()}
+        declared = frozenset(self.seeds)
         for s in self.seeds:
             if s not in self.table:
                 raise DefsError(f"machine {name}: step missing for seed {s!r}")
         for s, act in self.table.items():
-            if s not in self.seeds:
+            if s not in declared:
                 raise DefsError(f"machine {name}: step for undeclared seed {s!r}")
-            if act is not None and act[1] not in self.seeds:
+            if act is not None and act[1] not in declared:
                 raise DefsError(f"machine {name}: step.{s}: next seed {act[1]!r} undeclared")
 
     def step(self, seed: str) -> Optional[tuple[str, str]]:
@@ -143,6 +144,11 @@ class NilList(CoList):
 class ConsList(CoList):
     head: str
     tail: CoList
+
+    # Memo of state_key, filled on first use; not a dataclass field, so
+    # it stays out of __eq__, __hash__ and __repr__.  Threads that race
+    # to fill it store equal strings.
+    _key = None
 
 
 @dataclass(frozen=True)
@@ -254,11 +260,21 @@ def observe(l: CoList) -> Observation:
 
 
 def state_key(l: CoList) -> str:
-    """Canonical, injective serialization of a state."""
+    """Canonical, injective serialization of a state.
+
+    A cons cell memoizes its key on itself the first time it is asked
+    for, and `observe` hands back that very cell as the tail, so walking
+    down a shared cons chain of length n costs O(n) steps for the first
+    key and O(1) steps for each suffix after it.  The chain is walked
+    with a loop, not recursion.  Map and append states are rebuilt by
+    every observation, so their keys are built afresh, in O(nesting)
+    steps.  Memoizing changes no key: the strings are the documented
+    format.
+    """
     if isinstance(l, NilList):
         return "NIL"
     if isinstance(l, ConsList):
-        return f"CONS({l.head},{state_key(l.tail)})"
+        return l._key or _cons_key(l)
     if isinstance(l, ConstList):
         return f"CONST({l.sym})"
     if isinstance(l, IterList):
@@ -270,6 +286,19 @@ def state_key(l: CoList) -> str:
     if isinstance(l, MachineList):
         return f"M({l.machine.name},{l.seed})"
     raise TypeError(f"not a CoList state: {l!r}")
+
+
+def _cons_key(l: ConsList) -> str:
+    """Key the un-keyed cons cells at the top of `l`, memoizing each."""
+    spine = []
+    while isinstance(l, ConsList) and l._key is None:
+        spine.append(l)
+        l = l.tail
+    key = state_key(l)
+    for cell in reversed(spine):
+        key = f"CONS({cell.head},{key})"
+        object.__setattr__(cell, "_key", key)
+    return key
 
 
 def take(k: int, l: CoList) -> tuple[list[str], bool]:

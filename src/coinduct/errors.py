@@ -110,6 +110,3 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-PASS = Verdict(True)

@@ -19,6 +19,7 @@ from coinduct.bisim import (
 )
 from coinduct.colist import (
     Alphabet,
+    AtomFun,
     StepFn,
     cons,
     corec,
@@ -31,6 +32,7 @@ from coinduct.errors import CertificateError, RootMissing, UnresolvableKey
 from coinduct.trees import in0, leaf, numb, oplus, otimes, scons
 
 AB = Alphabet(("a", "b"))
+SWAP = AtomFun("swap", {"a": "b", "b": "a"})
 
 
 def test_diag_rel():
@@ -128,7 +130,7 @@ def test_find_bisimulation_outcomes():
     assert verify_certificate(outcome, const, cons("a", const, AB))
 
     outcome = find_bisimulation(const, lconst("b", AB), 10)
-    assert outcome == Counterexample(0, "heads differ")
+    assert outcome == Counterexample(0, "heads differ", ("CONST(a)", "CONST(b)"))
 
     outcome = find_bisimulation(const, cons("a", const, AB), 1, kind="weak")
     assert outcome == BoundExceeded(1)
@@ -136,10 +138,33 @@ def test_find_bisimulation_outcomes():
     prefix = cons("a", cons("a", lconst("b", AB), AB), AB)
     other = cons("a", cons("a", lconst("a", AB), AB), AB)
     outcome = find_bisimulation(prefix, other, 10)
-    assert outcome == Counterexample(2, "heads differ")
+    assert outcome == Counterexample(2, "heads differ", ("CONST(b)", "CONST(a)"))
 
     outcome = find_bisimulation(cons("a", nil(), AB), nil(), 10)
-    assert outcome == Counterexample(0, "nil/cons mismatch")
+    assert outcome == Counterexample(0, "nil/cons mismatch", ("CONS(a,NIL)", "NIL"))
+
+
+def test_counterexample_carries_diverging_keys():
+    const = lconst("a", AB)
+    chain = cons("a", cons("a", cons("a", const, AB), AB), AB)
+    perturbed = cons("a", cons("a", cons("b", const, AB), AB), AB)
+    for kind in ("weak", "strong"):
+        outcome = find_bisimulation(chain, perturbed, 10, kind=kind)
+        assert outcome == Counterexample(
+            2, "heads differ", ("CONS(a,CONST(a))", "CONS(b,CONST(a))")
+        )
+    outcome = find_bisimulation(lmap(SWAP, perturbed), lmap(SWAP, chain), 10)
+    assert outcome.keys == ("MAP(swap,CONS(b,CONST(a)))", "MAP(swap,CONS(a,CONST(a)))")
+
+
+def test_deep_chain_bisimulation_without_recursion():
+    const = lconst("a", AB)
+    chain = const
+    for _ in range(2000):
+        chain = cons("a", chain, AB)
+    outcome = find_bisimulation(chain, const, 10_000, kind="weak")
+    assert isinstance(outcome, Certificate) and len(outcome.pairs) == 2001
+    assert verify_certificate(outcome, chain, const)
 
 
 def test_find_bisimulation_strong_closes_on_diag():

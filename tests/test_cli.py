@@ -1,9 +1,13 @@
 """Command-line surface: golden reports, exit codes, file workflows."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
-from coinduct.cli import run_command
+import coinduct
+from coinduct.cli import _build_parser, run_command
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFS = str(DATA / "defs.json")
@@ -56,6 +60,33 @@ def test_bisim_golden(capsys):
 def test_bisim_counterexample(capsys):
     code, out, _ = run(capsys, "bisim", "--defs", DEFS, "lconst(a)", "lconst(b)")
     assert (code, out) == (1, "FAIL heads differ @ 0\n")
+    code, out, _ = run(
+        capsys, "bisim", "--defs", DEFS, "cons(a,cons(a,lconst(a)))", "cons(a,cons(b,lconst(a)))"
+    )
+    assert (code, out) == (1, "FAIL heads differ @ 1\n")
+
+
+def run_fresh(*argv):
+    """One command in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(coinduct.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from coinduct.cli import main; main()", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_matches_fresh_process(capsys):
+    usage = ("eval", "--defs", DEFS, "--depth", "four", "lconst(a)")
+    valid = ("eval", "--defs", DEFS, "--depth", "4", "iterates(succ,x0)")
+    in_process = [run(capsys, *usage), run(capsys, *valid)]
+    assert in_process == [run_fresh(*usage), run_fresh(*valid)]
+    assert [code for code, _, _ in in_process] == [2, 0]
+    assert _build_parser() is _build_parser()
 
 
 def test_bisim_bound(capsys):

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 from conftest import random_machine
 from coinduct.colist import (
     Alphabet,
+    AppendList,
     AtomFun,
+    ConsList,
+    ConstList,
     Definitions,
+    IterList,
+    MachineList,
+    MapList,
+    NilList,
     StepFn,
     check_llist_upto,
     compile_machine,
@@ -242,6 +249,116 @@ def test_state_keys():
     assert state_key(lmap(f, lappend(nil(), iterates(f, "a")))) == (
         "MAP(f,APP(NIL,ITER(f,a)))"
     )
+
+
+def _reference_key(l):
+    """The plain recursive serializer: the oracle for `state_key`."""
+    if isinstance(l, NilList):
+        return "NIL"
+    if isinstance(l, ConsList):
+        return f"CONS({l.head},{_reference_key(l.tail)})"
+    if isinstance(l, ConstList):
+        return f"CONST({l.sym})"
+    if isinstance(l, IterList):
+        return f"ITER({l.fn.name},{l.sym})"
+    if isinstance(l, MapList):
+        return f"MAP({l.fn.name},{_reference_key(l.source)})"
+    if isinstance(l, AppendList):
+        return f"APP({_reference_key(l.left)},{_reference_key(l.right)})"
+    if isinstance(l, MachineList):
+        return f"M({l.machine.name},{l.seed})"
+    raise TypeError(l)
+
+
+SWAP = AtomFun("swap", {"a": "b", "b": "a"})
+TWO = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
+_LEAF_OPS = st.one_of(
+    st.just(("nil",)),
+    st.tuples(st.just("const"), st.sampled_from("ab")),
+    st.tuples(st.just("iter"), st.sampled_from("ab")),
+    st.tuples(st.just("machine"), st.sampled_from(TWO.seeds)),
+)
+
+
+@st.composite
+def state_recipes(draw):
+    """Build steps; each step's operands index earlier steps, so states share tails."""
+    ops = [draw(_LEAF_OPS)]
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        earlier = st.integers(min_value=0, max_value=len(ops) - 1)
+        ops.append(
+            draw(
+                st.one_of(
+                    st.tuples(st.just("cons"), st.sampled_from("ab"), earlier),
+                    st.tuples(st.just("cons"), st.sampled_from("ab"), st.just(len(ops) - 1)),
+                    st.tuples(st.just("map"), earlier),
+                    st.tuples(st.just("append"), earlier, earlier),
+                    _LEAF_OPS,
+                )
+            )
+        )
+    return ops
+
+
+def build_states(ops):
+    built = []
+    for op in ops:
+        kind, args = op[0], op[1:]
+        if kind == "nil":
+            built.append(nil())
+        elif kind == "const":
+            built.append(lconst(args[0], AB))
+        elif kind == "iter":
+            built.append(iterates(SWAP, args[0]))
+        elif kind == "machine":
+            built.append(corec(args[0], TWO))
+        elif kind == "cons":
+            built.append(cons(args[0], built[args[1]], AB))
+        elif kind == "map":
+            built.append(lmap(SWAP, built[args[0]]))
+        else:
+            built.append(lappend(built[args[0]], built[args[1]]))
+    return built
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_recipes(), st.integers(min_value=0, max_value=20), st.booleans())
+def test_state_key_matches_reference(ops, steps, root_first):
+    built = build_states(ops)
+    walk = [built[-1]]
+    for _ in range(steps):
+        obs = observe(walk[-1])
+        if obs is None:
+            break
+        walk.append(obs[1])
+    # root-first keys the outermost states before their tails, so each
+    # cons chain is walked whole; suffix-first keys tails first, so each
+    # walk stops at a cell that already holds its key
+    order = walk + built[::-1] if root_first else built + walk[::-1]
+    for state in order:
+        key = state_key(state)
+        assert key == _reference_key(state)
+        assert state_key(state) == key
+
+    fresh = build_states(ops)[-1]
+    keyed = built[-1]
+    assert fresh == keyed and keyed == fresh
+    assert hash(fresh) == hash(keyed)
+    assert repr(fresh) == repr(keyed)
+
+
+def test_deep_cons_chain_keys_without_recursion():
+    n = 10_000
+    chain = lconst("a", AB)
+    for _ in range(n):
+        chain = cons("a", chain, AB)
+    key = state_key(chain)
+    assert key == "CONS(a," * n + "CONST(a)" + ")" * n
+    index = reachable_states(chain, bound=n + 1)
+    assert len(index) == n + 1 and index[key] is chain
+    m, seed = compile_machine(chain, bound=n + 1)
+    assert seed == key and len(m.seeds) == n + 1
+    assert take(n + 2, corec(seed, m)) == (["a"] * (n + 2), False)
 
 
 @st.composite
