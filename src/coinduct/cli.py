@@ -77,10 +77,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _load_defs(path: str) -> Definitions:
-    return Definitions.load(path)
-
-
 def _render_prefix(elems: list[str], ended: bool) -> str:
     inner = ",".join(elems)
     if ended:
@@ -98,20 +94,20 @@ def run_command(argv) -> int:
 
     try:
         if args.command == "eval":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             l = elaborate(parse_expr(args.expr), defs)
             elems, ended = colist.take(args.depth, l)
             print(_render_prefix(elems, ended))
             return 0
 
         if args.command == "trunc":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             l = elaborate(parse_expr(args.expr), defs)
             sys.stdout.write(dump_tree(colist.tree_trunc(args.depth, l)))
             return 0
 
         if args.command == "eq":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             left = elaborate(parse_expr(args.left), defs)
             right = elaborate(parse_expr(args.right), defs)
             verdict = bisim.eq_upto(args.depth, left, right)
@@ -122,7 +118,7 @@ def run_command(argv) -> int:
             return 1
 
         if args.command == "bisim":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             left = elaborate(parse_expr(args.left), defs)
             right = elaborate(parse_expr(args.right), defs)
             outcome = bisim.find_bisimulation(
@@ -136,14 +132,12 @@ def run_command(argv) -> int:
                 return 1
             print("PASS")
             print(f"certificate: kind={outcome.kind} pairs={len(outcome.pairs)}")
-            ordered = sorted(outcome.pairs)
-            ordered.remove(outcome.root)
-            for ka, kb in [outcome.root] + ordered:
+            for ka, kb in outcome.to_dict()["pairs"]:
                 print(f"  {ka} ~ {kb}")
             return 0
 
         if args.command == "cert":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             cert = bisim.Certificate.load(args.cert)
             left = elaborate(parse_expr(args.left), defs)
             right = elaborate(parse_expr(args.right), defs)
@@ -155,7 +149,7 @@ def run_command(argv) -> int:
             return 1
 
         if args.command == "check":
-            defs = _load_defs(args.defs)
+            defs = Definitions.load(args.defs)
             l = elaborate(parse_expr(args.expr), defs)
             atoms = (
                 tuple(defs.alphabet)

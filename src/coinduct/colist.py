@@ -11,9 +11,9 @@ one-step equation.  Everything is immutable and pure.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DefsError,
@@ -22,9 +22,8 @@ from .errors import (
     UnknownSeed,
     Verdict,
 )
+from .syntax import WORD
 from .trees import FiniteTree, NIL_TREE, branch_union, EMPTY_TREE, leaf, numb, ntrunc
-
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 STATE_BOUND = 10_000
 
@@ -42,7 +41,7 @@ class Alphabet:
         if len(set(syms)) != len(syms):
             raise DefsError("alphabet: duplicate symbol")
         for s in syms:
-            if not _NAME_RE.match(s):
+            if not WORD.fullmatch(s):
                 raise DefsError(f"alphabet: bad symbol {s!r}")
         object.__setattr__(self, "symbols", syms)
 
@@ -301,21 +300,25 @@ def _cons_key(l: ConsList) -> str:
     return key
 
 
+def unfold(l: CoList) -> Iterator[tuple[str, CoList]]:
+    """Observe `l` one step at a time, yielding (head, tail) until it ends.
+
+    Each observation happens only when the next pair is asked for.
+    """
+    obs = observe(l)
+    while obs is not None:
+        yield obs
+        obs = observe(obs[1])
+
+
 def take(k: int, l: CoList) -> tuple[list[str], bool]:
     """First k elements and whether the list was seen to end.
 
     Performs at most k observations; in particular take(0, .) observes
     nothing and reports ended=False even on nil().
     """
-    elems: list[str] = []
-    cur = l
-    for _ in range(k):
-        obs = observe(cur)
-        if obs is None:
-            return elems, True
-        head, cur = obs
-        elems.append(head)
-    return elems, False
+    elems = [head for head, _ in islice(unfold(l), max(k, 0))]
+    return elems, len(elems) < k
 
 
 def reachable_states(l: CoList, bound: int = STATE_BOUND) -> dict[str, CoList]:
@@ -356,18 +359,14 @@ def lcorf(k: int, seed: str, machine: StepFn) -> FiniteTree:
 
     Zero fuel yields the empty tree; each further unit either closes the
     list with the nil tree or contributes one list cell around the
-    smaller approximant (whose branches may still be empty).
+    smaller approximant (whose branches may still be empty).  Built as a
+    fold over `take(k, corec(seed, machine))`, innermost cell first.
     """
-    if seed not in machine.seeds:
-        raise UnknownSeed(f"{machine.name}: unknown seed {seed!r}")
-    if k <= 0:
-        return EMPTY_TREE
-    act = machine.step(seed)
-    if act is None:
-        return NIL_TREE
-    sym, nxt = act
-    inner = branch_union(leaf(sym), lcorf(k - 1, nxt, machine))
-    return branch_union(numb(1), inner)
+    elems, ended = take(k, corec(seed, machine))
+    tree = NIL_TREE if ended else EMPTY_TREE
+    for sym in reversed(elems):
+        tree = branch_union(numb(1), branch_union(leaf(sym), tree))
+    return tree
 
 
 def tree_trunc(k: int, l: CoList, bound: int = STATE_BOUND) -> FiniteTree:
@@ -385,12 +384,7 @@ def tree_trunc(k: int, l: CoList, bound: int = STATE_BOUND) -> FiniteTree:
 def check_llist_upto(k: int, l: CoList, atoms: Iterable[str]) -> Verdict:
     """Depth-k membership check: every head within `atoms` until Nil."""
     allowed = frozenset(atoms)
-    cur = l
-    for i in range(k):
-        obs = observe(cur)
-        if obs is None:
-            return Verdict(True)
-        head, cur = obs
+    for i, (head, _) in enumerate(islice(unfold(l), max(k, 0))):
         if head not in allowed:
             return Verdict(False, f"head {head} outside allowed atoms", i)
     return Verdict(True)
@@ -417,7 +411,7 @@ class Definitions:
 
         functions: dict[str, AtomFun] = {}
         for name, table in (doc.get("functions") or {}).items():
-            if not _NAME_RE.match(name):
+            if not WORD.fullmatch(name):
                 raise DefsError(f"functions.{name}: bad name")
             if not isinstance(table, dict):
                 raise DefsError(f"functions.{name}: must be an object")
@@ -433,7 +427,7 @@ class Definitions:
 
         machines: dict[str, StepFn] = {}
         for name, spec in (doc.get("machines") or {}).items():
-            if not _NAME_RE.match(name):
+            if not WORD.fullmatch(name):
                 raise DefsError(f"machines.{name}: bad name")
             seeds = spec.get("seeds") if isinstance(spec, dict) else None
             step = spec.get("step") if isinstance(spec, dict) else None
@@ -442,7 +436,7 @@ class Definitions:
             if len(set(seeds)) != len(seeds):
                 raise DefsError(f"machines.{name}.seeds: duplicate seed")
             for s in seeds:
-                if not isinstance(s, str) or not _NAME_RE.match(s):
+                if not isinstance(s, str) or not WORD.fullmatch(s):
                     raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
             if not isinstance(step, dict):
                 raise DefsError(f"machines.{name}.step: must be an object")

@@ -10,24 +10,20 @@ Grammar (whitespace-insensitive, LL(1)):
           | `append(` expr `,` expr `)`
           | `corec(` name `,` seed `)`
 
-Symbols, names and seeds are words over [A-Za-z0-9_].  Parsing raises
-ParseError with the byte offset at which the expected token would start;
+Symbols, names and seeds are words over [A-Za-z0-9_].  The grammar is a
+head table read and written by `syntax.Grammar`: parsing raises
+ParseError with the offset at which the expected token would start, and
 printing a parsed expression reparses to an equal expression.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+
 from . import colist
 from .colist import CoList, Definitions
-from .errors import (
-    ParseError,
-    UnknownFunction,
-    UnknownMachine,
-    UnknownSeed,
-    UnknownSymbol,
-)
+from .errors import UnknownFunction, UnknownMachine, UnknownSymbol
+from .syntax import TERM, Grammar
 
 
 class Expr:
@@ -74,132 +70,25 @@ class Corec(Expr):
     seed: str
 
 
-_WORD = re.compile(r"[A-Za-z0-9_]+")
-
-Token = tuple[str, str, int]  # kind, text, offset
-
-
-def _scan(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        m = _WORD.match(text, i)
-        if not m:
-            raise ParseError(i, "expression")
-        toks.append(("word", m.group(0), i))
-        i = m.end()
-    toks.append(("eof", "", len(text)))
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _scan(text)
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def eat(self, kind: str, expected: str) -> Token:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise ParseError(tok[2], expected)
-        self.i += 1
-        return tok
-
-    def word(self, expected: str) -> str:
-        return self.eat("word", expected)[1]
-
-    def expr(self) -> Expr:
-        tok = self.peek()
-        if tok[0] != "word":
-            raise ParseError(tok[2], "expression")
-        head = tok[1]
-        if head == "nil":
-            self.i += 1
-            return Nil()
-        if head == "cons":
-            self.i += 1
-            self.eat("(", "'('")
-            sym = self.word("symbol")
-            self.eat(",", "','")
-            tail = self.expr()
-            self.eat(")", "')'")
-            return Cons(sym, tail)
-        if head == "lconst":
-            self.i += 1
-            self.eat("(", "'('")
-            sym = self.word("symbol")
-            self.eat(")", "')'")
-            return Lconst(sym)
-        if head == "iterates":
-            self.i += 1
-            self.eat("(", "'('")
-            fn = self.word("name")
-            self.eat(",", "','")
-            sym = self.word("symbol")
-            self.eat(")", "')'")
-            return Iterates(fn, sym)
-        if head == "map":
-            self.i += 1
-            self.eat("(", "'('")
-            fn = self.word("name")
-            self.eat(",", "','")
-            arg = self.expr()
-            self.eat(")", "')'")
-            return Map(fn, arg)
-        if head == "append":
-            self.i += 1
-            self.eat("(", "'('")
-            left = self.expr()
-            self.eat(",", "','")
-            right = self.expr()
-            self.eat(")", "')'")
-            return Append(left, right)
-        if head == "corec":
-            self.i += 1
-            self.eat("(", "'('")
-            machine = self.word("name")
-            self.eat(",", "','")
-            seed = self.word("seed")
-            self.eat(")", "')'")
-            return Corec(machine, seed)
-        raise ParseError(tok[2], "expression")
+_EXPR = Grammar("expression", {
+    "nil": (Nil, ()),
+    "cons": (Cons, ("symbol", TERM)),
+    "lconst": (Lconst, ("symbol",)),
+    "iterates": (Iterates, ("name", "symbol")),
+    "map": (Map, ("name", TERM)),
+    "append": (Append, (TERM, TERM)),
+    "corec": (Corec, ("name", "seed")),
+})
 
 
 def parse_expr(text: str) -> Expr:
     """Parse an expression; raises ParseError on any deviation."""
-    p = _Parser(text)
-    e = p.expr()
-    p.eat("eof", "end of input")
-    return e
+    return _EXPR.read(text)
 
 
 def print_expr(e: Expr) -> str:
     """Canonical text for an expression; reparses to an equal value."""
-    if isinstance(e, Nil):
-        return "nil"
-    if isinstance(e, Cons):
-        return f"cons({e.sym},{print_expr(e.tail)})"
-    if isinstance(e, Lconst):
-        return f"lconst({e.sym})"
-    if isinstance(e, Iterates):
-        return f"iterates({e.fn},{e.sym})"
-    if isinstance(e, Map):
-        return f"map({e.fn},{print_expr(e.arg)})"
-    if isinstance(e, Append):
-        return f"append({print_expr(e.left)},{print_expr(e.right)})"
-    if isinstance(e, Corec):
-        return f"corec({e.machine},{e.seed})"
-    raise TypeError(f"not an expression: {e!r}")
+    return _EXPR.write(e)
 
 
 def elaborate(e: Expr, defs: Definitions) -> CoList:
@@ -229,8 +118,5 @@ def elaborate(e: Expr, defs: Definitions) -> CoList:
     if isinstance(e, Corec):
         if e.machine not in defs.machines:
             raise UnknownMachine(f"machine {e.machine!r} not defined")
-        machine = defs.machines[e.machine]
-        if e.seed not in machine.seeds:
-            raise UnknownSeed(f"{e.machine}: unknown seed {e.seed!r}")
-        return colist.corec(e.seed, machine)
+        return colist.corec(e.seed, defs.machines[e.machine])
     raise TypeError(f"not an expression: {e!r}")

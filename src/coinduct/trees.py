@@ -9,11 +9,11 @@ the empty node set; empty trees only arise from truncation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import EmptyOperand, Malformed, ParseError
+from .errors import EmptyOperand, Malformed
+from .syntax import TERM, Grammar
 
 Position = tuple[int, ...]
 
@@ -281,10 +281,9 @@ def enumerate_trees(depth: int, symbols: Iterable[str], numeral_bound: int) -> l
     """
     if depth <= 0:
         return []
-    atoms = [leaf(s) for s in symbols] + [numb(k) for k in range(numeral_bound)]
-    layers = [atoms]
+    layer = [leaf(s) for s in symbols] + [numb(k) for k in range(numeral_bound)]
     for _ in range(depth - 1):
-        prev = layers[-1]
+        prev = layer
         layer = list(prev)
         seen = set(prev)
         for m in prev:
@@ -293,72 +292,25 @@ def enumerate_trees(depth: int, symbols: Iterable[str], numeral_bound: int) -> l
                 if t not in seen:
                     seen.add(t)
                     layer.append(t)
-        layers.append(layer)
-    return layers[-1]
+    return layer
+
+
+_TREE_TERM = Grammar("tree term", {
+    "nil": (lambda: NIL_TREE, ()),
+    "leaf": (leaf, ("symbol",)),
+    "numb": (numb, ("numeral",)),
+    "scons": (scons, (TERM, TERM)),
+    "in0": (in0, (TERM,)),
+    "in1": (in1, (TERM,)),
+    "cons": (cons_tree, (TERM, TERM)),
+})
 
 
 def parse_tree_term(text: str) -> FiniteTree:
     """Parse the small tree-term syntax used by lattice demo carriers.
 
     Grammar: term := `nil` | `leaf(sym)` | `numb(k)` | `scons(term,term)`
-    | `in0(term)` | `in1(term)` | `cons(term,term)`.
+    | `in0(term)` | `in1(term)` | `cons(term,term)`, read by
+    `syntax.Grammar` with the expression language's conventions.
     """
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            raise ParseError(pos, f"'{ch}'")
-        pos += 1
-
-    def word() -> str:
-        nonlocal pos
-        skip_ws()
-        m = re.match(r"[A-Za-z0-9_]+", text[pos:])
-        if not m:
-            raise ParseError(pos, "name")
-        pos += m.end()
-        return m.group(0)
-
-    def term() -> FiniteTree:
-        start = pos
-        w = word()
-        if w == "nil":
-            return NIL_TREE
-        if w == "leaf":
-            expect("(")
-            sym = word()
-            expect(")")
-            return leaf(sym)
-        if w == "numb":
-            expect("(")
-            k = word()
-            expect(")")
-            if not k.isdigit():
-                raise ParseError(start, "numeral")
-            return numb(int(k))
-        if w in ("scons", "cons"):
-            expect("(")
-            a = term()
-            expect(",")
-            b = term()
-            expect(")")
-            return scons(a, b) if w == "scons" else cons_tree(a, b)
-        if w in ("in0", "in1"):
-            expect("(")
-            a = term()
-            expect(")")
-            return in0(a) if w == "in0" else in1(a)
-        raise ParseError(start, "tree term")
-
-    t = term()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(pos, "end of input")
-    return t
+    return _TREE_TERM.read(text)

@@ -18,10 +18,10 @@ from .trees import (
     UserAtom,
     case_tree,
     cons_tree,
+    enumerate_trees,
     leaf,
     list_case,
-    numb,
-    scons,
+    scons,  # noqa: F401  bench/tracing.py wraps wf.scons
 )
 
 
@@ -197,26 +197,13 @@ def sexp_space(
     together with the immediate-subexpression relation on them.
 
     Atoms are the alphabet leaves plus numerals below `numeral_bound`;
-    deeper trees are branch pairs of shallower ones.  Guarded to desk
-    scale: d <= 4, alphabet size <= 3, numeral_bound <= 2.
+    deeper trees are branch pairs of shallower ones: the trees of
+    `enumerate_trees`, sorted.  Guarded to desk scale: d <= 4, alphabet
+    size <= 3, numeral_bound <= 2.
     """
     if d > 4 or len(alphabet) > 3 or numeral_bound > 2:
         raise SizeExceeded("sexp_space guard: d <= 4, |alphabet| <= 3, numerals <= 2")
-    if d < 1:
-        return [], WFRelation((), ())
-    atoms = [leaf(s) for s in alphabet] + [numb(k) for k in range(numeral_bound)]
-    layer = list(atoms)
-    for _ in range(d - 1):
-        grown = list(layer)
-        have = set(layer)
-        for m in layer:
-            for n in layer:
-                t = scons(m, n)
-                if t not in have:
-                    have.add(t)
-                    grown.append(t)
-        layer = grown
-    carrier = sorted(layer, key=FiniteTree.sort_key)
+    carrier = sorted(enumerate_trees(d, alphabet, numeral_bound), key=FiniteTree.sort_key)
     members = set(carrier)
     pairs = set()
     for t in carrier:

@@ -16,6 +16,19 @@ def succ_mod4() -> AtomFun:
     return AtomFun("succ", {f"x{i}": f"x{(i + 1) % 4}" for i in range(4)})
 
 
+class CountingFun(AtomFun):
+    """An AtomFun that counts its applications: inside a map, one per
+    observation that yields an element."""
+
+    def __init__(self, fn: AtomFun):
+        super().__init__(fn.name, fn.table)
+        self.calls = 0
+
+    def __call__(self, sym: str) -> str:
+        self.calls += 1
+        return super().__call__(sym)
+
+
 @pytest.fixture
 def mod4_alphabet() -> Alphabet:
     return Alphabet(MOD4_SYMS)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_machine, rename_seeds
+from conftest import CountingFun, random_machine, rename_seeds
 from coinduct.bisim import (
     BoundExceeded,
     Certificate,
@@ -28,7 +28,7 @@ from coinduct.colist import (
     nil,
     state_key,
 )
-from coinduct.errors import CertificateError, RootMissing, UnresolvableKey
+from coinduct.errors import CertificateError, RootMissing, UnresolvableKey, Verdict
 from coinduct.trees import in0, leaf, numb, oplus, otimes, scons
 
 AB = Alphabet(("a", "b"))
@@ -191,6 +191,27 @@ def test_eq_upto():
     assert eq_upto(5, const, cons("a", const, AB))
     verdict = eq_upto(1, cons("a", nil(), AB), nil())
     assert not verdict and verdict.witness == 0
+
+
+def test_synchronized_observation_counts():
+    """Each synchronized step observes both lists once, and no step runs
+    past the first disagreement."""
+    f = CountingFun(SWAP)
+    l, b = lmap(f, lconst("a", AB)), lconst("b", AB)
+    assert eq_upto(7, l, b) and f.calls == 7
+    f.calls = 0
+    assert eq_upto(7, l, lconst("a", AB)) == Verdict(False, "heads differ", 0)
+    assert f.calls == 1
+    f.calls = 0
+    assert eq_upto(7, l, cons("b", nil(), AB)) == Verdict(False, "nil/cons mismatch", 1)
+    assert f.calls == 2
+    f.calls = 0
+    cert = find_bisimulation(l, b)
+    assert cert.pairs == {("MAP(swap,CONST(a))", "CONST(b)")} and f.calls == 1
+    f.calls = 0
+    assert verify_certificate(cert, l, b) and f.calls == 2
+    f.calls = 0
+    assert closure_check((l, b), cert.pairs, "weak") and f.calls == 1
 
 
 def test_strong_subsumes_weak():

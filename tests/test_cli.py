@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from coinduct.cli import _build_parser, run_command
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFS = str(DATA / "defs.json")
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -231,3 +234,25 @@ def test_bisim_implies_eq(capsys):
             capsys.readouterr()
             if bis_code == 0:
                 assert eq_code == 0
+
+
+def test_deep_nesting_one_frame_per_level(capsys):
+    """Parsing, elaboration and observation take one Python frame per
+    nesting level, so 850 levels fit under the default recursion limit
+    with the test runner's own frames on the stack."""
+    n = 850
+    deep_cons = "cons(a," * n + "nil" + ")" * n
+    code, out, err = run(capsys, "eval", "--defs", DEFS, "--depth", "3", deep_cons)
+    assert (code, out, err) == (0, "[a,a,a,...]\n", "")
+    tower = "append(nil," * n + "lconst(a)" + ")" * n
+    code, out, err = run(capsys, "bisim", "--defs", DEFS, tower, "lconst(a)")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS\ncertificate: kind=strong pairs=1\n  APP(NIL,APP(NIL,")
+
+
+def test_readme_bisim_session(capsys, monkeypatch):
+    """The README's example session is what the CLI prints."""
+    session = re.search(r"```\n\$ coinduct (bisim .*)\n((?:.*\n)*?)```", README.read_text())
+    monkeypatch.chdir(README.parent)
+    code, out, err = run(capsys, *shlex.split(session.group(1)))
+    assert (code, out, err) == (0, session.group(2), "")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_machine
+from conftest import MOD4_SYMS, CountingFun, random_machine
 from coinduct.colist import (
     Alphabet,
     AppendList,
@@ -40,6 +40,7 @@ from coinduct.errors import (
     StateSpaceExceeded,
     UnknownAtom,
     UnknownSeed,
+    Verdict,
 )
 from coinduct.trees import (
     EMPTY_TREE,
@@ -208,6 +209,25 @@ def test_check_llist_upto():
     assert check_llist_upto(0, lconst("a", AB), ())
     verdict = check_llist_upto(2, lconst("a", AB), ("b",))
     assert not verdict and verdict.witness == 0
+
+
+def test_observation_counts(succ):
+    """take and check_llist_upto observe no further than they report."""
+    f = CountingFun(succ)
+    l = lmap(f, iterates(succ, "x0"))
+    assert (take(0, l), f.calls) == (([], False), 0)
+    assert (take(-1, l), f.calls) == (([], False), 0)
+    assert (take(5, l), f.calls) == ((["x1", "x2", "x3", "x0", "x1"], False), 5)
+    f.calls = 0
+    assert check_llist_upto(10, l, ("x1", "x2")) == Verdict(False, "head x3 outside allowed atoms", 2)
+    assert f.calls == 3
+    f.calls = 0
+    assert check_llist_upto(6, l, MOD4_SYMS) and f.calls == 6
+    f.calls = 0
+    assert check_llist_upto(0, l, ()) and f.calls == 0
+    alpha = Alphabet(MOD4_SYMS)
+    short = lmap(f, cons("x0", cons("x1", nil(), alpha), alpha))
+    assert (take(9, short), f.calls) == ((["x1", "x2"], True), 2)
 
 
 def test_compile_machine_preserves_observation(succ):

@@ -59,6 +59,20 @@ def test_parse_error_offsets():
         parse_expr("cons(a,nil]")
     assert exc.value.offset == 10
 
+    # a stray character anywhere is reported before any grammar error
+    for text, offset, expected in [
+        ("widget(]", 7, "expression"),
+        ("cons( ,nil)", 6, "symbol"),
+        ("map(f,nil", 9, "')'"),
+        ("corec(two,)", 10, "seed"),
+        ("iterates(,a)", 9, "name"),
+        ("lconst a", 7, "'('"),
+        ("", 0, "expression"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert (exc.value.offset, exc.value.expected) == (offset, expected), text
+
 
 def random_expr(rng, depth=0):
     choices = ["nil", "cons", "lconst", "iterates", "map", "append", "corec"]
