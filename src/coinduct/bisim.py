@@ -11,7 +11,6 @@ as a greatest fixedpoint on the seed-pair lattice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -22,6 +21,7 @@ from .errors import (
     RootMissing,
     UnresolvableKey,
     Verdict,
+    read_json,
 )
 from .trees import in0, in1, scons
 
@@ -81,30 +81,22 @@ class Certificate:
     def from_dict(cls, doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise CertificateError("certificate: top level must be an object")
-        kind = doc.get("kind")
-        root = doc.get("root")
+        root = _key_pair(doc.get("root"), "root")
         pairs = doc.get("pairs")
-        if kind not in ("weak", "strong"):
-            raise CertificateError("kind: must be \"weak\" or \"strong\"")
-        if not isinstance(root, list) or len(root) != 2:
-            raise CertificateError("root: must be a pair of keys")
         if not isinstance(pairs, list):
             raise CertificateError("pairs: must be an array of key pairs")
-        rel = set()
-        for i, p in enumerate(pairs):
-            if not isinstance(p, list) or len(p) != 2 or not all(isinstance(k, str) for k in p):
-                raise CertificateError(f"pairs[{i}]: must be a pair of keys")
-            rel.add((p[0], p[1]))
-        return cls(kind, frozenset(rel), (root[0], root[1]))
+        rel = frozenset(_key_pair(p, f"pairs[{i}]") for i, p in enumerate(pairs))
+        return cls(doc.get("kind"), rel, root)
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CertificateError(f"certificate: invalid JSON ({exc})") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, CertificateError, "certificate"))
+
+
+def _key_pair(p, where: str) -> KeyPair:
+    if not isinstance(p, list) or len(p) != 2 or not all(isinstance(k, str) for k in p):
+        raise CertificateError(f"{where}: must be a pair of keys")
+    return p[0], p[1]
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,20 @@
 """Command-line driver.
 
 Exit codes: 0 on pass/equal, 1 on fail/counterexample, 2 on usage or
-validation errors (reported on stderr), 3 when a search exhausts its
-pair budget.
+validation errors and on input nested too deeply to process (reported
+on stderr), 3 when a search exhausts its pair budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import bisim, colist, lattice
 from .colist import Definitions
 from .dsl import elaborate, parse_expr
-from .errors import CoinductError
+from .errors import CoinductError, LatticeFileError, read_json
 from .trees import dump_tree
 
 
@@ -164,22 +163,19 @@ def run_command(argv) -> int:
             return 1
 
         if args.command == "lattice":
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = read_json(args.spec, LatticeFileError, "demo")
             carrier, op, mode = lattice.load_demo(doc)
             fix = lattice.lfp(op, carrier) if mode == "lfp" else lattice.gfp(op, carrier)
             print(f"{mode} = {{{','.join(str(x) for x in fix.members())}}}")
             return 0
 
         raise _UsageError(f"unknown command {args.command!r}")
-    except CoinductError as exc:
+    except (CoinductError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON ({exc})", file=sys.stderr)
+    except RecursionError:
+        # the parser and the JSON reader recurse once per nesting level
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,6 @@ one-step equation.  Everything is immutable and pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -21,6 +20,7 @@ from .errors import (
     UnknownAtom,
     UnknownSeed,
     Verdict,
+    read_json,
 )
 from .syntax import WORD
 from .trees import FiniteTree, NIL_TREE, branch_union, EMPTY_TREE, leaf, numb, ntrunc
@@ -86,7 +86,8 @@ class StepFn:
     """A named machine: a finite seed space and a total step table.
 
     Each seed steps to None (stop) or to a pair (emitted symbol, next
-    seed).
+    seed).  The table must step exactly the declared seeds into declared
+    seeds; errors name the offending key as a definitions-file path.
     """
 
     def __init__(
@@ -99,14 +100,14 @@ class StepFn:
         self.seeds = tuple(seeds)
         self.table = {k: (None if v is None else (v[0], v[1])) for k, v in table.items()}
         declared = frozenset(self.seeds)
-        for s in self.seeds:
-            if s not in self.table:
-                raise DefsError(f"machine {name}: step missing for seed {s!r}")
         for s, act in self.table.items():
             if s not in declared:
-                raise DefsError(f"machine {name}: step for undeclared seed {s!r}")
+                raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
             if act is not None and act[1] not in declared:
-                raise DefsError(f"machine {name}: step.{s}: next seed {act[1]!r} undeclared")
+                raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
+        for s in self.seeds:
+            if s not in self.table:
+                raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
 
     def step(self, seed: str) -> Optional[tuple[str, str]]:
         if seed not in self.table:
@@ -400,6 +401,8 @@ class Definitions:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Definitions":
+        """Check the document's JSON shape and names; `Alphabet` and
+        `StepFn` check their own invariants."""
         if not isinstance(doc, dict):
             raise DefsError("definitions: top level must be an object")
         alpha_raw = doc.get("alphabet")
@@ -410,7 +413,7 @@ class Definitions:
         alphabet = Alphabet(alpha_raw)
 
         functions: dict[str, AtomFun] = {}
-        for name, table in (doc.get("functions") or {}).items():
+        for name, table in _section(doc, "functions").items():
             if not WORD.fullmatch(name):
                 raise DefsError(f"functions.{name}: bad name")
             if not isinstance(table, dict):
@@ -426,59 +429,47 @@ class Definitions:
             functions[name] = AtomFun(name, table)
 
         machines: dict[str, StepFn] = {}
-        for name, spec in (doc.get("machines") or {}).items():
+        for name, spec in _section(doc, "machines").items():
             if not WORD.fullmatch(name):
                 raise DefsError(f"machines.{name}: bad name")
             seeds = spec.get("seeds") if isinstance(spec, dict) else None
             step = spec.get("step") if isinstance(spec, dict) else None
             if not isinstance(seeds, list) or not seeds:
                 raise DefsError(f"machines.{name}.seeds: must be a nonempty array")
-            if len(set(seeds)) != len(seeds):
-                raise DefsError(f"machines.{name}.seeds: duplicate seed")
             for s in seeds:
                 if not isinstance(s, str) or not WORD.fullmatch(s):
                     raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
+            if len(set(seeds)) != len(seeds):
+                raise DefsError(f"machines.{name}.seeds: duplicate seed")
             if not isinstance(step, dict):
                 raise DefsError(f"machines.{name}.step: must be an object")
             table: dict[str, Optional[tuple[str, str]]] = {}
             for seed, act in step.items():
-                if seed not in seeds:
-                    raise DefsError(f"machines.{name}.step.{seed}: undeclared seed")
+                emit = act.get("emit") if isinstance(act, dict) and len(act) == 1 else None
                 if act == "stop":
                     table[seed] = None
-                    continue
-                if (
-                    isinstance(act, dict)
-                    and set(act) == {"emit"}
-                    and isinstance(act["emit"], list)
-                    and len(act["emit"]) == 2
-                ):
-                    sym, nxt = act["emit"]
-                    if sym not in alphabet:
+                elif isinstance(emit, list) and len(emit) == 2 and isinstance(emit[1], str):
+                    if emit[0] not in alphabet:
                         raise DefsError(
-                            f"machines.{name}.step.{seed}: emit symbol {sym!r} not in alphabet"
+                            f"machines.{name}.step.{seed}: emit symbol {emit[0]!r} not in alphabet"
                         )
-                    if nxt not in seeds:
-                        raise DefsError(
-                            f"machines.{name}.step.{seed}: emit seed {nxt!r} undeclared"
-                        )
-                    table[seed] = (sym, nxt)
-                    continue
-                raise DefsError(
-                    f"machines.{name}.step.{seed}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
-                )
-            for seed in seeds:
-                if seed not in table:
-                    raise DefsError(f"machines.{name}.step: missing entry for {seed!r}")
+                    table[seed] = (emit[0], emit[1])
+                else:
+                    raise DefsError(
+                        f"machines.{name}.step.{seed}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
+                    )
             machines[name] = StepFn(name, seeds, table)
 
         return cls(alphabet, functions, machines)
 
     @classmethod
     def load(cls, path: str) -> "Definitions":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DefsError(f"definitions: invalid JSON ({exc})") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, DefsError, "definitions"))
+
+
+def _section(doc: dict, key: str) -> dict:
+    """An optional object-valued section of a definitions document."""
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise DefsError(f"{key}: must be an object")
+    return section

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import colist
 from .colist import CoList, Definitions
-from .errors import UnknownFunction, UnknownMachine, UnknownSymbol
+from .errors import UnknownAtom, UnknownFunction, UnknownMachine
 from .syntax import TERM, Grammar
 
 
@@ -92,22 +92,23 @@ def print_expr(e: Expr) -> str:
 
 
 def elaborate(e: Expr, defs: Definitions) -> CoList:
-    """Bind an expression to engine states against a definitions file."""
+    """Bind an expression to engine states against a definitions file.
+
+    Resolves function and machine names; the colist constructors check
+    symbols and seeds.
+    """
     if isinstance(e, Nil):
         return colist.nil()
     if isinstance(e, Cons):
-        if e.sym not in defs.alphabet:
-            raise UnknownSymbol(f"symbol {e.sym!r} not in alphabet")
         return colist.cons(e.sym, elaborate(e.tail, defs), defs.alphabet)
     if isinstance(e, Lconst):
-        if e.sym not in defs.alphabet:
-            raise UnknownSymbol(f"symbol {e.sym!r} not in alphabet")
         return colist.lconst(e.sym, defs.alphabet)
     if isinstance(e, Iterates):
         if e.fn not in defs.functions:
             raise UnknownFunction(f"function {e.fn!r} not defined")
+        # colist.iterates words this "not in domain of <fn>"
         if e.sym not in defs.alphabet:
-            raise UnknownSymbol(f"symbol {e.sym!r} not in alphabet")
+            raise UnknownAtom(f"symbol {e.sym!r} not in alphabet")
         return colist.iterates(defs.functions[e.fn], e.sym)
     if isinstance(e, Map):
         if e.fn not in defs.functions:

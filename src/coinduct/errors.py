@@ -1,7 +1,8 @@
-"""Exception types and the shared check-verdict value."""
+"""Exception types, the shared check-verdict value, and the JSON file reader."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -34,8 +35,8 @@ class UnknownSeed(CoinductError):
     """Seed key not declared by the step function."""
 
 
-class UnknownSymbol(CoinductError):
-    """DSL symbol does not resolve against the definitions file."""
+# A DSL symbol that does not resolve is an atom outside the alphabet.
+UnknownSymbol = UnknownAtom
 
 
 class UnknownFunction(CoinductError):
@@ -110,3 +111,16 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def read_json(path: str, error: type[CoinductError], what: str) -> Any:
+    """Parse the JSON file at `path`.
+
+    Text that is not UTF-8 or not JSON raises `error`, with `what` naming
+    the file format; OSError and RecursionError pass through.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{what}: invalid JSON ({exc})") from None

@@ -230,17 +230,15 @@ def _set_key(members) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 
 
-def _parse_set_key(key: str, where: str) -> frozenset:
+def _parse_set_key(key: str) -> frozenset:
     if not (key.startswith("{") and key.endswith("}")):
-        raise LatticeFileError(f"{where}: element {key!r} is not a set key")
+        raise LatticeFileError(f"carrier: element {key!r} is not a set key")
     inner = key[1:-1]
     return frozenset(s for s in inner.split(",") if s)
 
 
 def _fin_operator(carrier: Carrier, base: list) -> SubsetOperator:
-    sets = {
-        x: _parse_set_key(x, "carrier") for x in carrier.elements
-    }
+    sets = {x: _parse_set_key(x) for x in carrier.elements}
 
     def apply(z: Subset) -> Subset:
         out = set()
@@ -311,8 +309,6 @@ def load_demo(doc: dict) -> tuple[Carrier, SubsetOperator, str]:
         base = spec.get("base")
         if not isinstance(base, list) or not all(isinstance(x, str) for x in base):
             raise LatticeFileError("operator.base: must be an array of strings")
-        for x in carrier.elements:
-            _parse_set_key(x, "carrier")
         op = _fin_operator(carrier, base)
     elif isinstance(spec, dict) and spec.get("name") == "list_fun":
         atoms = spec.get("atoms")
@@ -326,8 +322,8 @@ def load_demo(doc: dict) -> tuple[Carrier, SubsetOperator, str]:
         table: dict[int, int] = {}
         for key, members in raw.items():
             names = [s for s in key.split(",") if s]
-            if not isinstance(members, list):
-                raise LatticeFileError(f"operator.map.{key!r}: must be an array")
+            if not isinstance(members, list) or not all(isinstance(x, str) for x in members):
+                raise LatticeFileError(f"operator.map.{key!r}: must be an array of strings")
             try:
                 table[Subset.of(carrier, names).bits] = Subset.of(carrier, members).bits
             except KeyError as exc:

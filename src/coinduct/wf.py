@@ -198,22 +198,13 @@ def sexp_space(
 
     Atoms are the alphabet leaves plus numerals below `numeral_bound`;
     deeper trees are branch pairs of shallower ones: the trees of
-    `enumerate_trees`, sorted.  Guarded to desk scale: d <= 4, alphabet
-    size <= 3, numeral_bound <= 2.
+    `enumerate_trees`, which are closed under branch decomposition, so
+    `subexpression_space` adds none.  Guarded to desk scale: d <= 4,
+    alphabet size <= 3, numeral_bound <= 2.
     """
     if d > 4 or len(alphabet) > 3 or numeral_bound > 2:
         raise SizeExceeded("sexp_space guard: d <= 4, |alphabet| <= 3, numerals <= 2")
-    carrier = sorted(enumerate_trees(d, alphabet, numeral_bound), key=FiniteTree.sort_key)
-    members = set(carrier)
-    pairs = set()
-    for t in carrier:
-        shape = case_tree(t)
-        if isinstance(shape, SconsShape):
-            if shape.left in members:
-                pairs.add((shape.left, t))
-            if shape.right in members:
-                pairs.add((shape.right, t))
-    return carrier, WFRelation(carrier, pairs)
+    return subexpression_space(enumerate_trees(d, alphabet, numeral_bound))
 
 
 def is_sexp(t: FiniteTree, alphabet: Alphabet, numeral_bound: int) -> bool:

@@ -121,6 +121,8 @@ def test_certificate_validation_and_roundtrip(tmp_path):
     assert Certificate.load(str(path)) == cert
     with pytest.raises(CertificateError):
         Certificate.from_dict({"kind": "weak", "root": ["a"], "pairs": []})
+    with pytest.raises(CertificateError, match=r"^kind: must be \"weak\" or \"strong\", got 'x'$"):
+        Certificate.from_dict({"kind": "x", "root": list(root), "pairs": [list(root)]})
 
 
 def test_find_bisimulation_outcomes():

@@ -8,6 +8,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import coinduct
 from coinduct.cli import _build_parser, run_command
 
@@ -214,6 +216,56 @@ def test_defs_validation_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--defs", str(path), "nil")
     assert code == 2
     assert "alphabet" in err
+
+
+GOOD_DEFS = json.loads((DATA / "defs.json").read_text())
+ROOT = ["CONST(a)", "CONS(a,CONST(a))"]
+TABLE_DEMO = {"carrier": ["x"], "operator": {"name": "table", "map": {"": [["x"]], "x": ["x"]}},
+              "mode": "lfp"}
+MALFORMED = {
+    "defs: functions not an object": ("defs", json.dumps(dict(GOOD_DEFS, functions=[1]))),
+    "defs: machines not an object": ("defs", json.dumps(dict(GOOD_DEFS, machines=[1]))),
+    "defs: non-string seed": ("defs", json.dumps(
+        dict(GOOD_DEFS, machines={"m": {"seeds": [["x"]], "step": {}}}))),
+    "defs: invalid UTF-8": ("defs", b'{"alphabet": ["\xff"]}'),
+    "lattice: non-string table members": ("spec", json.dumps(TABLE_DEMO)),
+    "lattice: invalid UTF-8": ("spec", b'{"carrier": ["\xc3"]}'),
+    "cert: nested root": ("cert", json.dumps({"kind": "weak", "root": [["a"], "b"],
+                                              "pairs": [ROOT]})),
+    "cert: invalid UTF-8": ("cert", b'{"kind": "\xfe"}'),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_file_exits_2(capsys, tmp_path, case):
+    """Each file format reports a malformed file as one `error:` line and
+    exit 2, whatever its fault."""
+    role, content = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    argv = {
+        "defs": ["eval", "--defs", str(path), "nil"],
+        "spec": ["lattice", "--spec", str(path)],
+        "cert": ["cert", "verify", "--defs", DEFS, "--cert", str(path), "lconst(a)", "lconst(a)"],
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deep_input_exits_2(capsys, tmp_path):
+    """Input nested past the recursion limit is a validation error, not a crash."""
+    n = 3000
+    deep_cons = "cons(a," * n + "nil" + ")" * n
+    assert run(capsys, "eval", "--defs", DEFS, deep_cons) == (
+        2, "", "error: input nested too deeply\n")
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    assert run(capsys, "eval", "--defs", str(path), "nil") == (
+        2, "", "error: input nested too deeply\n")
 
 
 def test_bisim_implies_eq(capsys):

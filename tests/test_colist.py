@@ -496,3 +496,27 @@ def test_definitions_validation(defs_doc):
     bad["machines"] = {"m": {"seeds": ["s"], "step": {}}}
     with pytest.raises(DefsError, match="machines.m.step"):
         Definitions.from_dict(bad)
+
+    bad["machines"] = {"m": {"seeds": ["s"], "step": {"s": "stop", "t": "stop"}}}
+    with pytest.raises(DefsError, match=r"^machines\.m\.step\.t: undeclared seed$"):
+        Definitions.from_dict(bad)
+
+    bad["machines"] = {"m": {"seeds": ["s", "s"], "step": {"s": "stop"}}}
+    with pytest.raises(DefsError, match=r"^machines\.m\.seeds: duplicate seed$"):
+        Definitions.from_dict(bad)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"s": ("a", "t")}, "machines.m.step.s: emit seed 't' undeclared"),
+    ({"s": None, "t": None}, "machines.m.step.t: undeclared seed"),
+    ({}, "machines.m.step: missing entry for 's'"),
+])
+def test_step_table_checked_by_stepfn(defs_doc, table, message):
+    """`StepFn` owns the step-table checks: built directly, it reports
+    what a definitions file with the same table reports."""
+    step = {s: "stop" if act is None else {"emit": list(act)} for s, act in table.items()}
+    doc = dict(defs_doc, machines={"m": {"seeds": ["s"], "step": step}})
+    for build in (lambda: StepFn("m", ["s"], table), lambda: Definitions.from_dict(doc)):
+        with pytest.raises(DefsError) as exc:
+            build()
+        assert str(exc.value) == message

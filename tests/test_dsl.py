@@ -1,9 +1,11 @@
 """Expression grammar: parsing, printing, elaboration."""
 
+import pathlib
 import random
 
 import pytest
 
+from coinduct.cli import run_command
 from coinduct.colist import observe, take
 from coinduct.dsl import (
     Append,
@@ -164,3 +166,23 @@ def test_elaborate_resolution_errors(defs):
         elaborate(parse_expr("corec(zz,s0)"), defs)
     with pytest.raises(UnknownSeed):
         elaborate(parse_expr("corec(two,zz)"), defs)
+
+
+DEFS = str(pathlib.Path(__file__).parent / "data" / "defs.json")
+
+
+@pytest.mark.parametrize("expr, stderr", [
+    ("lconst(zz)", "error: symbol 'zz' not in alphabet\n"),
+    ("cons(zz,nil)", "error: symbol 'zz' not in alphabet\n"),
+    ("iterates(succ,zz)", "error: symbol 'zz' not in alphabet\n"),
+    ("map(zz,nil)", "error: function 'zz' not defined\n"),
+    ("corec(zz,s0)", "error: machine 'zz' not defined\n"),
+    ("corec(two,zz)", "error: two: unknown seed 'zz'\n"),
+    # the tail is elaborated before the cons cell checks its symbol
+    ("cons(zz,map(qq,nil))", "error: function 'qq' not defined\n"),
+])
+def test_resolution_error_text(capsys, expr, stderr):
+    """Names are resolved by `elaborate`, symbols and seeds by the colist
+    constructors; the CLI reports either as one line."""
+    assert run_command(["eval", "--defs", DEFS, expr]) == 2
+    assert capsys.readouterr() == ("", stderr)
