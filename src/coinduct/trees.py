@@ -2,9 +2,16 @@
 
 A node is a (position, label) pair; positions are finite words over the
 branch digits 0 and 1, so every node has a finite depth equal to its word
-length.  A tree is a finite set of nodes held in canonical order, which
-makes set equality plain structural equality.  Constructors never accept
-the empty node set; empty trees only arise from truncation.
+length.  A tree is a finite set of nodes, stored as the binary trie of
+their positions: each node set has one trie, so set equality is
+structural equality.  Constructors never accept the empty node set;
+empty trees only arise from truncation.
+
+Costs: the constructors and `case_tree` are O(1) and share their
+operands; `ntrunc` is linear in the trie nodes it rebuilds above the
+cut; the node view (`nodes`, iteration, `sort_key`, `repr`,
+`dump_tree`) is derived on demand in O(size * depth).  Walks use
+explicit stacks, so trees of any depth are safe.
 """
 
 from __future__ import annotations
@@ -64,65 +71,145 @@ def ndepth(node: Node) -> int:
 class FiniteTree:
     """A finite set of nodes with at most one node per position.
 
-    Nodes are stored sorted by position, so two trees are equal exactly
-    when their node tuples are equal.
+    Stored as a binary trie: the label at the root position (or None)
+    and two branches, the trees of the nodes under digit 0 and under
+    digit 1 with that digit removed; an empty branch is EMPTY_TREE.
+    Each node set has exactly one trie, so constructors share their
+    operands instead of copying them.  Size, height and hash are fixed
+    at construction.  The node view (`nodes`, iteration, `sort_key`,
+    `repr`) is derived by a pre-order walk, which visits positions in
+    lexicographic order.
+
+    `FiniteTree(nodes)` builds the tree of a literal node set.
     """
 
-    __slots__ = ("nodes", "_hash")
+    __slots__ = ("_label", "_left", "_right", "_size", "_height", "_hash")
 
-    def __init__(self, nodes: Iterable[Node]):
-        ordered = tuple(sorted(set(nodes), key=Node.sort_key))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.pos == b.pos:
-                raise Malformed(f"two nodes share position {render_position(a.pos)}")
-        object.__setattr__(self, "nodes", ordered)
-        object.__setattr__(self, "_hash", hash(ordered))
+    def __new__(cls, nodes: Iterable[Node]):
+        root: list = [None, None, None]  # label, branch 0, branch 1
+        clashes = []
+        for n in nodes:
+            cell = root
+            for d in n.pos:
+                if d not in (0, 1):
+                    raise Malformed(f"position digit {d!r} is not 0 or 1")
+                if cell[1 + d] is None:
+                    cell[1 + d] = [None, None, None]
+                cell = cell[1 + d]
+            if cell[0] is None:
+                cell[0] = n.label
+            elif cell[0] != n.label:
+                clashes.append(n.pos)
+        if clashes:
+            raise Malformed(f"two nodes share position {render_position(min(clashes))}")
+        order, stack = [], [root]
+        while stack:
+            cell = stack.pop()
+            order.append(cell)
+            stack.extend(c for c in cell[1:] if c is not None)
+        for cell in reversed(order):  # every branch before its parent
+            left, right = (EMPTY_TREE if c is None else c[3] for c in cell[1:])
+            cell.append(_tree(cell[0], left, right))
+        return root[3]
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteTree) and self.nodes == other.nodes
+        if self is other:
+            return True
+        if not isinstance(other, FiniteTree):
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a._size != b._size or a._label != b._label:
+                return False
+            stack.append((a._right, b._right))
+            stack.append((a._left, b._left))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._size
+
+    def _walk(self) -> Iterator[tuple[Position, Label]]:
+        """(position, label) of every node, in pre-order."""
+        stack = [((), self)]
+        while stack:
+            pos, t = stack.pop()
+            if t._label is not None:
+                yield pos, t._label
+            if t._right._size:
+                stack.append((pos + (1,), t._right))
+            if t._left._size:
+                stack.append((pos + (0,), t._left))
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
+        return (Node(pos, label) for pos, label in self._walk())
 
     def __bool__(self) -> bool:
-        return bool(self.nodes)
+        return self._size > 0
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(self)
 
     def sort_key(self):
-        return tuple(n.sort_key() for n in self.nodes)
+        return tuple((pos, label.sort_key()) for pos, label in self._walk())
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{render_position(n.pos)} {n.label.render()}" for n in self.nodes
-        )
-        return "{" + inner + "}"
+        return "{" + ", ".join(_node_lines(self)) + "}"
 
     @property
     def is_empty(self) -> bool:
-        return not self.nodes
+        return not self._size
 
 
-EMPTY_TREE = FiniteTree(())
+_new_tree = object.__new__
+_set_field = object.__setattr__
+
+
+def _tree(label, left: FiniteTree, right: FiniteTree) -> FiniteTree:
+    """The trie with `label` at the root and the two given branches."""
+    size = left._size + right._size
+    if label is not None:
+        size += 1
+    elif not size:
+        return EMPTY_TREE
+    t = _new_tree(FiniteTree)
+    _set_field(t, "_label", label)
+    _set_field(t, "_left", left)
+    _set_field(t, "_right", right)
+    _set_field(t, "_size", size)
+    _set_field(t, "_height", 1 + max(left._height, right._height))
+    _set_field(t, "_hash", hash((label, left._hash, right._hash)))
+    return t
+
+
+EMPTY_TREE = _new_tree(FiniteTree)
+_set_field(EMPTY_TREE, "_label", None)
+_set_field(EMPTY_TREE, "_left", EMPTY_TREE)
+_set_field(EMPTY_TREE, "_right", EMPTY_TREE)
+_set_field(EMPTY_TREE, "_size", 0)
+_set_field(EMPTY_TREE, "_height", 0)
+_set_field(EMPTY_TREE, "_hash", hash(()))
 
 TreeSet = frozenset  # of FiniteTree
 
 
 def tree_depth(t: FiniteTree) -> int:
     """Largest node depth in t (0 for atoms and for the empty tree)."""
-    return max((ndepth(n) for n in t), default=0)
+    return max(t._height - 1, 0)
 
 
 def atom(label: Label) -> FiniteTree:
     """The singleton tree carrying `label` at the root position."""
-    return FiniteTree((Node((), label),))
+    return _tree(label, EMPTY_TREE, EMPTY_TREE)
 
 
 def leaf(symbol: str) -> FiniteTree:
@@ -137,18 +224,13 @@ def numb(k: int) -> FiniteTree:
     return atom(Num(k))
 
 
-def _push(digit: int, t: FiniteTree) -> Iterator[Node]:
-    for n in t:
-        yield Node((digit,) + n.pos, n.label)
-
-
 def branch_union(m: FiniteTree, n: FiniteTree) -> FiniteTree:
     """Union of the two push images, with empty branches allowed.
 
     This is the raw node-level combination underlying scons; truncation
     laws and corecursion approximants need it on possibly-empty operands.
     """
-    return FiniteTree(tuple(_push(0, m)) + tuple(_push(1, n)))
+    return _tree(None, m, n)
 
 
 def scons(m: FiniteTree, n: FiniteTree) -> FiniteTree:
@@ -203,17 +285,15 @@ def case_tree(t: FiniteTree) -> Union[AtomShape, SconsShape]:
     e.g. for truncations with an empty branch or for node sets mixing a
     root node with deeper ones.
     """
-    if t.is_empty:
+    if not t._size:
         raise Malformed("empty tree is not a constructor image")
-    if any(not n.pos for n in t):
-        if len(t) == 1:
-            return AtomShape(t.nodes[0].label)
+    if t._label is not None:
+        if t._size == 1:
+            return AtomShape(t._label)
         raise Malformed("root node mixed with deeper nodes")
-    left = FiniteTree(Node(n.pos[1:], n.label) for n in t if n.pos[0] == 0)
-    right = FiniteTree(Node(n.pos[1:], n.label) for n in t if n.pos[0] == 1)
-    if left.is_empty or right.is_empty:
+    if not (t._left._size and t._right._size):
         raise Malformed("one branch is empty; not a constructor image")
-    return SconsShape(left, right)
+    return SconsShape(t._left, t._right)
 
 
 def split(t: FiniteTree) -> tuple[FiniteTree, FiniteTree]:
@@ -255,8 +335,26 @@ def oplus(a: TreeSet, b: TreeSet) -> TreeSet:
 
 
 def ntrunc(k: int, t: FiniteTree) -> FiniteTree:
-    """Nodes of t at depth strictly below k; empty input is allowed."""
-    return FiniteTree(n for n in t if ndepth(n) < k)
+    """Nodes of t at depth strictly below k; empty input is allowed.
+
+    Subtrees that end above the cut are shared, not copied; each
+    (subtree, remaining depth) pair is cut once.
+    """
+    done: dict = {}  # (id(subtree), j) -> its nodes at depth below j
+    stack = [(t, k)]
+    while stack:
+        sub, j = stack[-1]
+        if sub._height <= j or j <= 0:
+            done[id(sub), j] = sub if j > 0 else EMPTY_TREE
+            stack.pop()
+            continue
+        todo = [(b, j - 1) for b in (sub._left, sub._right) if (id(b), j - 1) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        done[id(sub), j] = _tree(sub._label, done[id(sub._left), j - 1], done[id(sub._right), j - 1])
+    return done[id(t), k]
 
 
 def render_position(pos: Position) -> str:
@@ -269,8 +367,12 @@ def dump_tree(t: FiniteTree) -> str:
     Positions appear in lexicographic order; the root position renders
     as `.`; labels render as `atom:<symbol>` or `num:<k>`.
     """
-    lines = [f"{render_position(n.pos)} {n.label.render()}" for n in t.nodes]
+    lines = list(_node_lines(t))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _node_lines(t: FiniteTree) -> Iterator[str]:
+    return (f"{render_position(pos)} {label.render()}" for pos, label in t._walk())
 
 
 def enumerate_trees(depth: int, symbols: Iterable[str], numeral_bound: int) -> list[FiniteTree]:

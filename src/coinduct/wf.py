@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from . import lattice
+from . import lattice  # noqa: F401  bench/tracing.py wraps wf.lattice
 from .colist import Alphabet
 from .errors import IllFoundedCall, Malformed, NotAList, SizeExceeded, UnknownAtom
 from .trees import (
@@ -67,29 +67,25 @@ def list_decode(t: FiniteTree) -> list[str]:
 def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> frozenset:
     """Least transitive relation containing `pairs`.
 
-    Computed as a least fixedpoint on the lattice of subsets of the full
-    pair carrier over the mentioned elements.
+    The paper defines it as a least fixedpoint; here (x, y) is in it when
+    y is reachable from x by one edge or more, found by one graph search
+    from each source: O(V * E) time, and no carrier of all pairs.  A
+    cycle through x yields (x, x).
     """
-    base = frozenset(pairs)
-    if not base:
-        return frozenset()
-    elems = sorted({x for p in base for x in p}, key=repr)
-    all_pairs = [(x, y) for x in elems for y in elems]
-    carrier = lattice.Carrier(all_pairs)
-
-    def step(z: lattice.Subset) -> lattice.Subset:
-        have = set(z.members()) | base
-        succ: dict = {}
-        for a, b in have:
-            succ.setdefault(a, set()).add(b)
-        new = set(have)
-        for a, b in have:
-            for d in succ.get(b, ()):
-                new.add((a, d))
-        return lattice.Subset.of(carrier, new)
-
-    result = lattice.lfp(lattice.SubsetOperator(step, "closure"), carrier)
-    return frozenset(result.members())
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closure = set()
+    for src, direct in succ.items():
+        seen = set()
+        stack = list(direct)
+        while stack:
+            y = stack.pop()
+            if y not in seen:
+                seen.add(y)
+                stack.extend(succ.get(y, ()))
+        closure.update((src, y) for y in seen)
+    return frozenset(closure)
 
 
 @dataclass(frozen=True)
@@ -190,6 +186,9 @@ def subexpression_space(roots: Iterable[FiniteTree]) -> tuple[list[FiniteTree], 
     return carrier, WFRelation(carrier, pairs)
 
 
+SEXP_SPACE_BUDGET = 10_000  # largest carrier sexp_space enumerates, in trees
+
+
 def sexp_space(
     d: int, alphabet: Alphabet, numeral_bound: int
 ) -> tuple[list[FiniteTree], WFRelation]:
@@ -200,10 +199,21 @@ def sexp_space(
     deeper trees are branch pairs of shallower ones: the trees of
     `enumerate_trees`, which are closed under branch decomposition, so
     `subexpression_space` adds none.  Guarded to desk scale: d <= 4,
-    alphabet size <= 3, numeral_bound <= 2.
+    alphabet size <= 3, numeral_bound <= 2, and a carrier of at most
+    SEXP_SPACE_BUDGET (10^4) trees, predicted before enumerating: with
+    k atoms the trees of depth below i number L(i), where L(0) = 0,
+    L(1) = k and L(i+1) = L(i) + L(i)^2 - L(i-1)^2 (the new trees are
+    the pairs not already formed one layer down).
     """
     if d > 4 or len(alphabet) > 3 or numeral_bound > 2:
         raise SizeExceeded("sexp_space guard: d <= 4, |alphabet| <= 3, numerals <= 2")
+    prev, count = 0, (len(alphabet) + max(numeral_bound, 0) if d > 0 else 0)
+    for _ in range(d - 1):
+        prev, count = count, count + count * count - prev * prev
+    if count > SEXP_SPACE_BUDGET:
+        raise SizeExceeded(
+            f"sexp_space guard: predicted {count} trees, over the budget of {SEXP_SPACE_BUDGET}"
+        )
     return subexpression_space(enumerate_trees(d, alphabet, numeral_bound))
 
 

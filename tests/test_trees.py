@@ -1,6 +1,8 @@
 """Tree universe: constructors, eliminators, truncation, set operators."""
 
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -31,6 +33,7 @@ from coinduct.trees import (
     oplus,
     otimes,
     parse_tree_term,
+    render_position,
     scons,
     split,
     sum_case,
@@ -235,3 +238,171 @@ def test_enumerate_trees_sizes():
     assert len(enumerate_trees(1, ("a",), 2)) == 3
     assert len(enumerate_trees(2, ("a",), 2)) == 12
     assert len(enumerate_trees(0, ("a",), 2)) == 0
+
+
+# --------------------------------------------------------------------------
+# Reference: the node-tuple tree the trie replaced, kept as the oracle.
+
+
+class RefTree:
+    """A finite node set held as a sorted tuple of nodes."""
+
+    def __init__(self, nodes):
+        ordered = tuple(sorted(set(nodes), key=Node.sort_key))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.pos == b.pos:
+                raise Malformed(f"two nodes share position {render_position(a.pos)}")
+        self.nodes = ordered
+
+    def __eq__(self, other):
+        return self.nodes == other.nodes
+
+    def __hash__(self):
+        return hash(self.nodes)
+
+    def sort_key(self):
+        return tuple(n.sort_key() for n in self.nodes)
+
+    def __repr__(self):
+        inner = ", ".join(f"{render_position(n.pos)} {n.label.render()}" for n in self.nodes)
+        return "{" + inner + "}"
+
+    def dump(self):
+        lines = [f"{render_position(n.pos)} {n.label.render()}" for n in self.nodes]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
+def ref_branch_union(m, n):
+    return RefTree([Node((0,) + x.pos, x.label) for x in m.nodes]
+                   + [Node((1,) + x.pos, x.label) for x in n.nodes])
+
+
+def ref_ntrunc(k, t):
+    return RefTree(n for n in t.nodes if ndepth(n) < k)
+
+
+def ref_case_tree(t):
+    """The parent's case_tree on node tuples, with RefTree branches."""
+    if not t.nodes:
+        raise Malformed("empty tree is not a constructor image")
+    if any(not n.pos for n in t.nodes):
+        if len(t.nodes) == 1:
+            return AtomShape(t.nodes[0].label)
+        raise Malformed("root node mixed with deeper nodes")
+    left = RefTree(Node(n.pos[1:], n.label) for n in t.nodes if n.pos[0] == 0)
+    right = RefTree(Node(n.pos[1:], n.label) for n in t.nodes if n.pos[0] == 1)
+    if not left.nodes or not right.nodes:
+        raise Malformed("one branch is empty; not a constructor image")
+    return SconsShape(left, right)
+
+
+def outcome(fn, t):
+    try:
+        shape = fn(t)
+    except Malformed as exc:
+        return "Malformed", str(exc)
+    if isinstance(shape, AtomShape):
+        return "atom", shape.label
+    return "scons", shape.left.nodes, shape.right.nodes
+
+
+def assert_agree(pairs):
+    """Trie trees against their reference node tuples, one by one and
+    pairwise: node views, texts, case analysis, equality, hash, order."""
+    for t, ref in pairs:
+        assert t.nodes == tuple(t) == ref.nodes
+        assert len(t) == len(ref.nodes) and bool(t) == bool(ref.nodes)
+        assert dump_tree(t) == ref.dump() and repr(t) == repr(ref)
+        assert t.sort_key() == ref.sort_key()
+        assert tree_depth(t) == max((ndepth(n) for n in ref.nodes), default=0)
+        assert outcome(case_tree, t) == outcome(ref_case_tree, ref)
+        rebuilt = FiniteTree(ref.nodes)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+    for t, ref in pairs:
+        for u, ref_u in pairs:
+            assert (t == u) == (ref == ref_u)
+            if t == u:
+                assert hash(t) == hash(u)
+    by_trie = sorted(range(len(pairs)), key=lambda i: pairs[i][0].sort_key())
+    by_ref = sorted(range(len(pairs)), key=lambda i: pairs[i][1].sort_key())
+    assert by_trie == by_ref
+
+
+def test_trie_agrees_with_node_tuples_on_enumerated_trees():
+    trees = enumerate_trees(3, ("a",), 2)
+    assert_agree([(t, RefTree(t.nodes)) for t in trees])
+    for t in trees:
+        ref = RefTree(t.nodes)
+        for k in range(5):
+            assert ntrunc(k, t).nodes == ref_ntrunc(k, ref).nodes
+
+
+def random_pair(rng, budget):
+    """A trie tree and its reference, built side by side from atoms,
+    empty trees, branch unions (empty branches allowed) and truncations."""
+    roll = rng.random()
+    if budget <= 0 or roll < 0.25:
+        label = rng.choice([UserAtom("a"), UserAtom("b"), Num(0), Num(1)])
+        return atom(label), RefTree([Node((), label)])
+    if roll < 0.3:
+        return EMPTY_TREE, RefTree(())
+    if roll < 0.8:
+        m, ref_m = random_pair(rng, budget - 1)
+        n, ref_n = random_pair(rng, budget - 1)
+        return branch_union(m, n), ref_branch_union(ref_m, ref_n)
+    k = rng.randint(-1, 6)
+    t, ref = random_pair(rng, budget - 1)
+    return ntrunc(k, t), ref_ntrunc(k, ref)
+
+
+def test_trie_agrees_with_node_tuples_on_random_trees():
+    rng = random.Random(41)
+    pairs = [random_pair(rng, rng.randint(0, 7)) for _ in range(300)]
+    assert any(not ref.nodes for _, ref in pairs)
+    assert any(outcome(ref_case_tree, ref)[0] == "Malformed" and ref.nodes for _, ref in pairs)
+    assert_agree(pairs)
+    # root nodes mixed with deeper ones only come from literal node sets
+    for t, ref in pairs[:60]:
+        label = rng.choice([UserAtom("a"), Num(2)])
+        mixed = ref.nodes + (Node((), label),)
+        if not any(n.pos == () for n in ref.nodes):
+            assert_agree([(FiniteTree(mixed), RefTree(mixed))])
+
+
+def test_literal_node_sets_report_clashes_like_the_reference():
+    rng = random.Random(43)
+    positions = [(), (0,), (1,), (0, 1), (1, 1, 0)]
+    for _ in range(200):
+        nodes = [Node(rng.choice(positions), rng.choice([Num(0), Num(1), UserAtom("a")]))
+                 for _ in range(rng.randint(0, 6))]
+        try:
+            expected = RefTree(nodes)
+        except Malformed as exc:
+            with pytest.raises(Malformed) as got:
+                FiniteTree(nodes)
+            assert str(got.value) == str(exc)
+        else:
+            assert FiniteTree(nodes).nodes == expected.nodes
+
+
+def test_deep_trees_without_recursion():
+    """Trees far deeper than the recursion limit: a 10^4-atom list
+    (depth 20001) and a 3000-deep truncation of a lazy list."""
+    from coinduct.colist import Alphabet, lconst, tree_trunc
+    from coinduct.wf import list_decode, list_encode
+
+    assert sys.getrecursionlimit() <= 10**4
+    alphabet = Alphabet(("a", "b"))
+    xs = ["a", "b"] * 5000
+    t, u = list_encode(xs, alphabet).tree, list_encode(xs, alphabet).tree
+    assert tree_depth(t) == 2 * 10**4 + 1
+    assert list_decode(t) == xs
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert t != list_encode(xs[:-1] + ["a"], alphabet).tree
+    assert ntrunc(2 * 10**4 + 2, t) == t
+    assert len(ntrunc(2 * 10**4, t)) == len(t) - 3  # last head, both nil nodes
+    deep = tree_trunc(3000, lconst("a", alphabet))
+    lines = dump_tree(deep).splitlines()
+    assert len(lines) == 2999  # heads at depths 2i+2 < 3000, tags at 2i+1
+    assert lines[-1] == "1" * 2998 + "0 num:1"
+    assert FiniteTree(deep.nodes) == deep

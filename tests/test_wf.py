@@ -17,6 +17,7 @@ from coinduct.trees import (
     scons,
     tree_depth,
 )
+from coinduct import wf
 from coinduct.wf import (
     RecSpec,
     WFRelation,
@@ -89,6 +90,37 @@ def test_transitive_closure_vs_path_oracle():
             for _ in range(rng.randint(0, 10))
         }
         assert transitive_closure(pairs) == paths_oracle(pairs, carrier)
+
+
+def lfp_closure(pairs):
+    """The paper's definition: the least fixedpoint of
+    Z -> pairs | (Z ; Z) on the lattice of subsets of all pairs over the
+    mentioned elements."""
+    base = frozenset(pairs)
+    elems = sorted({x for p in base for x in p}, key=repr)
+    carrier = Carrier([(x, y) for x in elems for y in elems])
+
+    def step(z):
+        have = set(z.members()) | base
+        succ = {}
+        for a, b in have:
+            succ.setdefault(a, set()).add(b)
+        return Subset.of(carrier, have | {(a, d) for a, b in have for d in succ.get(b, ())})
+
+    return frozenset(lfp(SubsetOperator(step, "closure"), carrier).members())
+
+
+def test_transitive_closure_vs_lfp_definition():
+    rng = random.Random(23)
+    assert transitive_closure(()) == lfp_closure(()) == frozenset()
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        elems = list(range(n)) if rng.random() < 0.5 else [f"v{i}" for i in range(n)]
+        pairs = {(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randint(0, 12))}
+        if rng.random() < 0.3:
+            x = rng.choice(elems)
+            pairs.add((x, x))
+        assert transitive_closure(iter(pairs)) == lfp_closure(pairs)
 
 
 def test_closure_preserves_acyclicity():
@@ -185,6 +217,28 @@ def test_sexp_space_small():
         sexp_space(5, alpha, 2)
     with pytest.raises(SizeExceeded):
         sexp_space(2, Alphabet(("a", "b", "c", "d")), 2)
+
+
+def test_sexp_space_guard_predicts_the_carrier(monkeypatch):
+    """Trees with every node below depth 4, for k = 1..5 atoms: 26, 1446,
+    21612, 163220, 819030.  Over SEXP_SPACE_BUDGET the guard refuses
+    before enumerating."""
+    def refuse(*args):
+        raise AssertionError("sexp_space enumerated past its guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wf, "enumerate_trees", refuse)
+        for numerals, count in ((0, 21612), (1, 163220), (2, 819030)):
+            with pytest.raises(SizeExceeded) as exc:
+                sexp_space(4, Alphabet(("a", "b", "c")), numerals)
+            assert str(exc.value) == (
+                f"sexp_space guard: predicted {count} trees, over the budget of 10000"
+            )
+        with pytest.raises(SizeExceeded, match="d <= 4"):
+            sexp_space(5, Alphabet(("a",)), 0)
+    assert wf.SEXP_SPACE_BUDGET == 10**4
+    assert len(sexp_space(4, Alphabet(("a",)), 0)[0]) == 26
+    assert len(sexp_space(4, Alphabet(("a",)), 1)[0]) == 1446
 
 
 def _is_branch(m, n):
