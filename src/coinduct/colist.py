@@ -85,9 +85,10 @@ class AtomFun:
 class StepFn:
     """A named machine: a finite seed space and a total step table.
 
-    Each seed steps to None (stop) or to a pair (emitted symbol, next
-    seed).  The table must step exactly the declared seeds into declared
-    seeds; errors name the offending key as a definitions-file path.
+    Seeds are distinct strings.  Each seed steps to None (stop) or to a
+    pair of strings (emitted symbol, next seed).  The table must step
+    exactly the declared seeds into declared seeds; errors name the
+    offending key as a definitions-file path.
     """
 
     def __init__(
@@ -98,13 +99,30 @@ class StepFn:
     ):
         self.name = name
         self.seeds = tuple(seeds)
-        self.table = {k: (None if v is None else (v[0], v[1])) for k, v in table.items()}
+        for s in self.seeds:
+            if not isinstance(s, str):
+                raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
         declared = frozenset(self.seeds)
-        for s, act in self.table.items():
+        if len(declared) != len(self.seeds):
+            raise DefsError(f"machines.{name}.seeds: duplicate seed")
+        self.table = {}
+        for s, act in table.items():
             if s not in declared:
                 raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
-            if act is not None and act[1] not in declared:
-                raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
+            if act is not None:
+                if not (
+                    isinstance(act, (tuple, list))
+                    and len(act) == 2
+                    and isinstance(act[0], str)
+                    and isinstance(act[1], str)
+                ):
+                    raise DefsError(
+                        f"machines.{name}.step.{s}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
+                    )
+                if act[1] not in declared:
+                    raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
+                act = (act[0], act[1])
+            self.table[s] = act
         for s in self.seeds:
             if s not in self.table:
                 raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
@@ -437,28 +455,24 @@ class Definitions:
             if not isinstance(seeds, list) or not seeds:
                 raise DefsError(f"machines.{name}.seeds: must be a nonempty array")
             for s in seeds:
-                if not isinstance(s, str) or not WORD.fullmatch(s):
+                if isinstance(s, str) and not WORD.fullmatch(s):
                     raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
-            if len(set(seeds)) != len(seeds):
-                raise DefsError(f"machines.{name}.seeds: duplicate seed")
             if not isinstance(step, dict):
                 raise DefsError(f"machines.{name}.step: must be an object")
-            table: dict[str, Optional[tuple[str, str]]] = {}
+            table = {}
             for seed, act in step.items():
                 emit = act.get("emit") if isinstance(act, dict) and len(act) == 1 else None
-                if act == "stop":
-                    table[seed] = None
-                elif isinstance(emit, list) and len(emit) == 2 and isinstance(emit[1], str):
-                    if emit[0] not in alphabet:
-                        raise DefsError(
-                            f"machines.{name}.step.{seed}: emit symbol {emit[0]!r} not in alphabet"
-                        )
-                    table[seed] = (emit[0], emit[1])
-                else:
+                if emit is None and act != "stop":
                     raise DefsError(
                         f"machines.{name}.step.{seed}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
                     )
+                table[seed] = emit
             machines[name] = StepFn(name, seeds, table)
+            for seed, act in machines[name].table.items():
+                if act is not None and act[0] not in alphabet:
+                    raise DefsError(
+                        f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet"
+                    )
 
         return cls(alphabet, functions, machines)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import CountingFun, random_machine, rename_seeds
+from coinduct import bisim, lattice
 from coinduct.bisim import (
     BoundExceeded,
     Certificate,
@@ -261,6 +262,99 @@ def test_bisimilarity_gfp_agrees_with_search():
                 found = find_bisimulation(corec(s, m1), corec(t, m2), 10_000)
                 in_rel = (f"M({m1.name},{s})", f"M({m2.name},{t})") in rel
                 assert in_rel == isinstance(found, Certificate)
+
+
+def _kleene_gfp(m1, m2):
+    """The Kleene-iteration gfp of `llistd_fun` over all seed pairs: the
+    literal definition, kept as the oracle for the refinement."""
+    pairs = [(s, t) for s in m1.seeds for t in m2.seeds]
+    carrier = lattice.Carrier(pairs)
+
+    def close(z):
+        kept = []
+        for s, t in pairs:
+            a1, a2 = m1.step(s), m2.step(t)
+            if a1 is None and a2 is None:
+                kept.append((s, t))
+            elif a1 is not None and a2 is not None and a1[0] == a2[0]:
+                if (a1[1], a2[1]) in z:
+                    kept.append((s, t))
+        return lattice.Subset.of(carrier, kept)
+
+    result = lattice.gfp(lattice.SubsetOperator(close, name="llistd_fun"), carrier)
+    return frozenset(
+        (f"M({m1.name},{s})", f"M({m2.name},{t})") for s, t in result.members()
+    )
+
+
+def _lasso(name, tail, cycle):
+    """Seeds emitting `tail` then `cycle` forever: a lasso, stop-free."""
+    emits = list(tail) + list(cycle)
+    seeds = [f"{name}{i}" for i in range(len(emits))]
+    nxt = list(range(1, len(emits))) + [len(tail)]
+    return StepFn(name, seeds, {seeds[i]: (emits[i], seeds[nxt[i]]) for i in range(len(emits))})
+
+
+def _random_pair(rng, i):
+    """Two machines of up to 60 seeds over one or two symbols: random
+    step tables with stops (all-stop and stop-free included), lassos, a
+    seed-renamed copy, or one machine twice."""
+    syms = ("a", "b")[: rng.randint(1, 2)]
+    n = rng.choice((4, 12, 30, 60))
+    kind = i % 5
+    if kind == 3:
+        def lasso(name):
+            return _lasso(name, rng.choices(syms, k=rng.randint(0, n // 2)),
+                          rng.choices(syms, k=rng.randint(1, n // 2)))
+        return lasso("p"), lasso("q")
+    stop = rng.choice((0.0, 0.05, 0.3, 1.0))
+    m1 = random_machine(rng, "p", n, syms, stop)
+    if kind == 0:
+        return m1, m1
+    if kind == 1:
+        return m1, rename_seeds(m1, "r_")
+    return m1, random_machine(rng, "q", n, syms, stop)
+
+
+def test_bisimilarity_gfp_matches_kleene_oracle():
+    rng = random.Random(43)
+    for i in range(600):
+        m1, m2 = _random_pair(rng, i)
+        assert bisimilarity_gfp(m1, m2) == _kleene_gfp(m1, m2), (i, m1.table, m2.table)
+
+
+def test_bisimilarity_gfp_at_scale():
+    n = 10_000
+    chain = [f"c{i}" for i in range(n)]
+    ring = [f"r{i}" for i in range(n)]
+    m1 = StepFn("chain", chain, {s: ("a", chain[i + 1]) if i + 1 < n else None
+                                 for i, s in enumerate(chain)})
+    m2 = StepFn("ring", ring, {s: ("a", ring[(i + 1) % n]) for i, s in enumerate(ring)})
+    assert bisimilarity_gfp(m1, m2) == frozenset()
+
+    # the tail emits z and the cycle a^(c-1) b, so no two seeds agree
+    t = n // 3
+    m1 = _lasso("s", "z" * t, "a" * (n - t - 1) + "b")
+    m2 = rename_seeds(m1, "r_")
+    assert bisimilarity_gfp(m1, m2) == frozenset(
+        (f"M(s,{s})", f"M(r_s,r_{s})") for s in m1.seeds
+    )
+
+
+def test_bisimilarity_gfp_verify_checks_refinement(monkeypatch):
+    rng = random.Random(47)
+    pairs = [_random_pair(rng, i) for i in range(200)]
+    small = [(m1, m2) for m1, m2 in pairs if len(m1.seeds) * len(m2.seeds) <= 12]
+    small.append((StepFn("one", ("s",), {"s": ("a", "s")}),
+                  StepFn("cyc", ("t0", "t1"), {"t0": ("a", "t1"), "t1": ("a", "t0")})))
+    for m1, m2 in small:
+        assert bisimilarity_gfp(m1, m2, verify=True) == bisimilarity_gfp(m1, m2)
+
+    m1, m2 = small[-1]
+    monkeypatch.setattr(bisim, "_refine", lambda outputs, succ: [{i} for i in range(len(succ))])
+    assert bisimilarity_gfp(m1, m2) == frozenset()
+    with pytest.raises(AssertionError, match="disagrees with the Kleene gfp"):
+        bisimilarity_gfp(m1, m2, verify=True)
 
 
 def test_certificate_soundness_random_machines():

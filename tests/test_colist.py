@@ -506,17 +506,29 @@ def test_definitions_validation(defs_doc):
         Definitions.from_dict(bad)
 
 
-@pytest.mark.parametrize("table, message", [
-    ({"s": ("a", "t")}, "machines.m.step.s: emit seed 't' undeclared"),
-    ({"s": None, "t": None}, "machines.m.step.t: undeclared seed"),
-    ({}, "machines.m.step: missing entry for 's'"),
-])
-def test_step_table_checked_by_stepfn(defs_doc, table, message):
-    """`StepFn` owns the step-table checks: built directly, it reports
-    what a definitions file with the same table reports."""
+BAD_ENTRY = 'machines.m.step.s: must be "stop" or {"emit": [symbol, seed]}'
+STEPFN_CASES = [
+    (["s"], {"s": ("a", "t")}, "machines.m.step.s: emit seed 't' undeclared"),
+    (["s"], {"s": None, "t": None}, "machines.m.step.t: undeclared seed"),
+    (["s"], {}, "machines.m.step: missing entry for 's'"),
+    (["s", "s"], {"s": None}, "machines.m.seeds: duplicate seed"),
+    ([["x"]], {}, "machines.m.seeds: bad seed ['x']"),
+    ([1], {}, "machines.m.seeds: bad seed 1"),
+    (["s"], {"s": ("a", ["x"])}, BAD_ENTRY),
+    (["s"], {"s": (["a"], "s")}, BAD_ENTRY),
+    (["s"], {"s": (1, "s")}, BAD_ENTRY),
+    (["s"], {"s": ("a", "s", "s")}, BAD_ENTRY),
+]
+
+
+@pytest.mark.parametrize("seeds, table, message", STEPFN_CASES,
+                         ids=[f"table{i}-{case[2]}" for i, case in enumerate(STEPFN_CASES)])
+def test_step_table_checked_by_stepfn(defs_doc, seeds, table, message):
+    """`StepFn` owns the seed and step-table checks: built directly, it
+    reports what a definitions file with the same table reports."""
     step = {s: "stop" if act is None else {"emit": list(act)} for s, act in table.items()}
-    doc = dict(defs_doc, machines={"m": {"seeds": ["s"], "step": step}})
-    for build in (lambda: StepFn("m", ["s"], table), lambda: Definitions.from_dict(doc)):
+    doc = dict(defs_doc, machines={"m": {"seeds": seeds, "step": step}})
+    for build in (lambda: StepFn("m", seeds, table), lambda: Definitions.from_dict(doc)):
         with pytest.raises(DefsError) as exc:
             build()
         assert str(exc.value) == message
