@@ -8,8 +8,7 @@ such witnesses automatically for eventually-periodic lists, and
 `bisimilarity_gfp` computes the largest bisimulation between two machines.
 That relation is the greatest fixedpoint of the one-step operator
 `llistd_fun` on the seed-pair lattice; it is computed by partition
-refinement of the two seed sets, and `verify=True` re-derives it by
-Kleene iteration on that lattice.
+refinement of the two seed sets.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from . import lattice
+from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
 from .colist import CoList, StepFn, observe, reachable_states, state_key
 from .errors import (
     CertificateError,
@@ -67,10 +66,18 @@ class Certificate:
     root: KeyPair
 
     def __post_init__(self):
+        """Check the shape (root, pairs, kind, root among the pairs) and
+        store `pairs` as a frozenset of key-string tuples."""
+        root = _key_pair(self.root, "root")
+        if not isinstance(self.pairs, (list, tuple, set, frozenset)):
+            raise CertificateError("pairs: must be an array of key pairs")
+        pairs = frozenset(_key_pair(p, f"pairs[{i}]") for i, p in enumerate(self.pairs))
         if self.kind not in ("weak", "strong"):
             raise CertificateError(f"kind: must be \"weak\" or \"strong\", got {self.kind!r}")
-        if self.root not in self.pairs:
+        if root not in pairs:
             raise CertificateError("root: must be among the certificate pairs")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "pairs", pairs)
 
     def to_dict(self) -> dict:
         ordered = sorted(self.pairs)
@@ -85,12 +92,7 @@ class Certificate:
     def from_dict(cls, doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise CertificateError("certificate: top level must be an object")
-        root = _key_pair(doc.get("root"), "root")
-        pairs = doc.get("pairs")
-        if not isinstance(pairs, list):
-            raise CertificateError("pairs: must be an array of key pairs")
-        rel = frozenset(_key_pair(p, f"pairs[{i}]") for i, p in enumerate(pairs))
-        return cls(doc.get("kind"), rel, root)
+        return cls(doc.get("kind"), doc.get("pairs"), doc.get("root"))
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
@@ -98,9 +100,9 @@ class Certificate:
 
 
 def _key_pair(p, where: str) -> KeyPair:
-    if not isinstance(p, list) or len(p) != 2 or not all(isinstance(k, str) for k in p):
+    if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(isinstance(k, str) for k in p):
         raise CertificateError(f"{where}: must be a pair of keys")
-    return p[0], p[1]
+    return tuple(p)
 
 
 @dataclass(frozen=True)
@@ -236,16 +238,13 @@ def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:
     return Verdict(True)
 
 
-def bisimilarity_gfp(m1: StepFn, m2: StepFn, verify: bool = False) -> Relation:
+def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> Relation:
     """The largest bisimulation between two machines: the gfp of `llistd_fun`.
 
     `llistd_fun` is the one-step closure operator on seed pairs: it keeps
     a pair when both seeds stop, or when they emit the same symbol into a
     pair still in the subset.  Its gfp is computed by partition
-    refinement of the two seed sets (`_refine`), not by iteration.  With
-    `verify=True` the gfp is re-derived by Kleene iteration on the pair
-    lattice, checked extremal there (small carriers only) and compared
-    with the refinement.
+    refinement of the two seed sets (`_refine`), not by iteration.
     """
     keys: list[str] = []
     outputs: list[Optional[str]] = []
@@ -262,10 +261,7 @@ def bisimilarity_gfp(m1: StepFn, m2: StepFn, verify: bool = False) -> Relation:
     for block in _refine(outputs, succ):
         left = [keys[i] for i in block if i < n1]
         related.update(product(left, [keys[j] for j in block if j >= n1]))
-    rel = frozenset(related)
-    if verify and _kleene_gfp(m1, m2) != rel:
-        raise AssertionError("partition refinement disagrees with the Kleene gfp")
-    return rel
+    return frozenset(related)
 
 
 def _refine(outputs: list, succ: list) -> list[set[int]]:
@@ -320,30 +316,3 @@ def _refine(outputs: list, succ: list) -> list[set[int]]:
                 queued[x] = True
                 pending.append(x)
     return blocks
-
-
-def _kleene_gfp(m1: StepFn, m2: StepFn) -> Relation:
-    """The gfp of `llistd_fun` by Kleene iteration over all seed pairs,
-    checked extremal on the pair lattice; the oracle for `verify=True`."""
-    pairs = [(s, t) for s in m1.seeds for t in m2.seeds]
-    carrier = lattice.Carrier(pairs)
-
-    def close(z: lattice.Subset) -> lattice.Subset:
-        kept = []
-        for s, t in pairs:
-            a1, a2 = m1.step(s), m2.step(t)
-            if a1 is None and a2 is None:
-                kept.append((s, t))
-            elif a1 is not None and a2 is not None and a1[0] == a2[0]:
-                if (a1[1], a2[1]) in z:
-                    kept.append((s, t))
-        return lattice.Subset.of(carrier, kept)
-
-    op = lattice.SubsetOperator(close, name="llistd_fun")
-    result = lattice.gfp(op, carrier)
-    verdict = lattice.verify_extremal(op, carrier, result, "greatest")
-    if not verdict:
-        raise AssertionError(f"gfp failed extremality: {verdict.reason}")
-    return frozenset(
-        (f"M({m1.name},{s})", f"M({m2.name},{t})") for s, t in result.members()
-    )

@@ -30,27 +30,25 @@ class _ArgumentParser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
+    defs = argparse.ArgumentParser(add_help=False)
+    defs.add_argument("--defs", required=True)
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=20)
+
     parser = _ArgumentParser(prog="coinduct")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="print a prefix of a list expression")
-    p.add_argument("--defs", required=True)
-    p.add_argument("--depth", type=int, default=20)
+    p = sub.add_parser("eval", parents=[defs, depth], help="print a prefix of a list expression")
     p.add_argument("expr")
 
-    p = sub.add_parser("trunc", help="dump the depth-truncated tree encoding")
-    p.add_argument("--defs", required=True)
-    p.add_argument("--depth", type=int, default=20)
+    p = sub.add_parser("trunc", parents=[defs, depth], help="dump the depth-truncated tree encoding")
     p.add_argument("expr")
 
-    p = sub.add_parser("eq", help="bounded take-lemma equality")
-    p.add_argument("--defs", required=True)
-    p.add_argument("--depth", type=int, default=20)
+    p = sub.add_parser("eq", parents=[defs, depth], help="bounded take-lemma equality")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("bisim", help="search for a bisimulation certificate")
-    p.add_argument("--defs", required=True)
+    p = sub.add_parser("bisim", parents=[defs], help="search for a bisimulation certificate")
     p.add_argument("--kind", choices=("weak", "strong"), default="strong")
     p.add_argument("--max-pairs", type=int, default=10_000)
     p.add_argument("left")
@@ -58,15 +56,12 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("cert", help="certificate operations")
     certsub = p.add_subparsers(dest="cert_command", required=True)
-    pv = certsub.add_parser("verify", help="verify a certificate file")
-    pv.add_argument("--defs", required=True)
+    pv = certsub.add_parser("verify", parents=[defs], help="verify a certificate file")
     pv.add_argument("--cert", required=True)
     pv.add_argument("left")
     pv.add_argument("right")
 
-    p = sub.add_parser("check", help="depth-bounded list membership check")
-    p.add_argument("--defs", required=True)
-    p.add_argument("--depth", type=int, default=20)
+    p = sub.add_parser("check", parents=[defs, depth], help="depth-bounded list membership check")
     p.add_argument("--atoms", default=None, help="CSV of allowed atoms")
     p.add_argument("expr")
 
@@ -92,37 +87,29 @@ def run_command(argv) -> int:
         return 2
 
     try:
+        if args.command == "lattice":
+            doc = read_json(args.spec, LatticeFileError, "demo")
+            carrier, op, mode = lattice.load_demo(doc)
+            fix = lattice.lfp(op, carrier) if mode == "lfp" else lattice.gfp(op, carrier)
+            print(f"{mode} = {{{','.join(str(x) for x in fix.members())}}}")
+            return 0
+
+        defs = Definitions.load(args.defs)
+        cert = bisim.Certificate.load(args.cert) if args.command == "cert" else None
+        texts = [args.expr] if "expr" in args else [args.left, args.right]
+        terms = [elaborate(parse_expr(text), defs) for text in texts]
+
         if args.command == "eval":
-            defs = Definitions.load(args.defs)
-            l = elaborate(parse_expr(args.expr), defs)
-            elems, ended = colist.take(args.depth, l)
+            elems, ended = colist.take(args.depth, *terms)
             print(_render_prefix(elems, ended))
             return 0
 
         if args.command == "trunc":
-            defs = Definitions.load(args.defs)
-            l = elaborate(parse_expr(args.expr), defs)
-            sys.stdout.write(dump_tree(colist.tree_trunc(args.depth, l)))
+            sys.stdout.write(dump_tree(colist.tree_trunc(args.depth, *terms)))
             return 0
 
-        if args.command == "eq":
-            defs = Definitions.load(args.defs)
-            left = elaborate(parse_expr(args.left), defs)
-            right = elaborate(parse_expr(args.right), defs)
-            verdict = bisim.eq_upto(args.depth, left, right)
-            if verdict:
-                print(f"EQUAL to depth {args.depth}")
-                return 0
-            print(f"FAIL {verdict.reason} @ {verdict.witness}")
-            return 1
-
         if args.command == "bisim":
-            defs = Definitions.load(args.defs)
-            left = elaborate(parse_expr(args.left), defs)
-            right = elaborate(parse_expr(args.right), defs)
-            outcome = bisim.find_bisimulation(
-                left, right, max_pairs=args.max_pairs, kind=args.kind
-            )
+            outcome = bisim.find_bisimulation(*terms, max_pairs=args.max_pairs, kind=args.kind)
             if isinstance(outcome, bisim.BoundExceeded):
                 print("BOUND")
                 return 3
@@ -135,41 +122,19 @@ def run_command(argv) -> int:
                 print(f"  {ka} ~ {kb}")
             return 0
 
-        if args.command == "cert":
-            defs = Definitions.load(args.defs)
-            cert = bisim.Certificate.load(args.cert)
-            left = elaborate(parse_expr(args.left), defs)
-            right = elaborate(parse_expr(args.right), defs)
-            verdict = bisim.verify_certificate(cert, left, right)
-            if verdict:
-                print("PASS")
-                return 0
-            print(f"FAIL {verdict.reason} @ {verdict.witness}")
-            return 1
-
-        if args.command == "check":
-            defs = Definitions.load(args.defs)
-            l = elaborate(parse_expr(args.expr), defs)
-            atoms = (
-                tuple(defs.alphabet)
-                if args.atoms is None
-                else tuple(s for s in args.atoms.split(",") if s)
-            )
-            verdict = colist.check_llist_upto(args.depth, l, atoms)
-            if verdict:
-                print(f"PASS membership to depth {args.depth}")
-                return 0
-            print(f"FAIL {verdict.reason} @ {verdict.witness}")
-            return 1
-
-        if args.command == "lattice":
-            doc = read_json(args.spec, LatticeFileError, "demo")
-            carrier, op, mode = lattice.load_demo(doc)
-            fix = lattice.lfp(op, carrier) if mode == "lfp" else lattice.gfp(op, carrier)
-            print(f"{mode} = {{{','.join(str(x) for x in fix.members())}}}")
-            return 0
-
-        raise _UsageError(f"unknown command {args.command!r}")
+        if args.command == "eq":
+            verdict = bisim.eq_upto(args.depth, *terms)
+            passed = f"EQUAL to depth {args.depth}"
+        elif args.command == "cert":
+            verdict = bisim.verify_certificate(cert, *terms)
+            passed = "PASS"
+        else:  # check
+            # an empty CSV item allows no head: symbols are nonempty words
+            atoms = defs.alphabet if args.atoms is None else args.atoms.split(",")
+            verdict = colist.check_llist_upto(args.depth, *terms, atoms)
+            passed = f"PASS membership to depth {args.depth}"
+        print(passed if verdict else f"FAIL {verdict.reason} @ {verdict.witness}")
+        return 0 if verdict else 1
     except (CoinductError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Bisimulation certificates: checking, search, and the gfp cross-check."""
 
+import json
 import random
 
 import pytest
@@ -116,14 +117,51 @@ def test_certificate_validation_and_roundtrip(tmp_path):
     doc = cert.to_dict()
     assert Certificate.from_dict(doc) == cert
     path = tmp_path / "cert.json"
-    import json
-
     path.write_text(json.dumps(doc))
     assert Certificate.load(str(path)) == cert
     with pytest.raises(CertificateError):
         Certificate.from_dict({"kind": "weak", "root": ["a"], "pairs": []})
     with pytest.raises(CertificateError, match=r"^kind: must be \"weak\" or \"strong\", got 'x'$"):
         Certificate.from_dict({"kind": "x", "root": list(root), "pairs": [list(root)]})
+
+
+SHAPE_FAULTS = [
+    # (kind, pairs, root, message): each fault is reported ahead of those after it
+    ("x", 3, ["a"], "root: must be a pair of keys"),
+    ("x", 3, [["a"], "b"], "root: must be a pair of keys"),
+    ("x", 3, ["a", "b"], "pairs: must be an array of key pairs"),
+    ("x", [["a", "b"], ["c", ["d"]]], ["a", "b"], "pairs[1]: must be a pair of keys"),
+    ("x", [["a", "c"]], ["a", "b"], "kind: must be \"weak\" or \"strong\", got 'x'"),
+    (None, [["a", "b"]], ["a", "b"], "kind: must be \"weak\" or \"strong\", got None"),
+    ("weak", [["a", "c"]], ["a", "b"], "root: must be among the certificate pairs"),
+]
+
+
+@pytest.mark.parametrize("kind, pairs, root, message", SHAPE_FAULTS, ids=[
+    "short root", "nested root", "pairs not array", "nested pair", "bad kind", "no kind",
+    "root outside"])
+def test_certificate_shape_checks(tmp_path, kind, pairs, root, message):
+    """The constructor owns the shape checks, so a library caller and a
+    certificate file get the same error, never a TypeError."""
+    with pytest.raises(CertificateError) as direct:
+        Certificate(kind, pairs, root)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": kind, "pairs": pairs, "root": root}))
+    with pytest.raises(CertificateError) as loaded:
+        Certificate.load(str(path))
+    assert str(direct.value) == str(loaded.value) == message
+
+
+def test_certificate_normalises_pairs():
+    with pytest.raises(CertificateError, match="^root: must be a pair of keys$"):
+        Certificate("weak", frozenset({("a", "b")}), (["a"], "b"))
+    with pytest.raises(CertificateError, match=r"^pairs\[0\]: must be a pair of keys$"):
+        Certificate("weak", [{"a", "b"}], ("a", "b"))
+    cert = Certificate("weak", [["a", "b"], ("c", "d"), ("a", "b")], ["a", "b"])
+    assert type(cert.pairs) is frozenset and cert.root == ("a", "b")
+    assert cert.pairs == {("a", "b"), ("c", "d")}
+    assert cert == Certificate("weak", frozenset({("a", "b"), ("c", "d")}), ("a", "b"))
+    assert hash(cert) == hash(Certificate("weak", {("c", "d"), ("a", "b")}, ("a", "b")))
 
 
 def test_find_bisimulation_outcomes():
@@ -232,8 +270,8 @@ def test_strong_subsumes_weak():
 def test_bisimilarity_gfp_examples():
     m1 = StepFn("one", ("s",), {"s": ("a", "s")})
     m2 = StepFn("cyc", ("t0", "t1"), {"t0": ("a", "t1"), "t1": ("a", "t0")})
-    rel = bisimilarity_gfp(m1, m2, verify=True)
-    assert rel == frozenset(
+    rel = bisimilarity_gfp(m1, m2)
+    assert rel == _kleene_gfp(m1, m2) == frozenset(
         {("M(one,s)", "M(cyc,t0)"), ("M(one,s)", "M(cyc,t1)")}
     )
 
@@ -247,8 +285,10 @@ def test_bisimilarity_gfp_verification_carrier_bound():
     m1 = StepFn("big", tuple("abcd"), {s: ("a", s) for s in "abcd"})
     m2 = StepFn("big2", tuple("wxyz"), {s: ("a", s) for s in "wxyz"})
     assert len(bisimilarity_gfp(m1, m2)) == 16  # fine without verification
+    op, carrier = _llistd_fun(m1, m2)
     with pytest.raises(CarrierTooLarge):
-        bisimilarity_gfp(m1, m2, verify=True)
+        lattice.verify_extremal(op, carrier, lattice.gfp(op, carrier), "greatest")
+    assert _kleene_gfp(m1, m2) == bisimilarity_gfp(m1, m2)
 
 
 def test_bisimilarity_gfp_agrees_with_search():
@@ -264,9 +304,9 @@ def test_bisimilarity_gfp_agrees_with_search():
                 assert in_rel == isinstance(found, Certificate)
 
 
-def _kleene_gfp(m1, m2):
-    """The Kleene-iteration gfp of `llistd_fun` over all seed pairs: the
-    literal definition, kept as the oracle for the refinement."""
+def _llistd_fun(m1, m2):
+    """The one-step operator `llistd_fun` on the lattice of all seed
+    pairs, with that lattice's carrier."""
     pairs = [(s, t) for s in m1.seeds for t in m2.seeds]
     carrier = lattice.Carrier(pairs)
 
@@ -281,7 +321,19 @@ def _kleene_gfp(m1, m2):
                     kept.append((s, t))
         return lattice.Subset.of(carrier, kept)
 
-    result = lattice.gfp(lattice.SubsetOperator(close, name="llistd_fun"), carrier)
+    return lattice.SubsetOperator(close, name="llistd_fun"), carrier
+
+
+def _kleene_gfp(m1, m2):
+    """The Kleene-iteration gfp of `llistd_fun` over all seed pairs: the
+    literal definition, kept as the oracle for the refinement.  On
+    carriers small enough to enumerate it is checked to be the greatest
+    fixedpoint."""
+    op, carrier = _llistd_fun(m1, m2)
+    result = lattice.gfp(op, carrier)
+    if len(carrier) <= lattice.EXHAUSTIVE_BOUND:
+        verdict = lattice.verify_extremal(op, carrier, result, "greatest")
+        assert verdict, verdict.reason
     return frozenset(
         (f"M({m1.name},{s})", f"M({m2.name},{t})") for s, t in result.members()
     )
@@ -348,13 +400,12 @@ def test_bisimilarity_gfp_verify_checks_refinement(monkeypatch):
     small.append((StepFn("one", ("s",), {"s": ("a", "s")}),
                   StepFn("cyc", ("t0", "t1"), {"t0": ("a", "t1"), "t1": ("a", "t0")})))
     for m1, m2 in small:
-        assert bisimilarity_gfp(m1, m2, verify=True) == bisimilarity_gfp(m1, m2)
+        assert bisimilarity_gfp(m1, m2) == _kleene_gfp(m1, m2)
 
     m1, m2 = small[-1]
     monkeypatch.setattr(bisim, "_refine", lambda outputs, succ: [{i} for i in range(len(succ))])
     assert bisimilarity_gfp(m1, m2) == frozenset()
-    with pytest.raises(AssertionError, match="disagrees with the Kleene gfp"):
-        bisimilarity_gfp(m1, m2, verify=True)
+    assert bisimilarity_gfp(m1, m2) != _kleene_gfp(m1, m2)
 
 
 def test_certificate_soundness_random_machines():

@@ -210,6 +210,26 @@ def test_usage_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+MISSING_ARGUMENTS = {
+    "": "command",
+    "eval": "--defs, expr",
+    "trunc": "--defs, expr",
+    "eq": "--defs, left, right",
+    "bisim": "--defs, left, right",
+    "cert": "cert_command",
+    "cert verify": "--defs, --cert, left, right",
+    "check": "--defs, expr",
+    "lattice": "--spec",
+}
+
+
+@pytest.mark.parametrize("command", MISSING_ARGUMENTS)
+def test_missing_arguments_golden(capsys, command):
+    """Each command names its missing required arguments in declaration order."""
+    expected = f"error: the following arguments are required: {MISSING_ARGUMENTS[command]}\n"
+    assert run(capsys, *command.split()) == (2, "", expected)
+
+
 def test_defs_validation_error_exit(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"alphabet": ["a", "a"]}))
