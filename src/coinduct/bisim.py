@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, observe, reachable_states, state_key
+from .colist import CoList, StepFn, _machine_key, observe, reachable_states, state_key
 from .errors import (
     CertificateError,
     RootMissing,
@@ -253,7 +253,7 @@ def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> Relation:
         state = {s: len(keys) + i for i, s in enumerate(m.seeds)}
         for s in m.seeds:
             act = m.step(s)
-            keys.append(f"M({m.name},{s})")
+            keys.append(_machine_key(m, s))
             outputs.append(None if act is None else act[0])
             succ.append(None if act is None else state[act[1]])
     n1 = len(m1.seeds)

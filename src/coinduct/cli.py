@@ -27,6 +27,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -50,7 +60,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("bisim", parents=[defs], help="search for a bisimulation certificate")
     p.add_argument("--kind", choices=("weak", "strong"), default="strong")
-    p.add_argument("--max-pairs", type=int, default=10_000)
+    p.add_argument("--max-pairs", type=_positive_int, default=10_000)
     p.add_argument("left")
     p.add_argument("right")
 

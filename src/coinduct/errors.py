@@ -48,7 +48,7 @@ class UnknownMachine(CoinductError):
 
 
 class StateSpaceExceeded(CoinductError):
-    """Machine compilation passed the configured state bound."""
+    """A list has more reachable states than `colist.STATE_BOUND`."""
 
 
 class NotAList(CoinductError):
@@ -64,7 +64,8 @@ class SizeExceeded(CoinductError):
 
 
 class RootMissing(CoinductError):
-    """Certificate root does not match the queried pair, or is absent from it."""
+    """Certificate root does not match the queried pair; a root absent from
+    the certificate's own pairs is a `CertificateError` instead."""
 
 
 class UnresolvableKey(CoinductError):

@@ -226,32 +226,35 @@ def verify_extremal(
     return Verdict(True)
 
 
-def _set_key(members) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
+def _union_operator(carrier: Carrier, base, succ, name: str) -> SubsetOperator:
+    """Z |-> base | union of succ(y) for y in Z, with `base` and each
+    succ(y) tabulated once as carrier bitmasks (non-members drop out)."""
+    base_bits, *succ_bits = (
+        Subset.of(carrier, {x for x in xs if x in carrier}).bits
+        for xs in [base, *map(succ, carrier.elements)]
+    )
 
+    def apply(z: Subset) -> Subset:
+        bits = base_bits
+        for i, m in enumerate(succ_bits):
+            if z.bits >> i & 1:
+                bits |= m
+        return Subset(carrier, bits)
 
-def _parse_set_key(key: str) -> frozenset:
-    if not (key.startswith("{") and key.endswith("}")):
-        raise LatticeFileError(f"carrier: element {key!r} is not a set key")
-    inner = key[1:-1]
-    return frozenset(s for s in inner.split(",") if s)
+    return SubsetOperator(apply, name)
 
 
 def _fin_operator(carrier: Carrier, base: list) -> SubsetOperator:
-    sets = {x: _parse_set_key(x) for x in carrier.elements}
+    sets = {}
+    for key in carrier.elements:
+        if not (key.startswith("{") and key.endswith("}")):
+            raise LatticeFileError(f"carrier: element {key!r} is not a set key")
+        sets[key] = frozenset(s for s in key[1:-1].split(",") if s)
 
-    def apply(z: Subset) -> Subset:
-        out = set()
-        if _set_key(()) in carrier:
-            out.add(_set_key(()))
-        for y in z:
-            for x in base:
-                key = _set_key(sets[y] | {x})
-                if key in carrier:
-                    out.add(key)
-        return Subset.of(carrier, out)
+    def succ(y):
+        return ["{" + ",".join(sorted(sets[y] | {x})) + "}" for x in base]
 
-    return SubsetOperator(apply, "fin")
+    return _union_operator(carrier, ["{}"], succ, "fin")
 
 
 def _list_fun_operator(carrier: Carrier, atoms: list) -> SubsetOperator:
@@ -268,18 +271,13 @@ def _list_fun_operator(carrier: Carrier, atoms: list) -> SubsetOperator:
     by_tree = {t: x for x, t in trees.items()}
     heads = [leaf(s) for s in atoms]
 
-    def apply(z: Subset) -> Subset:
-        out = set()
-        if NIL_TREE in by_tree:
-            out.add(by_tree[NIL_TREE])
-        for y in z:
-            for head in heads:
-                cell = cons_tree(head, trees[y])
-                if cell in by_tree:
-                    out.add(by_tree[cell])
-        return Subset.of(carrier, out)
+    def succ(y):
+        return [by_tree.get(cons_tree(head, trees[y])) for head in heads]
 
-    return SubsetOperator(apply, "list_fun")
+    return _union_operator(carrier, [by_tree.get(NIL_TREE)], succ, "list_fun")
+
+
+_UNION_DEMOS = {"fin": ("base", _fin_operator), "list_fun": ("atoms", _list_fun_operator)}
 
 
 def load_demo(doc: dict) -> tuple[Carrier, SubsetOperator, str]:
@@ -305,16 +303,12 @@ def load_demo(doc: dict) -> tuple[Carrier, SubsetOperator, str]:
     spec = doc.get("operator")
     if spec == "identity" or spec == {"name": "identity"}:
         op = SubsetOperator(lambda s: s, "identity")
-    elif isinstance(spec, dict) and spec.get("name") == "fin":
-        base = spec.get("base")
-        if not isinstance(base, list) or not all(isinstance(x, str) for x in base):
-            raise LatticeFileError("operator.base: must be an array of strings")
-        op = _fin_operator(carrier, base)
-    elif isinstance(spec, dict) and spec.get("name") == "list_fun":
-        atoms = spec.get("atoms")
-        if not isinstance(atoms, list) or not all(isinstance(x, str) for x in atoms):
-            raise LatticeFileError("operator.atoms: must be an array of strings")
-        op = _list_fun_operator(carrier, atoms)
+    elif isinstance(spec, dict) and spec.get("name") in ("fin", "list_fun"):
+        param, build = _UNION_DEMOS[spec["name"]]
+        value = spec.get(param)
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise LatticeFileError(f"operator.{param}: must be an array of strings")
+        op = build(carrier, value)
     elif isinstance(spec, dict) and spec.get("name") == "table":
         raw = spec.get("map")
         if not isinstance(raw, dict):

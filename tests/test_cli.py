@@ -110,6 +110,15 @@ def test_bisim_bound(capsys):
     assert (code, out) == (3, "BOUND\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_bisim_max_pairs_below_one_is_a_usage_error(capsys, value):
+    code, out, err = run(
+        capsys, "bisim", "--defs", DEFS, "--max-pairs", value, "lconst(a)", "lconst(a)"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --max-pairs: must be a positive integer, got {value!r}\n"
+
+
 def test_parse_error_golden(capsys):
     code, out, err = run(capsys, "eval", "--defs", DEFS, "--depth", "4", "append(nil,")
     assert (code, out) == (2, "")

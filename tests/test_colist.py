@@ -1,12 +1,14 @@
 """Corecursive lists: one-step unfolding laws, approximants, truncation."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOD4_SYMS, CountingFun, random_machine
+from coinduct import colist
 from coinduct.colist import (
     Alphabet,
     AppendList,
@@ -160,6 +162,85 @@ def test_lcorf_chain_and_fuel_stability():
                     assert ntrunc(k, approx[fuel]) == ntrunc(k, approx[k])
 
 
+def compiled_trunc(k, l):
+    """The oracle for `tree_trunc`: compile every reachable state into a
+    machine, take its k-fuel approximant and cut it below depth k."""
+    machine, seed = compile_machine(l)
+    return ntrunc(k, lcorf(k, seed, machine))
+
+
+ABC = Alphabet(("a", "b", "c"))
+ROT = AtomFun("rot", {"a": "b", "b": "c", "c": "a"})
+FLIP = AtomFun("flip", {"a": "b", "b": "a", "c": "c"})
+
+
+def random_state(rng, machines, depth=4):
+    """A random lazy list mixing every combinator, nested up to `depth`."""
+    kinds = ("nil", "const", "iter", "corec") + ("cons", "map", "append") * (depth > 0)
+    kind = rng.choice(kinds)
+    sym = rng.choice(ABC.symbols)
+    fn = rng.choice((ROT, FLIP))
+    if kind == "nil":
+        return nil()
+    if kind == "const":
+        return lconst(sym, ABC)
+    if kind == "iter":
+        return iterates(fn, sym)
+    if kind == "corec":
+        m = rng.choice(machines)
+        return corec(rng.choice(m.seeds), m)
+    if kind == "cons":
+        return cons(sym, random_state(rng, machines, depth - 1), ABC)
+    if kind == "map":
+        return lmap(fn, random_state(rng, machines, depth - 1))
+    return lappend(random_state(rng, machines, depth - 1), random_state(rng, machines, depth - 1))
+
+
+def test_tree_trunc_matches_compiled_oracle():
+    rng = random.Random(8)
+    machines = [random_machine(rng, f"m{i}") for i in range(8)]
+    for i in range(1200):
+        l = random_state(rng, machines)
+        for k in {i % 41, rng.randrange(41)}:
+            assert tree_trunc(k, l) == compiled_trunc(k, l)
+
+
+def test_tree_trunc_compiles_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tree_trunc must not compile or key states")
+
+    rng = random.Random(3)
+    machines = [random_machine(rng, f"m{i}") for i in range(4)]
+    cases = [(k, random_state(rng, machines)) for k in range(30)]
+    expected = [compiled_trunc(k, l) for k, l in cases]
+    for name in ("compile_machine", "reachable_states", "state_key"):
+        monkeypatch.setattr(colist, name, refuse)
+    assert [tree_trunc(k, l) for k, l in cases] == expected
+
+
+def test_tree_trunc_observes_half_the_depth(succ):
+    f = CountingFun(succ)
+    l = lmap(f, iterates(succ, "x0"))
+    for k in range(-1, 20):
+        f.calls = 0
+        tree_trunc(k, l)
+        assert f.calls == max(k // 2, 0)
+
+
+def test_tree_trunc_of_a_long_chain():
+    """A 2*10^4-cell chain: compiling it passes `STATE_BOUND`, and the
+    fold reads only its first 12 cells, without recursion."""
+    assert sys.getrecursionlimit() <= 10**4
+
+    def chain(n):
+        l = lconst("c", ABC)
+        for i in reversed(range(n)):
+            l = cons("ab"[i % 2], l, ABC)
+        return l
+
+    assert tree_trunc(24, chain(2 * 10**4)) == compiled_trunc(24, chain(13))
+
+
 def test_tree_trunc():
     assert tree_trunc(0, lconst("a", AB)) == EMPTY_TREE
     assert tree_trunc(3, cons("a", nil(), AB)) == ntrunc(
@@ -244,7 +325,7 @@ def test_compile_machine_preserves_observation(succ):
         direct, compiled = o1[1], o2[1]
 
 
-def test_state_space_bound():
+def test_state_space_bound(monkeypatch):
     chain = machine(
         "chain",
         {
@@ -255,8 +336,12 @@ def test_state_space_bound():
             "s4": None,
         },
     )
+    monkeypatch.setattr(colist, "STATE_BOUND", 3)
     with pytest.raises(StateSpaceExceeded):
-        reachable_states(corec("s0", chain), bound=3)
+        reachable_states(corec("s0", chain))
+    with pytest.raises(StateSpaceExceeded):
+        compile_machine(corec("s1", chain))
+    assert len(reachable_states(corec("s2", chain))) == 3
 
 
 def test_state_keys():
@@ -367,16 +452,17 @@ def test_state_key_matches_reference(ops, steps, root_first):
     assert repr(fresh) == repr(keyed)
 
 
-def test_deep_cons_chain_keys_without_recursion():
+def test_deep_cons_chain_keys_without_recursion(monkeypatch):
     n = 10_000
     chain = lconst("a", AB)
     for _ in range(n):
         chain = cons("a", chain, AB)
     key = state_key(chain)
     assert key == "CONS(a," * n + "CONST(a)" + ")" * n
-    index = reachable_states(chain, bound=n + 1)
+    monkeypatch.setattr(colist, "STATE_BOUND", n + 1)
+    index = reachable_states(chain)
     assert len(index) == n + 1 and index[key] is chain
-    m, seed = compile_machine(chain, bound=n + 1)
+    m, seed = compile_machine(chain)
     assert seed == key and len(m.seeds) == n + 1
     assert take(n + 2, corec(seed, m)) == (["a"] * (n + 2), False)
 
