@@ -8,7 +8,7 @@ such witnesses automatically for eventually-periodic lists, and
 `bisimilarity_gfp` computes the largest bisimulation between two machines.
 That relation is the greatest fixedpoint of the one-step operator
 `llistd_fun` on the seed-pair lattice; it is computed by partition
-refinement of the two seed sets.
+refinement of the two seed sets with prefix doubling.
 """
 
 from __future__ import annotations
@@ -269,50 +269,25 @@ def _refine(outputs: list, succ: list) -> list[set[int]]:
     and is stable under the partial successor function `succ` (None where
     a state stops), as a list of blocks.
 
-    Hopcroft's refinement for a single function: start from the blocks of
-    equal output and split by splitter blocks taken from a worklist.  A
-    splitter B cuts every block X that the predecessors of B's members
-    hit only partly; the hit part becomes a new block, at a cost of its
-    own size only.  A pending X keeps its place and the new block is
-    queued too; otherwise the smaller half is queued, since stability
-    under X and one half implies stability under the other.  Each state
-    thus lies in O(log n) splitters: O(n log n) in all.
+    A stopped state outputs None forever, so it steps to itself; then the
+    blocks are the classes of equal output words, and unequal words differ
+    within n outputs (Moore 1956).  Each round doubles the compared prefix
+    by interning (class, class `span` steps on), as one int since both are
+    below `count`, and squaring the jump table; a round that splits no
+    class has reached the stable partition.
     """
-    preds: list[list[int]] = [[] for _ in succ]
-    for i, j in enumerate(succ):
-        if j is not None:
-            preds[j].append(i)
-    by_output: dict = {}
-    for i, out in enumerate(outputs):
-        by_output.setdefault(out, set()).add(i)
-    blocks = list(by_output.values())
-    block_of = [0] * len(succ)
-    for b, members in enumerate(blocks):
-        for i in members:
-            block_of[i] = b
-    pending = list(range(len(blocks)))
-    queued = [True] * len(blocks)
-    while pending:
-        b = pending.pop()
-        queued[b] = False
-        hit: dict[int, list[int]] = {}
-        for j in blocks[b]:
-            for i in preds[j]:
-                hit.setdefault(block_of[i], []).append(i)
-        for x, part in hit.items():
-            rest = blocks[x]
-            if len(part) == len(rest):
-                continue
-            rest.difference_update(part)
-            y = len(blocks)
-            blocks.append(set(part))
-            for i in part:
-                block_of[i] = y
-            if queued[x] or len(part) <= len(rest):
-                queued.append(True)
-                pending.append(y)
-            else:
-                queued.append(False)
-                queued[x] = True
-                pending.append(x)
+    jump = [i if j is None else j for i, j in enumerate(succ)]
+    ids: dict = {}
+    cls = [ids.setdefault(out, len(ids)) for out in outputs]
+    count, span = len(ids), 1
+    while span < len(succ):
+        ids = {}
+        cls = [ids.setdefault(c * count + cls[j], len(ids)) for c, j in zip(cls, jump)]
+        if len(ids) == count:
+            break
+        count, span = len(ids), 2 * span
+        jump = [jump[j] for j in jump]
+    blocks: list[set[int]] = [set() for _ in range(count)]
+    for i, c in enumerate(cls):
+        blocks[c].add(i)
     return blocks

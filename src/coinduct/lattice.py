@@ -136,10 +136,12 @@ def is_monotone(
 ) -> Verdict:
     """Check A <= B implies op(A) <= op(B).
 
-    With `samples=None` the check is exhaustive over all comparable pairs
-    and the carrier must not exceed the exhaustive bound; otherwise
-    `samples` random comparable pairs are tried.  A failing verdict
-    carries the witness pair (A, B).
+    With `samples=None` the check is exhaustive and the carrier must not
+    exceed the exhaustive bound: it tries every covering pair (B less one
+    element, B), which suffices since every A <= B is joined to B by a
+    chain of covers and <= is transitive.  Otherwise `samples` random
+    comparable pairs are tried.  A failing verdict carries the witness
+    pair (A, B).
     """
     n = len(carrier)
     if samples is None:
@@ -149,17 +151,14 @@ def is_monotone(
             )
         values = _value_table(op, carrier)
         for b in range(1 << n):
-            a = b
-            while True:
-                if values[a] & ~values[b]:
+            for i in range(n):
+                a = b ^ 1 << i
+                if b >> i & 1 and values[a] & ~values[b]:
                     return Verdict(
                         False,
                         "operator not monotone",
                         (Subset(carrier, a), Subset(carrier, b)),
                     )
-                if a == 0:
-                    break
-                a = (a - 1) & b
         return Verdict(True)
     rng = rng or random.Random()
     full = (1 << n) - 1
@@ -249,7 +248,11 @@ def _fin_operator(carrier: Carrier, base: list) -> SubsetOperator:
     for key in carrier.elements:
         if not (key.startswith("{") and key.endswith("}")):
             raise LatticeFileError(f"carrier: element {key!r} is not a set key")
-        sets[key] = frozenset(s for s in key[1:-1].split(",") if s)
+        members = key[1:-1].split(",") if key != "{}" else []
+        sets[key] = frozenset(members)
+        if "" in sets[key] or sorted(sets[key]) != members:
+            canonical = "{" + ",".join(sorted(sets[key] - {""})) + "}"
+            raise LatticeFileError(f"carrier: element {key!r} is not written as {canonical!r}")
 
     def succ(y):
         return ["{" + ",".join(sorted(sets[y] | {x})) + "}" for x in base]
@@ -268,7 +271,13 @@ def _list_fun_operator(carrier: Carrier, atoms: list) -> SubsetOperator:
             raise LatticeFileError(
                 f"carrier: element {x!r} is not a tree term ({exc})"
             ) from None
-    by_tree = {t: x for x, t in trees.items()}
+    by_tree = {}
+    for x, t in trees.items():
+        if t in by_tree:
+            raise LatticeFileError(
+                f"carrier: element {x!r} is the same tree as {by_tree[t]!r}"
+            )
+        by_tree[t] = x
     heads = [leaf(s) for s in atoms]
 
     def succ(y):

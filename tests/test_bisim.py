@@ -393,6 +393,75 @@ def test_bisimilarity_gfp_at_scale():
     )
 
 
+def _moore(outputs, succ):
+    """Naive Moore refinement, the oracle for `_refine`: recompute every
+    state's signature (its class, its successor's class) until the class
+    count stops changing."""
+    cls = list(outputs)
+    while True:
+        sigs = [(cls[i], None if j is None else cls[j]) for i, j in enumerate(succ)]
+        ids = {sig: k for k, sig in enumerate(dict.fromkeys(sigs))}
+        if len(ids) == len(set(cls)):
+            break
+        cls = [ids[sig] for sig in sigs]
+    blocks = {}
+    for i, c in enumerate(cls):
+        blocks.setdefault(c, set()).add(i)
+    return list(blocks.values())
+
+
+def _random_functional_graph(rng):
+    """Up to 300 states over one or two symbols: stops (down to one in
+    the whole graph), self-loops, runs of chain steps (up to one long
+    chain), and successors drawn from a few hub states so that many
+    states share a tail."""
+    n = rng.randint(1, 300)
+    syms = ("a", "b")[: rng.randint(1, 2)]
+    stop = rng.choice((0.0, 1 / n, 0.02, 0.2))
+    loop, chain = rng.choice((0.0, 0.05)), rng.choice((rng.random(), 1.0))
+    hubs = rng.randint(1, n)
+    outputs, succ = [], []
+    for i in range(n):
+        r = rng.random()
+        if r < stop:
+            outputs.append(None)
+            succ.append(None)
+            continue
+        outputs.append(rng.choice(syms))
+        if r < stop + loop:
+            succ.append(i)
+        elif r < stop + loop + chain and i + 1 < n:
+            succ.append(i + 1)
+        else:
+            succ.append(rng.randrange(hubs))
+    return outputs, succ
+
+
+def test_refine_matches_naive_moore():
+    rng = random.Random(53)
+    for case in range(300):
+        outputs, succ = _random_functional_graph(rng)
+        blocks = bisim._refine(outputs, succ)
+        assert sum(map(len, blocks)) == len(succ), case
+        assert {frozenset(b) for b in blocks} == {
+            frozenset(b) for b in _moore(outputs, succ)
+        }, case
+
+
+def test_bisimilarity_gfp_chain_against_ring_round_bound():
+    """A chain of k seeds ending in a stop and a one-seed `a` ring first
+    differ at output k, which is output n - 1 of their n = k + 1 seeds:
+    the latest a difference can appear, so every doubling round up to
+    span n is needed."""
+    ring = StepFn("ring", ("r",), {"r": ("a", "r")})
+    for k in range(1, 101):
+        seeds = [f"c{i}" for i in range(k)]
+        chain = StepFn("chain", seeds, {s: ("a", seeds[i + 1]) if i + 1 < k else None
+                                        for i, s in enumerate(seeds)})
+        assert bisimilarity_gfp(chain, ring) == frozenset(), k
+        assert bisimilarity_gfp(ring, chain) == frozenset(), k
+
+
 def test_bisimilarity_gfp_verify_checks_refinement(monkeypatch):
     rng = random.Random(47)
     pairs = [_random_pair(rng, i) for i in range(200)]

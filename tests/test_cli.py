@@ -210,6 +210,26 @@ def test_lattice_gfp(capsys, tmp_path):
     assert (code, out) == (0, "gfp = {x,y}\n")
 
 
+UNPRODUCIBLE_DEMOS = {
+    "fin": ({"carrier": ["{}", "{a}", "{b,a}", "{b}"],
+             "operator": {"name": "fin", "base": ["a", "b"]}, "mode": "lfp"},
+            "error: carrier: element '{b,a}' is not written as '{a,b}'\n"),
+    "list_fun": ({"carrier": ["nil", "cons(leaf(a),nil)", "cons( leaf(a) , nil )"],
+                  "operator": {"name": "list_fun", "atoms": ["a"]}, "mode": "lfp"},
+                 "error: carrier: element 'cons( leaf(a) , nil )' is the same tree as "
+                 "'cons(leaf(a),nil)'\n"),
+}
+
+
+@pytest.mark.parametrize("name", UNPRODUCIBLE_DEMOS)
+def test_lattice_unproducible_element_exits_2(capsys, tmp_path, name):
+    """A carrier element the operator never produces is named, not dropped."""
+    doc, expected = UNPRODUCIBLE_DEMOS[name]
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "lattice", "--spec", str(path)) == (2, "", expected)
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "eval")
     assert code == 2 and err.startswith("error:")

@@ -44,6 +44,42 @@ def test_is_monotone_sampled():
     assert not is_monotone(comp, carrier, samples=200, rng=rng)
 
 
+def _monotone_all_pairs(values, n):
+    """The definition, kept as the oracle: values[A] <= values[B] for every
+    A <= B, each B walking all of its submasks A."""
+    for b in range(1 << n):
+        a = b
+        while True:
+            if values[a] & ~values[b]:
+                return False
+            if a == 0:
+                break
+            a = (a - 1) & b
+    return True
+
+
+def test_is_monotone_covering_pairs_match_all_pairs():
+    """Raw random tables, random monotone tables, and monotone tables
+    with one bit flipped, on carriers of 0 to 6 elements."""
+    rng = random.Random(59)
+    for case in range(400):
+        carrier = Carrier(tuple(range(rng.randint(0, 6))))
+        n = len(carrier)
+        if case % 3 == 0:
+            values = [rng.getrandbits(n) for _ in range(1 << n)]
+        else:
+            mono = random_monotone_operator(rng, carrier)
+            values = [mono(Subset(carrier, bits)).bits for bits in range(1 << n)]
+            if case % 3 == 2 and n:
+                values[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)
+        op = SubsetOperator(lambda s, c=carrier, v=values: Subset(c, v[s.bits]))
+        verdict = is_monotone(op, carrier)
+        assert bool(verdict) == _monotone_all_pairs(values, n), case
+        if not verdict:
+            a, b = verdict.witness
+            assert a <= b and not op(a) <= op(b), case
+
+
 def test_is_monotone_carrier_bound():
     carrier = Carrier(tuple(range(13)))
     with pytest.raises(CarrierTooLarge):
@@ -228,3 +264,26 @@ def test_load_demo_validation():
                 "mode": "lfp",
             }
         )
+
+
+@pytest.mark.parametrize("key, canonical", [("{b,a}", "{a,b}"), ("{a,a}", "{a}"), ("{,a}", "{a}")])
+def test_load_demo_rejects_non_canonical_fin_element(key, canonical):
+    """`fin` only ever produces sorted keys, so any other spelling would
+    silently drop out of every fixedpoint."""
+    doc = {"carrier": ["{}", "{a}", key], "operator": {"name": "fin", "base": ["a", "b"]},
+           "mode": "lfp"}
+    with pytest.raises(LatticeFileError) as exc:
+        load_demo(doc)
+    assert str(exc.value) == f"carrier: element {key!r} is not written as {canonical!r}"
+
+
+def test_load_demo_rejects_second_term_for_one_tree():
+    """Two `list_fun` terms for one tree would leave only one of them
+    reachable by the operator."""
+    doc = {"carrier": ["nil", "cons(leaf(a),nil)", "cons( leaf(a) , nil )"],
+           "operator": {"name": "list_fun", "atoms": ["a"]}, "mode": "lfp"}
+    with pytest.raises(LatticeFileError) as exc:
+        load_demo(doc)
+    assert str(exc.value) == (
+        "carrier: element 'cons( leaf(a) , nil )' is the same tree as 'cons(leaf(a),nil)'"
+    )
