@@ -14,11 +14,12 @@ refinement of the two seed sets with prefix doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, observe, reachable_states, state_key
+from .colist import CoList, StepFn, _machine_key, observe, state_key, unfold
+from .colist import reachable_states  # noqa: F401  bench/tracing.py wraps bisim.reachable_states
 from .errors import (
     CertificateError,
     RootMissing,
@@ -164,17 +165,27 @@ def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verd
 def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     """Replay every certificate pair against one observation step.
 
-    The root must be the queried pair and belong to the relation; every
-    key must name a state reachable from one of the queried lists.  A
-    pass certifies that the two lists are equal.
+    The root must be the queried pair and belong to the relation.  A pair
+    the relation links to the root lies at most len(pairs) observations
+    from the queried lists, so each list is walked for at most
+    len(pairs) + 1 states, stopping at its own first repeated key; every
+    key must name a state on one of the two walks.  A pass certifies
+    that the two lists are equal.
     """
     root = (state_key(l1), state_key(l2))
     if cert.root != root:
         raise RootMissing(
             f"certificate root {cert.root} does not match queried pair {root}"
         )
-    index = reachable_states(l1)
-    index.update(reachable_states(l2))
+    index: dict[str, CoList] = {}
+    for l, start in zip((l1, l2), root):
+        walk = {start: l}
+        for _, state in islice(unfold(l), len(cert.pairs)):
+            key = state_key(state)
+            if key in walk:
+                break
+            walk[key] = state
+        index.update(walk)
     resolved = []
     for ka, kb in sorted(cert.pairs):
         if ka not in index:

@@ -27,14 +27,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _count(minimum: int):
+    """An argparse type for whole numbers of at least `minimum` (0 or 1)."""
+    what = "a positive integer" if minimum else "a non-negative integer"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -43,7 +49,7 @@ def _build_parser() -> _ArgumentParser:
     defs = argparse.ArgumentParser(add_help=False)
     defs.add_argument("--defs", required=True)
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=20)
+    depth.add_argument("--depth", type=_count(0), default=20)
 
     parser = _ArgumentParser(prog="coinduct")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +66,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("bisim", parents=[defs], help="search for a bisimulation certificate")
     p.add_argument("--kind", choices=("weak", "strong"), default="strong")
-    p.add_argument("--max-pairs", type=_positive_int, default=10_000)
+    p.add_argument("--max-pairs", type=_count(1), default=10_000)
     p.add_argument("left")
     p.add_argument("right")
 

@@ -69,7 +69,7 @@ class RootMissing(CoinductError):
 
 
 class UnresolvableKey(CoinductError):
-    """A certificate key names no state reachable from the queried lists."""
+    """A certificate key names no state on replay's walk of the queried lists."""
 
 
 class DefsError(CoinductError):

@@ -164,25 +164,21 @@ def subexpression_space(roots: Iterable[FiniteTree]) -> tuple[list[FiniteTree], 
     """Close trees under branch decomposition.
 
     Returns the closure carrier together with the immediate-subexpression
-    relation {(branch, tree)} on it; atoms decompose no further.
+    relation {(branch, tree)} on it; atoms decompose no further.  The
+    carrier lists each tree once, in the order it is first reached: the
+    roots in the order given, then branches breadth-first.
     """
-    carrier: list[FiniteTree] = []
-    seen: set[FiniteTree] = set()
+    carrier = list(dict.fromkeys(roots))
+    seen = set(carrier)
     pairs: set[tuple[FiniteTree, FiniteTree]] = set()
-    stack = list(roots)
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        carrier.append(t)
+    for t in carrier:  # the carrier grows as new branches are reached
         shape = case_tree(t)
         if isinstance(shape, SconsShape):
-            pairs.add((shape.left, t))
-            pairs.add((shape.right, t))
-            stack.append(shape.left)
-            stack.append(shape.right)
-    carrier.sort(key=FiniteTree.sort_key)
+            for branch in (shape.left, shape.right):
+                pairs.add((branch, t))
+                if branch not in seen:
+                    seen.add(branch)
+                    carrier.append(branch)
     return carrier, WFRelation(carrier, pairs)
 
 
@@ -198,17 +194,18 @@ def sexp_space(
     Atoms are the alphabet leaves plus numerals below `numeral_bound`;
     deeper trees are branch pairs of shallower ones: the trees of
     `enumerate_trees`, which are closed under branch decomposition, so
-    `subexpression_space` adds none.  Guarded to desk scale: d <= 4,
-    alphabet size <= 3, numeral_bound <= 2, and a carrier of at most
-    SEXP_SPACE_BUDGET (10^4) trees, predicted before enumerating: with
-    k atoms the trees of depth below i number L(i), where L(0) = 0,
-    L(1) = k and L(i+1) = L(i) + L(i)^2 - L(i-1)^2 (the new trees are
-    the pairs not already formed one layer down).
+    `subexpression_space` adds none and keeps their order.  The one size
+    rule is the carrier, predicted before enumerating and refused with
+    SizeExceeded over SEXP_SPACE_BUDGET (10^4) trees: with k atoms the
+    trees of depth below i number L(i), where L(0) = 0, L(1) = k and
+    L(i+1) = L(i) + L(i)^2 - L(i-1)^2 (the new trees are the pairs not
+    already formed one layer down).  The prediction stops at the first
+    layer over the budget, so the refusal names that layer's count.
     """
-    if d > 4 or len(alphabet) > 3 or numeral_bound > 2:
-        raise SizeExceeded("sexp_space guard: d <= 4, |alphabet| <= 3, numerals <= 2")
     prev, count = 0, (len(alphabet) + max(numeral_bound, 0) if d > 0 else 0)
     for _ in range(d - 1):
+        if count > SEXP_SPACE_BUDGET:
+            break
         prev, count = count, count + count * count - prev * prev
     if count > SEXP_SPACE_BUDGET:
         raise SizeExceeded(

@@ -27,6 +27,7 @@ from coinduct.colist import (
     corec,
     lconst,
     lmap,
+    STATE_BOUND,
     nil,
     state_key,
 )
@@ -107,6 +108,43 @@ def test_verify_certificate():
         verify_certificate(bogus, const, wrapped)
 
 
+def test_unresolvable_right_key():
+    const = lconst("a", AB)
+    root = (state_key(const), state_key(const))
+    bogus = Certificate("weak", frozenset({root, (root[0], "CONST(zz)")}), root)
+    with pytest.raises(UnresolvableKey, match=r"CONST\(zz\)"):
+        verify_certificate(bogus, const, const)
+
+
+def _ring(n):
+    seeds = [f"s{i}" for i in range(n)]
+    return StepFn("big", seeds, {s: ("a", seeds[(i + 1) % n]) for i, s in enumerate(seeds)})
+
+
+def test_verify_certificate_beyond_the_state_bound():
+    """Replay walks each list only as far as the certificate can reach, so
+    the certificates found on a ring larger than STATE_BOUND verify."""
+    big, alpha = _ring(12_000), Alphabet(("a",))
+    assert len(big.seeds) > STATE_BOUND
+    ring = corec("s0", big)
+    for left, size in ((ring, 1), (cons("a", cons("a", corec("s2", big), alpha), alpha), 2)):
+        cert = find_bisimulation(left, ring, kind="strong")
+        assert len(cert.pairs) == size
+        assert verify_certificate(cert, left, ring)
+
+
+def test_verify_certificate_key_past_the_walk():
+    """A key further from the queried lists than the certificate has pairs
+    cannot take part in the proof, and is unresolvable."""
+    ring = corec("s0", _ring(10))
+    root = ("M(big,s0)", "M(big,s0)")
+    far = Certificate("strong", frozenset({root, ("M(big,s5)", "M(big,s5)")}), root)
+    with pytest.raises(UnresolvableKey, match=r"M\(big,s5\)"):
+        verify_certificate(far, ring, ring)
+    near = Certificate("strong", frozenset({root, ("M(big,s2)", "M(big,s2)")}), root)
+    assert verify_certificate(near, ring, ring)
+
+
 def test_certificate_validation_and_roundtrip(tmp_path):
     root = ("CONST(a)", "CONST(a)")
     with pytest.raises(CertificateError):
@@ -123,6 +161,17 @@ def test_certificate_validation_and_roundtrip(tmp_path):
         Certificate.from_dict({"kind": "weak", "root": ["a"], "pairs": []})
     with pytest.raises(CertificateError, match=r"^kind: must be \"weak\" or \"strong\", got 'x'$"):
         Certificate.from_dict({"kind": "x", "root": list(root), "pairs": [list(root)]})
+
+
+def test_certificate_from_dict_needs_an_object():
+    with pytest.raises(CertificateError, match="^certificate: top level must be an object$"):
+        Certificate.from_dict([["CONST(a)", "CONST(a)"]])
+
+
+def test_find_bisimulation_needs_a_positive_budget():
+    const = lconst("a", AB)
+    with pytest.raises(ValueError, match="max_pairs must be at least 1"):
+        find_bisimulation(const, const, max_pairs=0)
 
 
 SHAPE_FAULTS = [
@@ -375,7 +424,25 @@ def test_bisimilarity_gfp_matches_kleene_oracle():
         assert bisimilarity_gfp(m1, m2) == _kleene_gfp(m1, m2), (i, m1.table, m2.table)
 
 
-def test_bisimilarity_gfp_at_scale():
+def test_bisimilarity_gfp_at_scale(monkeypatch):
+    """The blocks are checked before the relation is built from them, so a
+    wrong `_refine` fails here at once instead of pairing up to 10^8 keys:
+    chain and ring seeds never share a block, and each lasso seed shares
+    its block with its renamed copy alone."""
+    refine, paired = bisim._refine, False
+
+    def checked(outputs, succ):
+        blocks = refine(outputs, succ)
+        half = len(succ) // 2
+        for block in blocks:
+            left = sum(i < half for i in block)
+            if paired:
+                assert (left, len(block)) == (1, 2), sorted(block)[:4]
+            else:
+                assert left in (0, len(block)), sorted(block)[:4]
+        return blocks
+
+    monkeypatch.setattr(bisim, "_refine", checked)
     n = 10_000
     chain = [f"c{i}" for i in range(n)]
     ring = [f"r{i}" for i in range(n)]
@@ -386,6 +453,7 @@ def test_bisimilarity_gfp_at_scale():
 
     # the tail emits z and the cycle a^(c-1) b, so no two seeds agree
     t = n // 3
+    paired = True
     m1 = _lasso("s", "z" * t, "a" * (n - t - 1) + "b")
     m2 = rename_seeds(m1, "r_")
     assert bisimilarity_gfp(m1, m2) == frozenset(

@@ -119,6 +119,21 @@ def test_bisim_max_pairs_below_one_is_a_usage_error(capsys, value):
     assert err == f"error: argument --max-pairs: must be a positive integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "trunc", "eq", "check"])
+@pytest.mark.parametrize("value", ["-1", "-3", "deep"])
+def test_depth_below_zero_is_a_usage_error(capsys, command, value):
+    exprs = ["lconst(a)", "lconst(b)"] if command == "eq" else ["lconst(a)"]
+    code, out, err = run(capsys, command, "--defs", DEFS, "--depth", value, *exprs)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --depth: must be a non-negative integer, got {value!r}\n"
+
+
+def test_depth_zero_is_valid(capsys):
+    assert run(capsys, "eq", "--defs", DEFS, "--depth", "0", "lconst(a)", "lconst(b)") == (
+        0, "EQUAL to depth 0\n", ""
+    )
+
+
 def test_parse_error_golden(capsys):
     code, out, err = run(capsys, "eval", "--defs", DEFS, "--depth", "4", "append(nil,")
     assert (code, out) == (2, "")
@@ -195,6 +210,23 @@ def test_cert_verify_flow(capsys, tmp_path):
         "lconst(b)",
     )
     assert code == 2 and "error:" in err
+
+
+def test_cert_verify_of_a_bisim_certificate_beyond_the_state_bound(capsys, tmp_path):
+    """`cert verify` accepts the certificates `bisim` prints for a
+    12000-seed ring machine, larger than colist.STATE_BOUND."""
+    seeds = [f"s{i}" for i in range(12_000)]
+    step = {s: {"emit": ["a", seeds[(i + 1) % len(seeds)]]} for i, s in enumerate(seeds)}
+    defs = tmp_path / "big.json"
+    defs.write_text(json.dumps({"alphabet": ["a"], "machines": {"big": {"seeds": seeds, "step": step}}}))
+    cert = tmp_path / "cert.json"
+    for left, size in (("corec(big,s0)", 1), ("cons(a,cons(a,corec(big,s2)))", 2)):
+        code, out, _ = run(capsys, "bisim", "--defs", str(defs), left, "corec(big,s0)")
+        assert (code, out.splitlines()[:2]) == (0, ["PASS", f"certificate: kind=strong pairs={size}"])
+        pairs = [line.strip().split(" ~ ") for line in out.splitlines()[2:]]
+        cert.write_text(json.dumps({"kind": "strong", "root": pairs[0], "pairs": pairs}))
+        argv = ("cert", "verify", "--defs", str(defs), "--cert", str(cert), left, "corec(big,s0)")
+        assert run(capsys, *argv) == (0, "PASS\n", "")
 
 
 def test_lattice_command(capsys):

@@ -10,7 +10,11 @@ from coinduct.errors import IllFoundedCall, NotAList, SizeExceeded, UnknownAtom
 from coinduct.lattice import Carrier, Subset, SubsetOperator, lfp
 from coinduct.trees import (
     NIL_TREE,
+    FiniteTree,
+    SconsShape,
+    case_tree,
     cons_tree,
+    enumerate_trees,
     leaf,
     numb,
     otimes,
@@ -215,14 +219,13 @@ def test_sexp_space_small():
         assert n == scons(m, _other_branch(n, m)) or _is_branch(m, n)
     with pytest.raises(SizeExceeded):
         sexp_space(5, alpha, 2)
-    with pytest.raises(SizeExceeded):
-        sexp_space(2, Alphabet(("a", "b", "c", "d")), 2)
+    assert len(sexp_space(2, Alphabet(("a", "b", "c", "d")), 2)[0]) == 42
 
 
 def test_sexp_space_guard_predicts_the_carrier(monkeypatch):
     """Trees with every node below depth 4, for k = 1..5 atoms: 26, 1446,
     21612, 163220, 819030.  Over SEXP_SPACE_BUDGET the guard refuses
-    before enumerating."""
+    before enumerating, and under it nothing else refuses."""
     def refuse(*args):
         raise AssertionError("sexp_space enumerated past its guard")
 
@@ -234,11 +237,66 @@ def test_sexp_space_guard_predicts_the_carrier(monkeypatch):
             assert str(exc.value) == (
                 f"sexp_space guard: predicted {count} trees, over the budget of 10000"
             )
-        with pytest.raises(SizeExceeded, match="d <= 4"):
-            sexp_space(5, Alphabet(("a",)), 0)
     assert wf.SEXP_SPACE_BUDGET == 10**4
+    assert len(sexp_space(5, Alphabet(("a",)), 0)[0]) == 677
     assert len(sexp_space(4, Alphabet(("a",)), 0)[0]) == 26
     assert len(sexp_space(4, Alphabet(("a",)), 1)[0]) == 1446
+
+
+def test_sexp_space_guard_stops_at_the_budget():
+    """The prediction stops at the first layer past the budget, so a huge
+    d is refused at once and the message names that layer's count."""
+    for d in (6, 16, 10**6):
+        with pytest.raises(SizeExceeded) as exc:
+            sexp_space(d, Alphabet(("a",)), 0)
+        assert str(exc.value) == (
+            "sexp_space guard: predicted 458330 trees, over the budget of 10000"
+        )
+
+
+def test_subexpression_space_compares_no_trees(monkeypatch):
+    """The carrier comes in the order trees are first reached, roots in the
+    order given, without sorting; for sexp_space that is the order of
+    enumerate_trees."""
+    def refuse(self):
+        raise AssertionError("subexpression_space sorted its carrier")
+
+    monkeypatch.setattr(FiniteTree, "sort_key", refuse)
+    alpha = Alphabet(("a",))
+    carrier, rel = sexp_space(3, alpha, 1)
+    assert carrier == enumerate_trees(3, alpha, 1)
+    shallow = enumerate_trees(2, alpha, 1)
+    assert rel.pairs == {
+        (b, scons(m, n)) for m in shallow for n in shallow for b in (m, n)
+    }
+
+    xs, ys = list_encode(["a", "b"], AB).tree, list_encode(["b"], AB).tree
+    carrier, rel = subexpression_space([ys, xs, ys])
+    assert carrier[:2] == [ys, xs] and len(set(carrier)) == len(carrier)
+    assert rel.below(ys, xs)
+
+
+def test_wfrec_memoizes_shared_subtrees():
+    """Equal subtrees are one carrier element, evaluated once."""
+    tree = list_encode(["a", "b", "a", "b"], AB).tree
+    _, rel = subexpression_space([tree])
+    calls = []
+
+    def size(t, rec):
+        calls.append(t)
+        shape = case_tree(t)
+        if isinstance(shape, SconsShape):
+            return 1 + rec(shape.left) + rec(shape.right)
+        return 1
+
+    def plain_size(t):
+        shape = case_tree(t)
+        if isinstance(shape, SconsShape):
+            return 1 + plain_size(shape.left) + plain_size(shape.right)
+        return 1
+
+    assert wfrec(RecSpec(rel, size), tree) == plain_size(tree)
+    assert sorted(calls, key=rel.carrier.index) == list(rel.carrier)
 
 
 def _is_branch(m, n):
