@@ -5,7 +5,10 @@ an observation is either None (the list ends here) or a pair
 (head symbol, tail state).  Primitive machine states pair a seed with a
 declared step function; the derived combinators (cons, const, iterates,
 map, append) are states in their own right, each unfolding by its own
-one-step equation.  Everything is immutable and pure.
+one-step equation.  A map/append tower is observed as a zipper
+(`TowerList`): its live state inside a shared stack of frames, so one
+step touches the live state alone.  Everything is immutable and pure,
+apart from key memos.
 """
 
 from __future__ import annotations
@@ -153,6 +156,26 @@ class CoList:
     __slots__ = ()
 
 
+class _Tower(CoList):
+    """A map or append state, nested as built or in the zipper form that
+    observation returns.  Towers compare and hash by their keys, which
+    `state_key` writes with loops, so any tower is compared and hashed at
+    the default recursion limit, and a nested state equals the zipper
+    that names the same state."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Tower):
+            return NotImplemented
+        return state_key(self) == state_key(other)
+
+    def __hash__(self) -> int:
+        return hash(state_key(self))
+
+
 @dataclass(frozen=True)
 class NilList(CoList):
     pass
@@ -180,14 +203,14 @@ class IterList(CoList):
     sym: str
 
 
-@dataclass(frozen=True)
-class MapList(CoList):
+@dataclass(frozen=True, eq=False)
+class MapList(_Tower):
     fn: AtomFun
     source: CoList
 
 
-@dataclass(frozen=True)
-class AppendList(CoList):
+@dataclass(frozen=True, eq=False)
+class AppendList(_Tower):
     left: CoList
     right: CoList
 
@@ -196,6 +219,49 @@ class AppendList(CoList):
 class MachineList(CoList):
     machine: StepFn
     seed: str
+
+
+class _Frame:
+    """One layer of a tower around its hole, linked toward the root.
+
+    MAP(fn,[]) sets `fn`, APP([],right) sets `right`, and APP(NIL,[])
+    sets neither.  `maps` is the innermost map frame at or above this
+    one: it maps the heads that come out of the hole.  A map frame under
+    another map keeps in `table` its function composed with every map
+    above it, built once here.  `prefix` and `suffix` memoize the key
+    text around the hole, filled by the first key asked for with this
+    frame innermost; `suffix` is stored last, so a frame that has one
+    has both.
+    """
+
+    __slots__ = ("fn", "right", "up", "maps", "table", "prefix", "suffix")
+
+    def __init__(self, fn: Optional[AtomFun], right: Optional[CoList], up: Optional["_Frame"]):
+        self.fn, self.right, self.up = fn, right, up
+        self.table = self.prefix = self.suffix = None
+        outer = None if up is None else up.maps
+        if fn is None:
+            self.maps = outer
+            return
+        self.maps = self
+        if outer is not None:
+            after = outer.fn.table if outer.table is None else outer.table
+            self.table = {s: after[t] for s, t in fn.table.items() if t in after}
+
+
+class TowerList(_Tower):
+    """A map/append tower in zipper form (Huet, *The Zipper*, 1997): the
+    live state and the frames around it, innermost first.  Observing a
+    map or append state returns one of these as the tail; each tail
+    shares the frames of the state it was observed from."""
+
+    __slots__ = ("live", "frames")
+
+    def __init__(self, live: CoList, frames: _Frame):
+        self.live, self.frames = live, frames
+
+    def __repr__(self) -> str:
+        return f"TowerList({state_key(self)})"
 
 
 Observation = Optional[tuple[str, CoList]]
@@ -243,38 +309,87 @@ def corec(seed: str, machine: StepFn) -> CoList:
 
 
 def observe(l: CoList) -> Observation:
-    """Unfold one step: None for the end of the list, else (head, tail)."""
-    if isinstance(l, NilList):
-        return None
-    if isinstance(l, ConsList):
-        return l.head, l.tail
-    if isinstance(l, ConstList):
-        return l.sym, l
-    if isinstance(l, IterList):
-        return l.sym, IterList(l.fn, l.fn(l.sym))
-    if isinstance(l, MapList):
-        obs = observe(l.source)
-        if obs is None:
-            return None
-        head, tail = obs
-        return l.fn(head), MapList(l.fn, tail)
-    if isinstance(l, AppendList):
-        obs = observe(l.left)
+    """Unfold one step: None for the end of the list, else (head, tail).
+
+    A map or append state is observed through its innermost live state
+    alone.  Its nesting is descended once, with a loop, into frames
+    (`_Frame`); the tail is a `TowerList` that shares those frames and
+    replaces only the live state, so each later step costs O(1) after one
+    O(nesting * |alphabet|) descent.  When the live state ends, the
+    frames pop to the innermost APP([],right), which becomes APP(NIL,[])
+    around `right`.  The heads and tails are those of the one-step
+    equations of map and append, applied layer by layer.
+    """
+    frames = None
+    if isinstance(l, TowerList):
+        l, frames = l.live, l.frames
+    while True:
+        if isinstance(l, _Tower):
+            l, frames = _descend(l, frames)
+        if isinstance(l, ConsList):
+            obs = l.head, l.tail
+        elif isinstance(l, ConstList):
+            obs = l.sym, l
+        elif isinstance(l, IterList):
+            obs = l.sym, IterList(l.fn, l.fn(l.sym))
+        elif isinstance(l, MachineList):
+            act = l.machine.step(l.seed)
+            obs = None if act is None else (act[0], MachineList(l.machine, act[1]))
+        elif isinstance(l, NilList):
+            obs = None
+        else:
+            raise TypeError(f"not a CoList state: {l!r}")
+        if frames is None:
+            return obs
         if obs is not None:
             head, tail = obs
-            return head, AppendList(tail, l.right)
-        obs = observe(l.right)
-        if obs is None:
+            if frames.maps is not None:
+                head = _map_head(frames.maps, head)
+            return head, TowerList(tail, frames)
+        while frames is not None and frames.right is None:
+            frames = frames.up
+        if frames is None:
             return None
-        head, tail = obs
-        return head, AppendList(NilList(), tail)
-    if isinstance(l, MachineList):
-        act = l.machine.step(l.seed)
-        if act is None:
-            return None
-        sym, nxt = act
-        return sym, MachineList(l.machine, nxt)
-    raise TypeError(f"not a CoList state: {l!r}")
+        l, frames = frames.right, _Frame(None, None, frames.up)
+
+
+def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
+    """Push the layers of `live` onto `frames` until a non-tower state is
+    live; a zipper met on the way has its frames copied onto `frames`."""
+    while isinstance(live, _Tower):
+        if isinstance(live, MapList):
+            frames, live = _Frame(live.fn, None, frames), live.source
+        elif isinstance(live, AppendList):
+            frames, live = _Frame(None, live.right, frames), live.left
+        else:
+            outer, frames, live = frames, live.frames, live.live
+            if outer is not None:
+                chain = []
+                while frames is not None:
+                    chain.append(frames)
+                    frames = frames.up
+                frames = outer
+                for f in reversed(chain):
+                    frames = _Frame(f.fn, f.right, frames)
+    return live, frames
+
+
+def _map_head(m: _Frame, sym: str) -> str:
+    """Map a head through the map frame `m` and every map above it.
+
+    A stacked map reads its composed table.  A lone map, or a symbol the
+    composed table lacks, applies the functions one by one, innermost
+    first, so a lone map calls its `AtomFun` once per element and a
+    missing entry raises the `UnknownAtom` of the first function without
+    one.
+    """
+    table = m.table
+    if table is not None and sym in table:
+        return table[sym]
+    while m is not None:
+        sym = m.fn(sym)
+        m = None if m.up is None else m.up.maps
+    return sym
 
 
 def state_key(l: CoList) -> str:
@@ -283,27 +398,20 @@ def state_key(l: CoList) -> str:
     A cons cell memoizes its key on itself the first time it is asked
     for, and `observe` hands back that very cell as the tail, so walking
     down a shared cons chain of length n costs O(n) steps for the first
-    key and O(1) steps for each suffix after it.  The chain is walked
-    with a loop, not recursion.  Map and append states are rebuilt by
-    every observation, so their keys are built afresh, in O(nesting)
-    steps.  Memoizing changes no key: the strings are the documented
-    format.
+    key and O(1) steps for each suffix after it.  A zipper's key is the
+    key of its live state inside the text of its frames, which the
+    innermost frame memoizes, so a tower's key costs O(1) string
+    operations per step after the first, plus copying its text.  Keys
+    are written with loops, never recursion, and name the nested state:
+    memoizing and zippers change no key.
     """
-    if isinstance(l, NilList):
-        return "NIL"
-    if isinstance(l, ConsList):
-        return l._key or _cons_key(l)
-    if isinstance(l, ConstList):
-        return f"CONST({l.sym})"
-    if isinstance(l, IterList):
-        return f"ITER({l.fn.name},{l.sym})"
-    if isinstance(l, MapList):
-        return f"MAP({l.fn.name},{state_key(l.source)})"
-    if isinstance(l, AppendList):
-        return f"APP({state_key(l.left)},{state_key(l.right)})"
-    if isinstance(l, MachineList):
-        return _machine_key(l.machine, l.seed)
-    raise TypeError(f"not a CoList state: {l!r}")
+    if isinstance(l, TowerList):
+        f = l.frames
+        if f.suffix is None:
+            pre, post = _frame_text(f)
+            f.prefix, f.suffix = "".join(pre), _join(post)
+        return f.prefix + _join([l.live]) + f.suffix
+    return _join([l])
 
 
 def _machine_key(machine: StepFn, seed: str) -> str:
@@ -311,17 +419,87 @@ def _machine_key(machine: StepFn, seed: str) -> str:
     return f"M({machine.name},{seed})"
 
 
-def _cons_key(l: ConsList) -> str:
-    """Key the un-keyed cons cells at the top of `l`, memoizing each."""
-    spine = []
-    while isinstance(l, ConsList) and l._key is None:
-        spine.append(l)
-        l = l.tail
-    key = state_key(l)
-    for cell in reversed(spine):
-        key = f"CONS({cell.head},{key})"
-        object.__setattr__(cell, "_key", key)
-    return key
+def _leaf_key(l: CoList) -> Optional[str]:
+    """The key of a state that holds no other state, or of a cons cell
+    that memoizes its key; else None."""
+    if isinstance(l, ConsList):
+        return l._key
+    if isinstance(l, ConstList):
+        return f"CONST({l.sym})"
+    if isinstance(l, IterList):
+        return f"ITER({l.fn.name},{l.sym})"
+    if isinstance(l, MachineList):
+        return _machine_key(l.machine, l.seed)
+    if isinstance(l, NilList):
+        return "NIL"
+    return None
+
+
+def _frame_text(f: _Frame) -> tuple[list[str], list]:
+    """The key text before and after the hole of `f`: the prefix as
+    strings, the suffix as strings and the states of APP([],right)
+    frames, gathered up to the first frame that memoizes its text."""
+    pre, post = [], []
+    while f is not None and f.suffix is None:
+        if f.fn is not None:
+            pre.append(f"MAP({f.fn.name},")
+            post.append(")")
+        elif f.right is not None:
+            pre.append("APP(")
+            post += (",", f.right, ")")
+        else:
+            pre.append("APP(NIL,")
+            post.append(")")
+        f = f.up
+    if f is not None:
+        pre.append(f.prefix)
+        post.append(f.suffix)
+    pre.reverse()
+    return pre, post
+
+
+def _join(items: list) -> str:
+    """The text of `items`, strings and states, in order.  States are
+    written with an explicit stack; each cons cell written without its
+    key memoizes it."""
+    if len(items) == 1:
+        key = _leaf_key(items[0])
+        if key is not None:
+            return key
+    parts: list[str] = []
+    todo = items[::-1]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            parts.append(x)
+            continue
+        if isinstance(x, MapList):
+            parts.append(f"MAP({x.fn.name},")
+            todo += (")", x.source)
+            continue
+        if isinstance(x, AppendList):
+            parts.append("APP(")
+            todo += (")", x.right, ",", x.left)
+            continue
+        key = _leaf_key(x)
+        if key is not None:
+            parts.append(key)
+        elif isinstance(x, TowerList):
+            pre, post = _frame_text(x.frames)
+            parts += pre
+            todo += post[::-1]
+            todo.append(x.live)
+        elif isinstance(x, ConsList):
+            todo += ((x, len(parts)), ")", x.tail)
+            parts.append(f"CONS({x.head},")
+        elif isinstance(x, tuple):  # a cons cell whose key starts at parts[start]
+            cell, start = x
+            key = "".join(parts[start:])
+            parts[start:] = [key]
+            object.__setattr__(cell, "_key", key)
+        else:
+            raise TypeError(f"not a CoList state: {x!r}")
+    return "".join(parts)
 
 
 def unfold(l: CoList) -> Iterator[tuple[str, CoList]]:

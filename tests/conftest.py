@@ -17,8 +17,9 @@ def succ_mod4() -> AtomFun:
 
 
 class CountingFun(AtomFun):
-    """An AtomFun that counts its applications: inside a map, one per
-    observation that yields an element."""
+    """An AtomFun that counts its applications: a lone map counts one
+    call per element it yields.  Stacked maps read one composed table
+    instead, so they count calls only for a symbol that table lacks."""
 
     def __init__(self, fn: AtomFun):
         super().__init__(fn.name, fn.table)

@@ -1,5 +1,6 @@
 """Corecursive lists: one-step unfolding laws, approximants, truncation."""
 
+import functools
 import random
 import sys
 
@@ -21,6 +22,7 @@ from coinduct.colist import (
     MapList,
     NilList,
     StepFn,
+    TowerList,
     check_llist_upto,
     compile_machine,
     cons,
@@ -44,6 +46,7 @@ from coinduct.errors import (
     UnknownSeed,
     Verdict,
 )
+from coinduct.bisim import Certificate, eq_upto, find_bisimulation, verify_certificate
 from coinduct.trees import (
     EMPTY_TREE,
     AtomShape,
@@ -375,7 +378,72 @@ def _reference_key(l):
     raise TypeError(l)
 
 
+def _reference_observe(l):
+    """The plain recursive one-step equations, rebuilding every layer of a
+    map/append tower: the oracle for `observe`.  Its tails are nested
+    states, which `_reference_key` reads."""
+    if isinstance(l, NilList):
+        return None
+    if isinstance(l, ConsList):
+        return l.head, l.tail
+    if isinstance(l, ConstList):
+        return l.sym, l
+    if isinstance(l, IterList):
+        return l.sym, IterList(l.fn, l.fn(l.sym))
+    if isinstance(l, MapList):
+        obs = _reference_observe(l.source)
+        if obs is None:
+            return None
+        head, tail = obs
+        return l.fn(head), MapList(l.fn, tail)
+    if isinstance(l, AppendList):
+        obs = _reference_observe(l.left)
+        if obs is not None:
+            head, tail = obs
+            return head, AppendList(tail, l.right)
+        obs = _reference_observe(l.right)
+        if obs is None:
+            return None
+        head, tail = obs
+        return head, AppendList(NilList(), tail)
+    if isinstance(l, MachineList):
+        act = l.machine.step(l.seed)
+        if act is None:
+            return None
+        sym, nxt = act
+        return sym, MachineList(l.machine, nxt)
+    raise TypeError(l)
+
+
+def _reference_term(l):
+    """Nested states as tuples, compared field by field as the frozen
+    dataclasses compared them: the oracle for `==` and `hash`."""
+    if isinstance(l, ConsList):
+        return ("cons", l.head, _reference_term(l.tail))
+    if isinstance(l, MapList):
+        return ("map", l.fn, _reference_term(l.source))
+    if isinstance(l, AppendList):
+        return ("app", _reference_term(l.left), _reference_term(l.right))
+    assert isinstance(l, (NilList, ConstList, IterList, MachineList)), l
+    return l
+
+
+def _unzip(state):
+    """The nested state a zipper names, rebuilt frame by frame."""
+    l, frame = state.live, state.frames
+    while frame is not None:
+        if frame.fn is not None:
+            l = MapList(frame.fn, l)
+        elif frame.right is not None:
+            l = AppendList(l, frame.right)
+        else:
+            l = AppendList(NilList(), l)
+        frame = frame.up
+    return l
+
+
 SWAP = AtomFun("swap", {"a": "b", "b": "a"})
+LOWER = AtomFun("lower", {"a": "a", "b": "a"})  # does not commute with swap
 TWO = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
 _LEAF_OPS = st.one_of(
     st.just(("nil",)),
@@ -385,27 +453,38 @@ _LEAF_OPS = st.one_of(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _recipe_step(count, towers):
+    """The strategy for the step after `count` steps: built once per
+    count, as Hypothesis spends most of a recipe building strategies."""
+    earlier = st.integers(min_value=0, max_value=count - 1)
+    steps = [
+        st.tuples(st.just("cons"), st.sampled_from("ab"), earlier),
+        st.tuples(st.just("cons"), st.sampled_from("ab"), st.just(count - 1)),
+        st.tuples(st.just("map"), earlier),
+        st.tuples(st.just("append"), earlier, earlier),
+        _LEAF_OPS,
+    ]
+    if towers:
+        steps.append(st.tuples(st.just("map"), earlier, st.just(LOWER)))
+        steps.append(st.tuples(st.just("tail"), earlier, st.integers(1, 6)))
+    return st.one_of(*steps)
+
+
 @st.composite
-def state_recipes(draw):
-    """Build steps; each step's operands index earlier steps, so states share tails."""
+def state_recipes(draw, max_ops=14, towers=False):
+    """Build steps; each step's operands index earlier steps, so states
+    share tails.  With `towers`, a step may also map a function that does
+    not commute with swap, or observe an earlier state up to six times
+    and build on the tail it reaches."""
     ops = [draw(_LEAF_OPS)]
-    for _ in range(draw(st.integers(min_value=0, max_value=14))):
-        earlier = st.integers(min_value=0, max_value=len(ops) - 1)
-        ops.append(
-            draw(
-                st.one_of(
-                    st.tuples(st.just("cons"), st.sampled_from("ab"), earlier),
-                    st.tuples(st.just("cons"), st.sampled_from("ab"), st.just(len(ops) - 1)),
-                    st.tuples(st.just("map"), earlier),
-                    st.tuples(st.just("append"), earlier, earlier),
-                    _LEAF_OPS,
-                )
-            )
-        )
+    for _ in range(draw(st.integers(min_value=0, max_value=max_ops))):
+        ops.append(draw(_recipe_step(len(ops), towers)))
     return ops
 
 
-def build_states(ops):
+def build_states(ops, step=observe):
+    """The states a recipe builds; a "tail" step observes with `step`."""
     built = []
     for op in ops:
         kind, args = op[0], op[1:]
@@ -420,9 +499,17 @@ def build_states(ops):
         elif kind == "cons":
             built.append(cons(args[0], built[args[1]], AB))
         elif kind == "map":
-            built.append(lmap(SWAP, built[args[0]]))
-        else:
+            built.append(lmap(args[1] if len(args) > 1 else SWAP, built[args[0]]))
+        elif kind == "append":
             built.append(lappend(built[args[0]], built[args[1]]))
+        else:
+            state = built[args[0]]
+            for _ in range(args[1]):
+                obs = step(state)
+                if obs is None:
+                    break
+                state = obs[1]
+            built.append(state)
     return built
 
 
@@ -430,19 +517,20 @@ def build_states(ops):
 @given(state_recipes(), st.integers(min_value=0, max_value=20), st.booleans())
 def test_state_key_matches_reference(ops, steps, root_first):
     built = build_states(ops)
-    walk = [built[-1]]
+    walk = [(built[-1], built[-1])]  # (state, the oracle's state)
     for _ in range(steps):
-        obs = observe(walk[-1])
+        obs = observe(walk[-1][0])
         if obs is None:
             break
-        walk.append(obs[1])
+        walk.append((obs[1], _reference_observe(walk[-1][1])[1]))
     # root-first keys the outermost states before their tails, so each
     # cons chain is walked whole; suffix-first keys tails first, so each
     # walk stops at a cell that already holds its key
-    order = walk + built[::-1] if root_first else built + walk[::-1]
-    for state in order:
+    pairs = [(b, b) for b in built]
+    order = walk + pairs[::-1] if root_first else pairs + walk[::-1]
+    for state, ref in order:
         key = state_key(state)
-        assert key == _reference_key(state)
+        assert key == _reference_key(ref)
         assert state_key(state) == key
 
     fresh = build_states(ops)[-1]
@@ -450,6 +538,85 @@ def test_state_key_matches_reference(ops, steps, root_first):
     assert fresh == keyed and keyed == fresh
     assert hash(fresh) == hash(keyed)
     assert repr(fresh) == repr(keyed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_recipes(max_ops=20, towers=True), st.integers(min_value=0, max_value=50))
+def test_towers_match_the_recursive_oracle(ops, steps):
+    """Random mixed map/append/cons/corec towers, some built on observed
+    tails, walked up to 50 steps beside the oracle's nested states: equal
+    heads and ends, keys, `==` and `hash`."""
+    states = build_states(ops)
+    refs = build_states(ops, _reference_observe)
+    walk = [(states[-1], refs[-1])]
+    for _ in range(steps):
+        obs, ref = observe(walk[-1][0]), _reference_observe(walk[-1][1])
+        assert (obs is None) == (ref is None)
+        if obs is None:
+            break
+        assert obs[0] == ref[0]
+        walk.append((obs[1], ref[1]))
+    for state, ref in walk + list(zip(states, refs)):
+        assert state_key(state) == _reference_key(ref)
+        assert state == ref and ref == state and hash(state) == hash(ref)
+    terms = [_reference_term(ref) for _, ref in walk]
+    for (a, _), ta in zip(walk, terms):
+        for (b, _), tb in zip(walk, terms):
+            assert (a == b) == (ta == tb)
+            if ta == tb:
+                assert hash(a) == hash(b)
+
+
+def test_partial_tables_fail_where_layers_fail():
+    """A symbol missing from a composed table is mapped one layer at a
+    time, so the first function without an entry raises, at the same
+    observation as under the nested equations."""
+    f = AtomFun("f", {"a": "b"})
+    total = AtomFun("g", {"a": "a", "b": "b"})
+    short = AtomFun("h", {"a": "a"})
+    source = cons("a", cons("b", lconst("a", AB), AB), AB)
+    cases = [
+        (lmap(total, lmap(f, source)), ["b"], "f: no entry for 'b'"),
+        (lmap(short, lmap(f, source)), [], "h: no entry for 'b'"),
+        (lmap(f, lmap(total, source)), ["b"], "f: no entry for 'b'"),
+    ]
+    for l, expected, message in cases:
+        seen = []
+        for step in (observe, _reference_observe):
+            state, heads = l, []
+            with pytest.raises(UnknownAtom) as exc:
+                while True:
+                    head, state = step(state)
+                    heads.append(head)
+            seen.append((heads, str(exc.value)))
+        assert seen == [(expected, message)] * 2
+
+
+DEEP = 10**5
+
+
+def test_deep_towers_at_the_default_recursion_limit():
+    """map^n and append(nil, .)^n for n = 10^5, built through the library,
+    are observed, keyed, hashed, compared and searched without recursion."""
+    assert sys.getrecursionlimit() <= 10**4
+    const = lconst("a", AB)
+    maps = again = apps = const
+    for _ in range(DEEP):
+        maps, again, apps = lmap(SWAP, maps), lmap(SWAP, again), lappend(nil(), apps)
+    map_key = "MAP(swap," * DEEP + "CONST(a)" + ")" * DEEP
+    app_key = "APP(NIL," * DEEP + "CONST(a)" + ")" * DEEP
+    assert hash(maps) == hash(again) and maps == again and maps != apps
+    assert state_key(maps) == map_key and state_key(apps) == app_key
+    for l, key in ((maps, map_key), (apps, app_key)):
+        assert take(3, l) == (["a", "a", "a"], False)
+        tail = observe(l)[1]
+        assert isinstance(tail, TowerList) and state_key(tail) == key
+        assert tail == l and hash(tail) == hash(l) and tail != const
+    assert eq_upto(50, maps, const)
+    cert = find_bisimulation(maps, again, kind="strong")
+    assert cert.pairs == {(map_key, map_key)}
+    cert = find_bisimulation(apps, const)
+    assert cert.pairs == {(app_key, "CONST(a)")} and verify_certificate(cert, apps, const)
 
 
 def test_deep_cons_chain_keys_without_recursion(monkeypatch):
@@ -517,7 +684,7 @@ def test_combinator_equations_on_every_reachable_state(defs):
         lmap(succ, lappend(iterates(succ, "x2"), nil())),
         cons("b", lappend(corec("t1", fin3), corec("t2", fin3)), alpha),
     ]
-    checked = 0
+    checked = zipped = 0
     for l in candidates:
         for state in reachable_states(l).values():
             obs = observe(state)
@@ -549,8 +716,21 @@ def test_combinator_equations_on_every_reachable_state(defs):
                     assert obs is None
                 else:
                     assert obs == (act[0], MachineList(state.machine, act[1]))
+            elif isinstance(state, TowerList):
+                # a zipper names a nested state, and observes as it does
+                nested = _unzip(state)
+                assert state == nested and hash(state) == hash(nested)
+                ref = _reference_observe(nested)
+                if ref is None:
+                    assert obs is None
+                else:
+                    assert obs == ref
+                    assert state_key(obs[1]) == _reference_key(ref[1])
+                zipped += 1
+            else:
+                raise AssertionError(f"no one-step equation for {state!r}")
             checked += 1
-    assert checked >= 15
+    assert checked >= 15 and zipped >= 10
 
 
 def test_definitions_validation(defs_doc):
