@@ -14,11 +14,11 @@ refinement of the two seed sets with prefix doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, observe, state_key, unfold
+from .colist import CoList, StepFn, _machine_key, heads, observe, state_key, unfold
 from .colist import reachable_states  # noqa: F401  bench/tracing.py wraps bisim.reachable_states
 from .errors import (
     CertificateError,
@@ -216,12 +216,8 @@ def find_bisimulation(
         raise ValueError("max_pairs must be at least 1")
     root = (state_key(l1), state_key(l2))
     seen: set[KeyPair] = set()
-    cur = (l1, l2)
-    idx = 0
-    while True:
-        keys = (state_key(cur[0]), state_key(cur[1]))
-        if keys in seen:
-            break
+    cur, keys, idx = (l1, l2), root, 0
+    while keys not in seen:
         if kind == "strong" and keys[0] == keys[1] and idx > 0:
             break
         if len(seen) >= max_pairs:
@@ -232,20 +228,24 @@ def find_bisimulation(
             break
         if isinstance(tails, str):
             return Counterexample(idx, tails, keys)
-        cur = tails
-        idx += 1
+        cur, idx = tails, idx + 1
+        keys = (state_key(cur[0]), state_key(cur[1]))
     return Certificate(kind, frozenset(seen), root)
 
 
 def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:
-    """Bounded take-lemma equality: k synchronized observations agree."""
-    pair = (l1, l2)
-    for i in range(k):
-        pair = _step(*pair)
-        if pair is None:
-            return Verdict(True)
-        if isinstance(pair, str):
-            return Verdict(False, pair, i)
+    """Bounded take-lemma equality: k synchronized observations agree.
+
+    Each step reads the next head of `l1`, then of `l2` (None once a list
+    has ended), and the first disagreement stops the walk.
+    """
+    left, right = chain(heads(l1), [None]), chain(heads(l2), [None])
+    for i, h1, h2 in zip(range(k), left, right):
+        if h1 != h2:
+            ended = h1 is None or h2 is None
+            return Verdict(False, "nil/cons mismatch" if ended else "heads differ", i)
+        if h1 is None:
+            break
     return Verdict(True)
 
 

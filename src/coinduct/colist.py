@@ -7,8 +7,10 @@ declared step function; the derived combinators (cons, const, iterates,
 map, append) are states in their own right, each unfolding by its own
 one-step equation.  A map/append tower is observed as a zipper
 (`TowerList`): its live state inside a shared stack of frames, so one
-step touches the live state alone.  Everything is immutable and pure,
-apart from key memos.
+step touches the live state alone.  Loops that read only heads
+(`take`, `check_llist_upto`, `bisim.eq_upto`) run on `heads`, which
+keeps the live state in locals and builds no tail states.  Everything
+is immutable and pure, apart from key and map memos.
 """
 
 from __future__ import annotations
@@ -39,17 +41,20 @@ class Alphabet:
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
+        members = frozenset(syms)
         if not syms:
             raise DefsError("alphabet: must be nonempty")
-        if len(set(syms)) != len(syms):
+        if len(members) != len(syms):
             raise DefsError("alphabet: duplicate symbol")
         for s in syms:
             if not WORD.fullmatch(s):
                 raise DefsError(f"alphabet: bad symbol {s!r}")
         object.__setattr__(self, "symbols", syms)
+        # not a field, so == and repr read `symbols` alone
+        object.__setattr__(self, "_members", members)
 
     def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
+        return sym in self._members
 
     def __iter__(self):
         return iter(self.symbols)
@@ -156,24 +161,34 @@ class CoList:
     __slots__ = ()
 
 
-class _Tower(CoList):
-    """A map or append state, nested as built or in the zipper form that
-    observation returns.  Towers compare and hash by their keys, which
-    `state_key` writes with loops, so any tower is compared and hashed at
-    the default recursion limit, and a nested state equals the zipper
-    that names the same state."""
+class _Keyed(CoList):
+    """A state that holds other states: a cons cell or a tower.  It is
+    compared, hashed and shown by its key, which `state_key` writes with
+    loops, so any depth works at the default recursion limit, and a nested
+    tower equals the zipper that names the same state.  `repr` is the
+    class name around the key, e.g. `ConsList(CONS(a,CONST(a)))`."""
 
     __slots__ = ()
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if not isinstance(other, _Tower):
+        if not isinstance(other, _Keyed):
             return NotImplemented
         return state_key(self) == state_key(other)
 
     def __hash__(self) -> int:
         return hash(state_key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({state_key(self)})"
+
+
+class _Tower(_Keyed):
+    """A map or append state, nested as built or in the zipper form that
+    observation returns."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -181,14 +196,13 @@ class NilList(CoList):
     pass
 
 
-@dataclass(frozen=True)
-class ConsList(CoList):
+@dataclass(frozen=True, eq=False, repr=False)
+class ConsList(_Keyed):
     head: str
     tail: CoList
 
-    # Memo of state_key, filled on first use; not a dataclass field, so
-    # it stays out of __eq__, __hash__ and __repr__.  Threads that race
-    # to fill it store equal strings.
+    # Memo of state_key, filled on first use; not a dataclass field.
+    # Threads that race to fill it store equal strings.
     _key = None
 
 
@@ -203,13 +217,13 @@ class IterList(CoList):
     sym: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MapList(_Tower):
     fn: AtomFun
     source: CoList
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AppendList(_Tower):
     left: CoList
     right: CoList
@@ -227,11 +241,12 @@ class _Frame:
     MAP(fn,[]) sets `fn`, APP([],right) sets `right`, and APP(NIL,[])
     sets neither.  `maps` is the innermost map frame at or above this
     one: it maps the heads that come out of the hole.  A map frame under
-    another map keeps in `table` its function composed with every map
-    above it, built once here.  `prefix` and `suffix` memoize the key
-    text around the hole, filled by the first key asked for with this
-    frame innermost; `suffix` is stored last, so a frame that has one
-    has both.
+    another map keeps in `table` the image of each head that has come
+    through it under its function composed with every map above it,
+    filled on demand by `_map_head`.  `prefix` and `suffix` memoize the
+    key text around the hole, filled by the first key asked for with
+    this frame innermost; `suffix` is stored last, so a frame that has
+    one has both.
     """
 
     __slots__ = ("fn", "right", "up", "maps", "table", "prefix", "suffix")
@@ -245,8 +260,7 @@ class _Frame:
             return
         self.maps = self
         if outer is not None:
-            after = outer.fn.table if outer.table is None else outer.table
-            self.table = {s: after[t] for s, t in fn.table.items() if t in after}
+            self.table = {}
 
 
 class TowerList(_Tower):
@@ -259,9 +273,6 @@ class TowerList(_Tower):
 
     def __init__(self, live: CoList, frames: _Frame):
         self.live, self.frames = live, frames
-
-    def __repr__(self) -> str:
-        return f"TowerList({state_key(self)})"
 
 
 Observation = Optional[tuple[str, CoList]]
@@ -315,10 +326,9 @@ def observe(l: CoList) -> Observation:
     alone.  Its nesting is descended once, with a loop, into frames
     (`_Frame`); the tail is a `TowerList` that shares those frames and
     replaces only the live state, so each later step costs O(1) after one
-    O(nesting * |alphabet|) descent.  When the live state ends, the
-    frames pop to the innermost APP([],right), which becomes APP(NIL,[])
-    around `right`.  The heads and tails are those of the one-step
-    equations of map and append, applied layer by layer.
+    O(nesting) descent.  When the live state ends, the frames pop
+    (`_pop`).  The heads and tails are those of the one-step equations of
+    map and append, applied layer by layer.
     """
     frames = None
     if isinstance(l, TowerList):
@@ -346,11 +356,67 @@ def observe(l: CoList) -> Observation:
             if frames.maps is not None:
                 head = _map_head(frames.maps, head)
             return head, TowerList(tail, frames)
-        while frames is not None and frames.right is None:
-            frames = frames.up
-        if frames is None:
+        popped = _pop(frames)
+        if popped is None:
             return None
-        l, frames = frames.right, _Frame(None, None, frames.up)
+        l, frames = popped
+
+
+def heads(l: CoList) -> Iterator[str]:
+    """The heads of `l`, observed one at a time as they are asked for.
+
+    The same observations as `observe`, in the same order and with the
+    same calls and errors, but the live state stays in locals (the cons
+    cell, the symbol, the seed) and no tail state is built.  Iterates
+    applies its function in the observation that yields the argument.
+    """
+    frames = None
+    if isinstance(l, TowerList):
+        l, frames = l.live, l.frames
+    while True:
+        if isinstance(l, _Tower):
+            l, frames = _descend(l, frames)
+        m = None if frames is None else frames.maps
+        if isinstance(l, ConsList):
+            while isinstance(l, ConsList):
+                yield l.head if m is None else _map_head(m, l.head)
+                l = l.tail
+            continue
+        if isinstance(l, ConstList):
+            sym = l.sym
+            while True:
+                yield sym if m is None else _map_head(m, sym)
+        elif isinstance(l, IterList):
+            fn, sym = l.fn, l.sym
+            while True:
+                after = fn(sym)
+                yield sym if m is None else _map_head(m, sym)
+                sym = after
+        elif isinstance(l, MachineList):
+            step = l.machine.step
+            act = step(l.seed)
+            while act is not None:
+                yield act[0] if m is None else _map_head(m, act[0])
+                act = step(act[1])
+        elif not isinstance(l, NilList):
+            raise TypeError(f"not a CoList state: {l!r}")
+        if frames is None:
+            return
+        popped = _pop(frames)
+        if popped is None:
+            return
+        l, frames = popped
+
+
+def _pop(frames: _Frame) -> Optional[tuple[CoList, _Frame]]:
+    """The live state and frames once the live state inside `frames` has
+    ended: the innermost APP([],right) becomes APP(NIL,[]) around
+    `right`.  None when no such frame is left, as the tower has ended."""
+    while frames is not None and frames.right is None:
+        frames = frames.up
+    if frames is None:
+        return None
+    return frames.right, _Frame(None, None, frames.up)
 
 
 def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
@@ -377,19 +443,23 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
 def _map_head(m: _Frame, sym: str) -> str:
     """Map a head through the map frame `m` and every map above it.
 
-    A stacked map reads its composed table.  A lone map, or a symbol the
-    composed table lacks, applies the functions one by one, innermost
-    first, so a lone map calls its `AtomFun` once per element and a
-    missing entry raises the `UnknownAtom` of the first function without
-    one.
+    A lone map calls its `AtomFun` once per element.  A stacked map
+    applies the functions one by one, innermost first, the first time a
+    head arrives, and memoizes the image in its `table`; a missing entry
+    raises the `UnknownAtom` of the first function without one and
+    memoizes nothing.
     """
     table = m.table
-    if table is not None and sym in table:
-        return table[sym]
-    while m is not None:
-        sym = m.fn(sym)
-        m = None if m.up is None else m.up.maps
-    return sym
+    if table is None:
+        return m.fn(sym)
+    out = table.get(sym)
+    if out is None:
+        out, f = sym, m
+        while f is not None:
+            out = f.fn(out)
+            f = None if f.up is None else f.up.maps
+        table[sym] = out
+    return out
 
 
 def state_key(l: CoList) -> str:
@@ -519,7 +589,7 @@ def take(k: int, l: CoList) -> tuple[list[str], bool]:
     Performs at most k observations; in particular take(0, .) observes
     nothing and reports ended=False even on nil().
     """
-    elems = [head for head, _ in islice(unfold(l), max(k, 0))]
+    elems = list(islice(heads(l), max(k, 0)))
     return elems, len(elems) < k
 
 
@@ -586,7 +656,7 @@ def tree_trunc(k: int, l: CoList) -> FiniteTree:
 def check_llist_upto(k: int, l: CoList, atoms: Iterable[str]) -> Verdict:
     """Depth-k membership check: every head within `atoms` until Nil."""
     allowed = frozenset(atoms)
-    for i, (head, _) in enumerate(islice(unfold(l), max(k, 0))):
+    for i, head in enumerate(islice(heads(l), max(k, 0))):
         if head not in allowed:
             return Verdict(False, f"head {head} outside allowed atoms", i)
     return Verdict(True)

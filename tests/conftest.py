@@ -18,8 +18,9 @@ def succ_mod4() -> AtomFun:
 
 class CountingFun(AtomFun):
     """An AtomFun that counts its applications: a lone map counts one
-    call per element it yields.  Stacked maps read one composed table
-    instead, so they count calls only for a symbol that table lacks."""
+    call per element it yields.  A stack of maps applies each function
+    only the first time a head reaches its innermost map frame, which
+    then keeps the composed image."""
 
     def __init__(self, fn: AtomFun):
         super().__init__(fn.name, fn.table)

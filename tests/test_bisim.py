@@ -304,6 +304,18 @@ def test_synchronized_observation_counts():
     assert closure_check((l, b), cert.pairs, "weak") and f.calls == 1
 
 
+def test_search_keys_each_pair_once(monkeypatch):
+    """The root's keys are the first pair's keys: the search keys each
+    pair on the chain once, the closing repeat included."""
+    keyed = []
+    real = bisim.state_key
+    monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or real(l))
+    const = lconst("a", AB)
+    cert = find_bisimulation(const, cons("a", const, AB))
+    assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
+    assert len(keyed) == 2 * (len(cert.pairs) + 1)
+
+
 def test_strong_subsumes_weak():
     rng = random.Random(31)
     for i in range(30):

@@ -1,8 +1,10 @@
 """Corecursive lists: one-step unfolding laws, approximants, truncation."""
 
+import dataclasses
 import functools
 import random
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from coinduct.colist import (
     state_key,
     take,
     tree_trunc,
+    unfold,
 )
 from coinduct.errors import (
     DefsError,
@@ -46,7 +49,7 @@ from coinduct.errors import (
     UnknownSeed,
     Verdict,
 )
-from coinduct.bisim import Certificate, eq_upto, find_bisimulation, verify_certificate
+from coinduct.bisim import Certificate, _step, eq_upto, find_bisimulation, verify_certificate
 from coinduct.trees import (
     EMPTY_TREE,
     AtomShape,
@@ -483,8 +486,10 @@ def state_recipes(draw, max_ops=14, towers=False):
     return ops
 
 
-def build_states(ops, step=observe):
-    """The states a recipe builds; a "tail" step observes with `step`."""
+def build_states(ops, step=observe, fns=None):
+    """The states a recipe builds; a "tail" step observes with `step`.
+    `fns` maps SWAP, LOWER and TWO to what is built in their place."""
+    fns = fns or {}
     built = []
     for op in ops:
         kind, args = op[0], op[1:]
@@ -493,13 +498,14 @@ def build_states(ops, step=observe):
         elif kind == "const":
             built.append(lconst(args[0], AB))
         elif kind == "iter":
-            built.append(iterates(SWAP, args[0]))
+            built.append(iterates(fns.get(SWAP, SWAP), args[0]))
         elif kind == "machine":
-            built.append(corec(args[0], TWO))
+            built.append(corec(args[0], fns.get(TWO, TWO)))
         elif kind == "cons":
             built.append(cons(args[0], built[args[1]], AB))
         elif kind == "map":
-            built.append(lmap(args[1] if len(args) > 1 else SWAP, built[args[0]]))
+            fn = args[1] if len(args) > 1 else SWAP
+            built.append(lmap(fns.get(fn, fn), built[args[0]]))
         elif kind == "append":
             built.append(lappend(built[args[0]], built[args[1]]))
         else:
@@ -567,6 +573,104 @@ def test_towers_match_the_recursive_oracle(ops, steps):
                 assert hash(a) == hash(b)
 
 
+def _oracle_take(k, l):
+    """`take` as one `observe` per head, through `unfold`: the oracle for
+    the head-stream `take`."""
+    elems = [head for head, _ in islice(unfold(l), max(k, 0))]
+    return elems, len(elems) < k
+
+
+def _oracle_check(k, l, atoms):
+    """`check_llist_upto` through `unfold`: the oracle for the head-stream
+    check."""
+    allowed = frozenset(atoms)
+    for i, (head, _) in enumerate(islice(unfold(l), max(k, 0))):
+        if head not in allowed:
+            return Verdict(False, f"head {head} outside allowed atoms", i)
+    return Verdict(True)
+
+
+def _oracle_eq_upto(k, l1, l2):
+    """`eq_upto` as one synchronized `_step` per position: the oracle for
+    the head-stream `eq_upto`."""
+    pair = (l1, l2)
+    for i in range(k):
+        pair = _step(*pair)
+        if pair is None:
+            return Verdict(True)
+        if isinstance(pair, str):
+            return Verdict(False, pair, i)
+    return Verdict(True)
+
+
+class _Holed(CountingFun):
+    """A CountingFun that, once `hole` is set, has no entry for it when
+    applied.  Its table keeps the entry, so `iterates` accepts every
+    start symbol and a recipe builds the same states with or without a
+    hole."""
+
+    hole = None
+
+    def __call__(self, sym):
+        if sym == self.hole:
+            self.calls += 1
+            raise UnknownAtom(f"{self.name}: no entry for {sym!r}")
+        return super().__call__(sym)
+
+
+class _CountingMachine(StepFn):
+    """A StepFn that counts its steps: one per observation of its states."""
+
+    def __init__(self, m):
+        super().__init__(m.name, m.seeds, m.table)
+        self.calls = 0
+
+    def step(self, seed):
+        self.calls += 1
+        return super().step(seed)
+
+
+HOLES = [None, (SWAP, "a"), (SWAP, "b"), (LOWER, "b")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state_recipes(max_ops=20, towers=True),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from(HOLES),
+    st.integers(min_value=0, max_value=20),
+)
+def test_head_streams_match_the_observe_oracle(ops, depth, hole, other):
+    """`take`, `check_llist_upto` and `eq_upto` read heads without tail
+    states; at every bound up to `depth` they return what the loops over
+    `observe` return, or raise the same error, after the same function
+    calls and machine steps.  Each run builds its states afresh, so no
+    map memo carries over from another run."""
+
+    def run(loop, k):
+        fns = {SWAP: _Holed(SWAP), LOWER: _Holed(LOWER), TWO: _CountingMachine(TWO)}
+        states = build_states(ops, fns=fns)
+        if hole is not None:
+            fns[hole[0]].hole = hole[1]
+        for f in fns.values():
+            f.calls = 0
+        try:
+            outcome = loop(k, states[-1], states[other % len(states)])
+        except UnknownAtom as exc:
+            outcome = (type(exc), str(exc))
+        return outcome, [f.calls for f in fns.values()]
+
+    pairs = [
+        (lambda k, l, _: take(k, l), lambda k, l, _: _oracle_take(k, l)),
+        (lambda k, l, _: check_llist_upto(k, l, "a"), lambda k, l, _: _oracle_check(k, l, "a")),
+        (lambda k, l, m: eq_upto(k, l, m), lambda k, l, m: _oracle_eq_upto(k, l, m)),
+        (lambda k, l, m: eq_upto(k, m, l), lambda k, l, m: _oracle_eq_upto(k, m, l)),
+    ]
+    for k in range(depth + 1):
+        for fast, oracle in pairs:
+            assert run(fast, k) == run(oracle, k)
+
+
 def test_partial_tables_fail_where_layers_fail():
     """A symbol missing from a composed table is mapped one layer at a
     time, so the first function without an entry raises, at the same
@@ -617,6 +721,38 @@ def test_deep_towers_at_the_default_recursion_limit():
     assert cert.pairs == {(map_key, map_key)}
     cert = find_bisimulation(apps, const)
     assert cert.pairs == {(app_key, "CONST(a)")} and verify_certificate(cert, apps, const)
+
+
+def test_deep_states_compare_hash_and_show_by_key():
+    """Cons cells and towers 3000 deep compare, hash and print by their
+    keys, with loops: `repr` is the class name around the key."""
+    n = 3000
+    assert sys.getrecursionlimit() <= n
+    const = lconst("a", AB)
+    one = two = maps = apps = const
+    for i in range(n):
+        sym = "ab"[i % 2]
+        one, two = cons(sym, one, AB), cons(sym, two, AB)
+        maps, apps = lmap(SWAP, maps), lappend(cons(sym, nil(), AB), apps)
+    key = state_key(one)
+    assert one == two and hash(one) == hash(two) and one is not two
+    assert one != cons("a", two, AB) and one != const and one != maps
+    assert repr(one) == f"ConsList({key})" and key.startswith("CONS(b,CONS(a,")
+    assert repr(maps) == "MapList(" + "MAP(swap," * n + "CONST(a)" + ")" * n + ")"
+    assert repr(apps) == f"AppendList({state_key(apps)})"
+    tail = observe(apps)[1]
+    assert repr(tail) == f"TowerList({state_key(tail)})"
+    assert repr(cons("a", nil(), AB)) == "ConsList(CONS(a,NIL))"
+
+
+def test_alphabet_membership():
+    alpha = Alphabet(["b", "a"])
+    assert "a" in alpha and "b" in alpha and "c" not in alpha
+    assert list(alpha) == ["b", "a"] and len(alpha) == 2
+    assert [f.name for f in dataclasses.fields(alpha)] == ["symbols"]
+    assert alpha == Alphabet(("b", "a")) and alpha != Alphabet(("a", "b"))
+    assert hash(alpha) == hash(Alphabet("ba"))
+    assert repr(alpha) == "Alphabet(symbols=('b', 'a'))"
 
 
 def test_deep_cons_chain_keys_without_recursion(monkeypatch):
