@@ -50,7 +50,6 @@ from .colist import (
     Definitions,
     StepFn,
     check_llist_upto,
-    compile_machine,
     cons,
     corec,
     iterates,

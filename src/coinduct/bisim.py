@@ -14,12 +14,11 @@ refinement of the two seed sets with prefix doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, heads, observe, state_key, unfold
-from .colist import reachable_states  # noqa: F401  bench/tracing.py wraps bisim.reachable_states
+from .colist import CoList, StepFn, _machine_key, heads, observe, reachable_states, state_key
 from .errors import (
     CertificateError,
     RootMissing,
@@ -167,25 +166,19 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
 
     The root must be the queried pair and belong to the relation.  A pair
     the relation links to the root lies at most len(pairs) observations
-    from the queried lists, so each list is walked for at most
-    len(pairs) + 1 states, stopping at its own first repeated key; every
+    from the queried lists, so each list is walked (`reachable_states`)
+    for at most len(pairs) observations, stopping at its own first
+    repeated key; the walks' first keys are the queried pair, and every
     key must name a state on one of the two walks.  A pass certifies
     that the two lists are equal.
     """
-    root = (state_key(l1), state_key(l2))
+    walks = [reachable_states(l, len(cert.pairs)) for l in (l1, l2)]
+    root = tuple(next(iter(walk)) for walk in walks)
     if cert.root != root:
         raise RootMissing(
             f"certificate root {cert.root} does not match queried pair {root}"
         )
-    index: dict[str, CoList] = {}
-    for l, start in zip((l1, l2), root):
-        walk = {start: l}
-        for _, state in islice(unfold(l), len(cert.pairs)):
-            key = state_key(state)
-            if key in walk:
-                break
-            walk[key] = state
-        index.update(walk)
+    index = walks[0] | walks[1]
     resolved = []
     for ka, kb in sorted(cert.pairs):
         if ka not in index:

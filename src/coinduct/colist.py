@@ -19,18 +19,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .errors import (
-    DefsError,
-    StateSpaceExceeded,
-    UnknownAtom,
-    UnknownSeed,
-    Verdict,
-    read_json,
-)
+from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
 from .syntax import WORD
 from .trees import FiniteTree, NIL_TREE, branch_union, EMPTY_TREE, leaf, numb, ntrunc
-
-STATE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -593,34 +584,18 @@ def take(k: int, l: CoList) -> tuple[list[str], bool]:
     return elems, len(elems) < k
 
 
-def reachable_states(l: CoList) -> dict[str, CoList]:
-    """All states reachable by observation, indexed by canonical key: one
-    chain, as observation is deterministic, walked until it ends or
-    repeats.  Raises StateSpaceExceeded past `STATE_BOUND` states."""
+def reachable_states(l: CoList, limit: int) -> dict[str, CoList]:
+    """The states of `l`'s chain indexed by canonical key, `l`'s own key
+    first: observation is deterministic, so the chain is walked until it
+    ends, reaches its first repeated key, or has made `limit`
+    observations."""
     index: dict[str, CoList] = {state_key(l): l}
-    for _, state in unfold(l):
+    for _, state in islice(unfold(l), limit):
         key = state_key(state)
         if key in index:
             break
-        if len(index) >= STATE_BOUND:
-            raise StateSpaceExceeded(f"more than {STATE_BOUND} reachable states")
         index[key] = state
     return index
-
-
-def compile_machine(l: CoList) -> tuple[StepFn, str]:
-    """Flatten a state's reachable closure into an equivalent StepFn.
-
-    Seeds are the canonical state keys; the start seed is returned
-    alongside.  Raises StateSpaceExceeded past `STATE_BOUND` states.
-    """
-    index = reachable_states(l)
-    table: dict[str, Optional[tuple[str, str]]] = {}
-    for key, state in index.items():
-        obs = observe(state)
-        table[key] = None if obs is None else (obs[0], state_key(obs[1]))
-    machine = StepFn("compiled", tuple(index), table)
-    return machine, state_key(l)
 
 
 def _fold(elems: list[str], ended: bool) -> FiniteTree:
@@ -695,7 +670,7 @@ class Definitions:
             for sym, out in table.items():
                 if sym not in alphabet:
                     raise DefsError(f"functions.{name}.{sym}: key not in alphabet")
-                if out not in alphabet:
+                if not isinstance(out, str) or out not in alphabet:
                     raise DefsError(f"functions.{name}.{sym}: value {out!r} not in alphabet")
             functions[name] = AtomFun(name, table)
 

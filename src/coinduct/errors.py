@@ -47,10 +47,6 @@ class UnknownMachine(CoinductError):
     """DSL machine name does not resolve against the definitions file."""
 
 
-class StateSpaceExceeded(CoinductError):
-    """A list has more reachable states than `colist.STATE_BOUND`."""
-
-
 class NotAList(CoinductError):
     """A tree is not in the image of the finite-list encoding."""
 

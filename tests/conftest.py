@@ -100,6 +100,12 @@ def rename_seeds(machine: StepFn, prefix: str) -> StepFn:
     return StepFn(f"{prefix}{machine.name}", tuple(ren[s] for s in machine.seeds), table)
 
 
+def ring_machine(n: int) -> StepFn:
+    """The machine "big": seeds s0..s(n-1) in one all-`a` ring."""
+    seeds = [f"s{i}" for i in range(n)]
+    return StepFn("big", seeds, {s: ("a", seeds[(i + 1) % n]) for i, s in enumerate(seeds)})
+
+
 def random_monotone_operator(rng: random.Random, carrier: Carrier) -> SubsetOperator:
     """A random monotone table: a raw random table closed under submask union."""
     n = len(carrier)

@@ -50,7 +50,6 @@ PUBLIC_API = {
     "cli": None,
     "closure_check": ["pair", "rel", "kind"],
     "colist": None,
-    "compile_machine": ["l"],
     "cons": ["sym", "tail", "alphabet"],
     "cons_tree": ["m", "n"],
     "corec": ["seed", "machine"],

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import CountingFun, random_machine, rename_seeds
-from coinduct import bisim, lattice
+from conftest import CountingFun, random_machine, rename_seeds, ring_machine
+from coinduct import bisim, colist, lattice
 from coinduct.bisim import (
     BoundExceeded,
     Certificate,
@@ -27,7 +27,6 @@ from coinduct.colist import (
     corec,
     lconst,
     lmap,
-    STATE_BOUND,
     nil,
     state_key,
 )
@@ -116,16 +115,12 @@ def test_unresolvable_right_key():
         verify_certificate(bogus, const, const)
 
 
-def _ring(n):
-    seeds = [f"s{i}" for i in range(n)]
-    return StepFn("big", seeds, {s: ("a", seeds[(i + 1) % n]) for i, s in enumerate(seeds)})
-
-
 def test_verify_certificate_beyond_the_state_bound():
     """Replay walks each list only as far as the certificate can reach, so
-    the certificates found on a ring larger than STATE_BOUND verify."""
-    big, alpha = _ring(12_000), Alphabet(("a",))
-    assert len(big.seeds) > STATE_BOUND
+    the certificates found on a ring larger than the former 10^4 bound
+    verify."""
+    big, alpha = ring_machine(12_000), Alphabet(("a",))
+    assert len(big.seeds) > 10_000
     ring = corec("s0", big)
     for left, size in ((ring, 1), (cons("a", cons("a", corec("s2", big), alpha), alpha), 2)):
         cert = find_bisimulation(left, ring, kind="strong")
@@ -136,7 +131,7 @@ def test_verify_certificate_beyond_the_state_bound():
 def test_verify_certificate_key_past_the_walk():
     """A key further from the queried lists than the certificate has pairs
     cannot take part in the proof, and is unresolvable."""
-    ring = corec("s0", _ring(10))
+    ring = corec("s0", ring_machine(10))
     root = ("M(big,s0)", "M(big,s0)")
     far = Certificate("strong", frozenset({root, ("M(big,s5)", "M(big,s5)")}), root)
     with pytest.raises(UnresolvableKey, match=r"M\(big,s5\)"):
@@ -314,6 +309,33 @@ def test_search_keys_each_pair_once(monkeypatch):
     cert = find_bisimulation(const, cons("a", const, AB))
     assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
     assert len(keyed) == 2 * (len(cert.pairs) + 1)
+
+
+def test_replay_walks_each_list_once(monkeypatch):
+    """Replay walks each queried list once through `reachable_states`,
+    as far as the certificate has pairs, and keys each root once."""
+    walks, keyed = [], []
+    real_walk, real_key = bisim.reachable_states, colist.state_key
+
+    def walk(l, limit):
+        walks.append((l, limit))
+        return real_walk(l, limit)
+
+    def key(l):
+        keyed.append(l)
+        return real_key(l)
+
+    l1 = lmap(SWAP, lmap(SWAP, lconst("a", AB)))
+    l2 = cons("a", lconst("a", AB), AB)
+    cert = find_bisimulation(l1, l2)
+    assert len(cert.pairs) == 2
+    monkeypatch.setattr(bisim, "reachable_states", walk)
+    monkeypatch.setattr(bisim, "state_key", key)
+    monkeypatch.setattr(colist, "state_key", key)
+    assert verify_certificate(cert, l1, l2)
+    assert [limit for _, limit in walks] == [len(cert.pairs)] * 2
+    assert walks[0][0] is l1 and walks[1][0] is l2
+    assert sum(x is l1 for x in keyed) == sum(x is l2 for x in keyed) == 1
 
 
 def test_strong_subsumes_weak():

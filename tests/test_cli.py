@@ -214,7 +214,7 @@ def test_cert_verify_flow(capsys, tmp_path):
 
 def test_cert_verify_of_a_bisim_certificate_beyond_the_state_bound(capsys, tmp_path):
     """`cert verify` accepts the certificates `bisim` prints for a
-    12000-seed ring machine, larger than colist.STATE_BOUND."""
+    12000-seed ring machine, larger than the former 10^4 bound."""
     seeds = [f"s{i}" for i in range(12_000)]
     step = {s: {"emit": ["a", seeds[(i + 1) % len(seeds)]]} for i, s in enumerate(seeds)}
     defs = tmp_path / "big.json"
@@ -308,6 +308,10 @@ MALFORMED = {
     "defs: machines not an object": ("defs", json.dumps(dict(GOOD_DEFS, machines=[1]))),
     "defs: non-string seed": ("defs", json.dumps(
         dict(GOOD_DEFS, machines={"m": {"seeds": [["x"]], "step": {}}}))),
+    "defs: list-valued function entry": ("defs", json.dumps(
+        {"alphabet": ["a"], "functions": {"f": {"a": ["a"]}}})),
+    "defs: object-valued function entry": ("defs", json.dumps(
+        {"alphabet": ["a"], "functions": {"f": {"a": {"b": "a"}}}})),
     "defs: invalid UTF-8": ("defs", b'{"alphabet": ["\xff"]}'),
     "lattice: non-string table members": ("spec", json.dumps(TABLE_DEMO)),
     "lattice: invalid UTF-8": ("spec", b'{"carrier": ["\xc3"]}'),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOD4_SYMS, CountingFun, random_machine
+from conftest import MOD4_SYMS, CountingFun, random_machine, ring_machine
 from coinduct import colist
 from coinduct.colist import (
     Alphabet,
@@ -26,7 +26,6 @@ from coinduct.colist import (
     StepFn,
     TowerList,
     check_llist_upto,
-    compile_machine,
     cons,
     corec,
     iterates,
@@ -44,7 +43,6 @@ from coinduct.colist import (
 )
 from coinduct.errors import (
     DefsError,
-    StateSpaceExceeded,
     UnknownAtom,
     UnknownSeed,
     Verdict,
@@ -168,10 +166,23 @@ def test_lcorf_chain_and_fuel_stability():
                     assert ntrunc(k, approx[fuel]) == ntrunc(k, approx[k])
 
 
+def compile_machine(l, limit):
+    """Flatten the states of `l`'s chain into an equivalent StepFn whose
+    seeds are the states' keys; the start seed is returned alongside.
+    The chain must close within `limit` observations, else a successor
+    seed is undeclared and `StepFn` refuses the table."""
+    index = reachable_states(l, limit)
+    table = {}
+    for key, state in index.items():
+        obs = observe(state)
+        table[key] = None if obs is None else (obs[0], state_key(obs[1]))
+    return StepFn("compiled", tuple(index), table), next(iter(index))
+
+
 def compiled_trunc(k, l):
     """The oracle for `tree_trunc`: compile every reachable state into a
     machine, take its k-fuel approximant and cut it below depth k."""
-    machine, seed = compile_machine(l)
+    machine, seed = compile_machine(l, 10_000)
     return ntrunc(k, lcorf(k, seed, machine))
 
 
@@ -219,7 +230,7 @@ def test_tree_trunc_compiles_nothing(monkeypatch):
     machines = [random_machine(rng, f"m{i}") for i in range(4)]
     cases = [(k, random_state(rng, machines)) for k in range(30)]
     expected = [compiled_trunc(k, l) for k, l in cases]
-    for name in ("compile_machine", "reachable_states", "state_key"):
+    for name in ("reachable_states", "state_key"):
         monkeypatch.setattr(colist, name, refuse)
     assert [tree_trunc(k, l) for k, l in cases] == expected
 
@@ -234,8 +245,8 @@ def test_tree_trunc_observes_half_the_depth(succ):
 
 
 def test_tree_trunc_of_a_long_chain():
-    """A 2*10^4-cell chain: compiling it passes `STATE_BOUND`, and the
-    fold reads only its first 12 cells, without recursion."""
+    """A 2*10^4-cell chain, past the former 10^4 bound: the fold reads
+    only its first 12 cells, without recursion."""
     assert sys.getrecursionlimit() <= 10**4
 
     def chain(n):
@@ -319,7 +330,7 @@ def test_observation_counts(succ):
 
 def test_compile_machine_preserves_observation(succ):
     l = lappend(lmap(succ, iterates(succ, "x0")), nil())
-    m, seed = compile_machine(l)
+    m, seed = compile_machine(l, 100)
     compiled = corec(seed, m)
     direct = l
     for _ in range(12):
@@ -329,25 +340,6 @@ def test_compile_machine_preserves_observation(succ):
             break
         assert o1[0] == o2[0]
         direct, compiled = o1[1], o2[1]
-
-
-def test_state_space_bound(monkeypatch):
-    chain = machine(
-        "chain",
-        {
-            "s0": ("a", "s1"),
-            "s1": ("a", "s2"),
-            "s2": ("a", "s3"),
-            "s3": ("a", "s4"),
-            "s4": None,
-        },
-    )
-    monkeypatch.setattr(colist, "STATE_BOUND", 3)
-    with pytest.raises(StateSpaceExceeded):
-        reachable_states(corec("s0", chain))
-    with pytest.raises(StateSpaceExceeded):
-        compile_machine(corec("s1", chain))
-    assert len(reachable_states(corec("s2", chain))) == 3
 
 
 def test_state_keys():
@@ -755,19 +747,78 @@ def test_alphabet_membership():
     assert repr(alpha) == "Alphabet(symbols=('b', 'a'))"
 
 
-def test_deep_cons_chain_keys_without_recursion(monkeypatch):
+def test_deep_cons_chain_keys_without_recursion():
     n = 10_000
     chain = lconst("a", AB)
     for _ in range(n):
         chain = cons("a", chain, AB)
     key = state_key(chain)
     assert key == "CONS(a," * n + "CONST(a)" + ")" * n
-    monkeypatch.setattr(colist, "STATE_BOUND", n + 1)
-    index = reachable_states(chain)
+    index = reachable_states(chain, n + 1)
     assert len(index) == n + 1 and index[key] is chain
-    m, seed = compile_machine(chain)
+    m, seed = compile_machine(chain, n + 1)
     assert seed == key and len(m.seeds) == n + 1
     assert take(n + 2, corec(seed, m)) == (["a"] * (n + 2), False)
+
+
+def _replay_walk(l, limit):
+    """The chain walk `bisim.verify_certificate` carried inline before it
+    called `reachable_states`: the oracle for it."""
+    walk = {state_key(l): l}
+    for _, state in islice(unfold(l), limit):
+        key = state_key(state)
+        if key in walk:
+            break
+        walk[key] = state
+    return walk
+
+
+def test_reachable_states_matches_replay_walk():
+    """Random lists, towers and observed tower tails, walked at every
+    limit from 0 to two past the chain's length: the same keys in the
+    same order, naming equal states."""
+    rng = random.Random(41)
+    machines = [random_machine(rng, f"m{i}") for i in range(6)]
+    zipped = 0
+    for _ in range(300):
+        l = random_state(rng, machines)
+        for _ in range(rng.randrange(4)):
+            obs = observe(l)
+            if obs is None:
+                break
+            l = obs[1]
+        zipped += isinstance(l, TowerList)
+        length = len(_replay_walk(l, 10_000))
+        for limit in range(length + 3):
+            walk = reachable_states(l, limit)
+            assert list(walk.items()) == list(_replay_walk(l, limit).items())
+            assert len(walk) == min(limit + 1, length)
+    assert zipped >= 20
+
+
+def test_reachable_states_observes_to_the_first_repeat(succ):
+    """The walk stops at the list's first repeated key, or after `limit`
+    observations, whichever comes first."""
+    f = CountingFun(succ)
+    l = iterates(f, "x0")
+    for limit, keys in ((0, 1), (2, 3), (4, 4), (100, 4)):
+        f.calls = 0
+        assert len(reachable_states(l, limit)) == keys
+        assert f.calls == min(limit, 4)
+
+
+def test_reachable_states_past_the_former_bound():
+    """A 12000-cell cons chain and a 12000-seed ring, both past the
+    former 10^4 bound, are walked whole at the default recursion limit."""
+    assert sys.getrecursionlimit() <= 10**4
+    n = 12_000
+    chain = lconst("a", AB)
+    for _ in range(n):
+        chain = cons("a", chain, AB)
+    walk = reachable_states(chain, 10**5)
+    assert len(walk) == n + 1 and list(walk)[-1] == "CONST(a)"
+    walk = reachable_states(corec("s0", ring_machine(12_000)), 10**5)
+    assert list(walk) == [f"M(big,s{i})" for i in range(12_000)]
 
 
 @st.composite
@@ -822,7 +873,7 @@ def test_combinator_equations_on_every_reachable_state(defs):
     ]
     checked = zipped = 0
     for l in candidates:
-        for state in reachable_states(l).values():
+        for state in reachable_states(l, 1000).values():
             obs = observe(state)
             if isinstance(state, NilList):
                 assert obs is None
@@ -888,6 +939,12 @@ def test_definitions_validation(defs_doc):
     bad["functions"] = dict(defs_doc["functions"], f={**defs_doc["functions"]["succ"], "a": "zz"})
     with pytest.raises(DefsError, match="functions.f.a"):
         Definitions.from_dict(bad)
+
+    for value in (["a"], {"b": "a"}):
+        bad["functions"] = {"f": {**defs_doc["functions"]["succ"], "a": value}}
+        with pytest.raises(DefsError) as exc:
+            Definitions.from_dict(bad)
+        assert str(exc.value) == f"functions.f.a: value {value!r} not in alphabet"
 
     bad = dict(defs_doc)
     bad["machines"] = {"m": {"seeds": ["s"], "step": {"s": {"emit": ["a", "t"]}}}}
