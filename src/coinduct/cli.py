@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 on pass/equal, 1 on fail/counterexample, 2 on usage or
-validation errors and on input nested too deeply to process (reported
-on stderr), 3 when a search exhausts its pair budget.
+validation errors (reported on stderr), 3 when a search exhausts its
+pair budget.  Each expression is read straight into engine states
+(`dsl.read_states`), in one loop at any depth.
 """
 
 from __future__ import annotations
@@ -13,9 +14,17 @@ import sys
 
 from . import bisim, colist, lattice
 from .colist import Definitions
-from .dsl import elaborate, parse_expr
-from .errors import CoinductError, LatticeFileError, read_json
+# parse_expr and elaborate stay bound here for bench/tracing.py, which wraps them by name
+from .dsl import elaborate, parse_expr, read_states  # noqa: F401
+from .errors import CoinductError, LatticeFileError, SizeExceeded, read_json
 from .trees import dump_tree
+
+# `bisim` and `cert` key the states they visit, and keying a state
+# memoizes a key on every cons cell inside it, each key no longer than
+# the text of its cell: O(n^2) text for an n-cell chain.  Cons cells
+# times text length bounds that (`text.count("cons")` bounds the
+# cells), and past this many characters both commands refuse the query.
+KEY_TEXT_BOUND = 10**8
 
 
 class _UsageError(Exception):
@@ -113,7 +122,12 @@ def run_command(argv) -> int:
         defs = Definitions.load(args.defs)
         cert = bisim.Certificate.load(args.cert) if args.command == "cert" else None
         texts = [args.expr] if "expr" in args else [args.left, args.right]
-        terms = [elaborate(parse_expr(text), defs) for text in texts]
+        terms = [read_states(text, defs) for text in texts]
+        if args.command in ("bisim", "cert"):
+            bound = sum(text.count("cons") * len(text) for text in texts)
+            if bound > KEY_TEXT_BOUND:
+                raise SizeExceeded(
+                    f"too many cons cells to key: bound {bound} > {KEY_TEXT_BOUND} characters")
 
         if args.command == "eval":
             elems, ended = colist.take(args.depth, *terms)
@@ -153,10 +167,6 @@ def run_command(argv) -> int:
         return 0 if verdict else 1
     except (CoinductError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the JSON reader recurse once per nesting level
-        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -187,14 +187,16 @@ class NilList(CoList):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ConsList(_Keyed):
-    head: str
-    tail: CoList
+    """A cons cell: its head symbol and its tail state."""
 
-    # Memo of state_key, filled on first use; not a dataclass field.
-    # Threads that race to fill it store equal strings.
-    _key = None
+    # _key memoizes state_key, filled on first use; threads that race
+    # to fill it store equal strings.
+    __slots__ = ("head", "tail", "_key")
+    __match_args__ = ("head", "tail")
+
+    def __init__(self, head: str, tail: CoList):
+        self.head, self.tail, self._key = head, tail, None
 
 
 @dataclass(frozen=True)
@@ -557,7 +559,7 @@ def _join(items: list) -> str:
             cell, start = x
             key = "".join(parts[start:])
             parts[start:] = [key]
-            object.__setattr__(cell, "_key", key)
+            cell._key = key
         else:
             raise TypeError(f"not a CoList state: {x!r}")
     return "".join(parts)

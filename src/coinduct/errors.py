@@ -114,10 +114,13 @@ def read_json(path: str, error: type[CoinductError], what: str) -> Any:
     """Parse the JSON file at `path`.
 
     Text that is not UTF-8 or not JSON raises `error`, with `what` naming
-    the file format; OSError and RecursionError pass through.
+    the file format, and so does JSON nested past what the decoder's
+    recursion can follow; OSError passes through.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
             raise error(f"{what}: invalid JSON ({exc})") from None
+        except RecursionError:
+            raise error("input nested too deeply") from None

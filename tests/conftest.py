@@ -1,12 +1,15 @@
-"""Shared fixtures: a mod-4 definitions file and random generators."""
+"""Shared fixtures: a mod-4 definitions file, random generators and the
+recursive term reader."""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from coinduct.colist import Alphabet, AtomFun, Definitions, StepFn
+from coinduct.errors import ParseError
 from coinduct.lattice import Carrier, Subset, SubsetOperator
 
 MOD4_SYMS = ("x0", "x1", "x2", "x3")
@@ -115,3 +118,57 @@ def random_monotone_operator(rng: random.Random, carrier: Carrier) -> SubsetOper
             if a >> i & 1:
                 acc[a] |= acc[a ^ 1 << i]
     return SubsetOperator(lambda s: Subset(carrier, acc[s.bits]), "random-mono")
+
+
+_TOKEN = re.compile("[A-Za-z0-9_]+|[(),]")
+_STRAY = re.compile(r"[^A-Za-z0-9_(),\s]")
+
+
+def reference_read(what: str, rules: dict, text: str):
+    """`syntax.Grammar.read` as it was before it became a loop: one Python
+    frame per nesting level, each term built as soon as its `)` is read.
+    `rules` maps a head to its constructor and slots (None or a label)."""
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(stray.start(), what)
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input
+    i = 0
+
+    def error(expected: str) -> ParseError:  # at token i
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        return ParseError(starts[i], expected)
+
+    def term():
+        nonlocal i
+        rule = rules.get(toks[i])
+        if rule is None:
+            raise error(what)
+        i += 1
+        make, slots = rule
+        if not slots:
+            return make()
+        args = []
+        sep = "("
+        for slot in slots:
+            if toks[i] != sep:
+                raise error(f"'{sep}'")
+            sep = ","
+            i += 1
+            if slot is None:
+                args.append(term())
+                continue
+            tok = toks[i]
+            if tok in ("(", ")", ",", "") or (slot == "numeral" and not tok.isdigit()):
+                raise error(slot)
+            args.append(int(tok) if slot == "numeral" else tok)
+            i += 1
+        if toks[i] != ")":
+            raise error("')'")
+        i += 1
+        return make(*args)
+
+    value = term()
+    if toks[i]:
+        raise error("end of input")
+    return value

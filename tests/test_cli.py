@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import coinduct
-from coinduct.cli import _build_parser, run_command
+from coinduct.cli import KEY_TEXT_BOUND, _build_parser, run_command
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFS = str(DATA / "defs.json")
@@ -342,15 +342,58 @@ def test_malformed_file_exits_2(capsys, tmp_path, case):
 
 
 def test_deep_input_exits_2(capsys, tmp_path):
-    """Input nested past the recursion limit is a validation error, not a crash."""
-    n = 3000
-    deep_cons = "cons(a," * n + "nil" + ")" * n
-    assert run(capsys, "eval", "--defs", DEFS, deep_cons) == (
-        2, "", "error: input nested too deeply\n")
+    """JSON nested past what the decoder can follow is a validation error,
+    not a crash."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 10**5 + "]" * 10**5)
     assert run(capsys, "eval", "--defs", str(path), "nil") == (
         2, "", "error: input nested too deeply\n")
+
+
+# Deep expressions: n levels around an innermost list (n % 4 == 0), a
+# shallow expression with the same observations, and its first two.
+DEEP = {
+    "cons": (lambda n: "cons(a," * n + "lconst(a)" + ")" * n, "lconst(a)",
+             "cons(a,cons(a,nil))"),
+    "map": (lambda n: "map(succ," * n + "iterates(succ,x0)" + ")" * n, "iterates(succ,x0)",
+            "cons(x0,cons(x1,nil))"),
+    "append": (lambda n: "append(nil," * n + "lconst(b)" + ")" * n, "lconst(b)",
+               "cons(b,cons(b,nil))"),
+}
+
+
+@pytest.mark.parametrize("n", [3000, 10**5])
+@pytest.mark.parametrize("kind", sorted(DEEP))
+def test_deep_expressions_run(capsys, kind, n):
+    """Expressions nested far past the recursion limit are read, observed
+    and searched like shallow ones.  `bisim` keys the whole root, and a
+    cons chain keeps one key per cell, O(n^2) text, so past the key text
+    bound it refuses the query (ROADMAP item 6)."""
+    make, shallow, prefix = DEEP[kind]
+    deep = make(n)
+    for argv in (["eval", "--depth", "7"], ["trunc", "--depth", "9"]):
+        assert run(capsys, *argv, "--defs", DEFS, deep) == run(capsys, *argv, "--defs", DEFS, shallow)
+    code, out, err = run(capsys, "bisim", "--defs", DEFS, deep, prefix)
+    if kind == "cons" and n > 3000:
+        assert (code, out) == (2, "") and err.startswith("error: too many cons cells to key: ")
+    else:
+        assert (code, out, err) == (1, "FAIL nil/cons mismatch @ 2\n", "")
+
+
+def test_key_text_bound_at_the_argument_size_limit(capsys, tmp_path):
+    """A cons chain as long as one command-line argument can be (128 KiB)
+    would memoize about 10^9 characters of keys: `bisim` and `cert`
+    refuse it at once, while a 3000-cell chain stays under the bound."""
+    n = 16000
+    deep = "cons(a," * n + "nil" + ")" * n
+    assert len(deep) < 128 * 1024
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"kind": "strong", "root": ["NIL", "NIL"], "pairs": [["NIL", "NIL"]]}))
+    bound = f"bound {n * len(deep)} > {KEY_TEXT_BOUND} characters"
+    for argv in (["bisim", "--defs", DEFS], ["cert", "verify", "--defs", DEFS, "--cert", str(cert)]):
+        assert run(capsys, *argv, deep, "nil") == (
+            2, "", f"error: too many cons cells to key: {bound}\n")
+    assert 3000 * len(DEEP["cons"][0](3000)) < KEY_TEXT_BOUND
 
 
 def test_bisim_implies_eq(capsys):

@@ -1,12 +1,15 @@
-"""Expression grammar: parsing, printing, elaboration."""
+"""Expression grammar: parsing, printing, elaboration, and the one-pass
+read against parsing then elaborating recursively."""
 
 import pathlib
 import random
 
 import pytest
 
+from coinduct import colist
+from conftest import reference_read
 from coinduct.cli import run_command
-from coinduct.colist import observe, take
+from coinduct.colist import observe, state_key, take
 from coinduct.dsl import (
     Append,
     Cons,
@@ -18,9 +21,12 @@ from coinduct.dsl import (
     elaborate,
     parse_expr,
     print_expr,
+    read_states,
 )
 from coinduct.errors import (
+    CoinductError,
     ParseError,
+    UnknownAtom,
     UnknownFunction,
     UnknownMachine,
     UnknownSeed,
@@ -186,3 +192,124 @@ def test_resolution_error_text(capsys, expr, stderr):
     constructors; the CLI reports either as one line."""
     assert run_command(["eval", "--defs", DEFS, expr]) == 2
     assert capsys.readouterr() == ("", stderr)
+
+
+EXPR_RULES = {
+    "nil": (Nil, ()),
+    "cons": (Cons, ("symbol", None)),
+    "lconst": (Lconst, ("symbol",)),
+    "iterates": (Iterates, ("name", "symbol")),
+    "map": (Map, ("name", None)),
+    "append": (Append, (None, None)),
+    "corec": (Corec, ("name", "seed")),
+}
+
+
+def reference_parse(text):
+    return reference_read("expression", EXPR_RULES, text)
+
+
+def reference_elaborate(e, defs):
+    """`dsl.elaborate` as it was before it became a loop: one Python frame
+    per nesting level, names checked before the arguments are built."""
+    if isinstance(e, Nil):
+        return colist.nil()
+    if isinstance(e, Cons):
+        return colist.cons(e.sym, reference_elaborate(e.tail, defs), defs.alphabet)
+    if isinstance(e, Lconst):
+        return colist.lconst(e.sym, defs.alphabet)
+    if isinstance(e, Iterates):
+        if e.fn not in defs.functions:
+            raise UnknownFunction(f"function {e.fn!r} not defined")
+        if e.sym not in defs.alphabet:
+            raise UnknownAtom(f"symbol {e.sym!r} not in alphabet")
+        return colist.iterates(defs.functions[e.fn], e.sym)
+    if isinstance(e, Map):
+        if e.fn not in defs.functions:
+            raise UnknownFunction(f"function {e.fn!r} not defined")
+        return colist.lmap(defs.functions[e.fn], reference_elaborate(e.arg, defs))
+    if isinstance(e, Append):
+        return colist.lappend(reference_elaborate(e.left, defs), reference_elaborate(e.right, defs))
+    if isinstance(e, Corec):
+        if e.machine not in defs.machines:
+            raise UnknownMachine(f"machine {e.machine!r} not defined")
+        return colist.corec(e.seed, defs.machines[e.machine])
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def mutation_corpus():
+    """The texts of `test_single_token_mutations_never_crash`: printed
+    random expressions with one token replaced."""
+    rng = random.Random(103)
+    replacements = ["nil", "cons", "map", "x0", "(", ")", ",", "", "zz"]
+    for _ in range(200):
+        tokens = _tokenize(print_expr(random_expr(rng)))
+        for i in range(len(tokens)):
+            for rep in rng.sample(replacements, 3):
+                yield "".join(tokens[:i] + [rep] + tokens[i + 1 :])
+
+
+# Two faults in one text: the first in the recursive order wins, and a
+# parse error anywhere beats any resolution error.
+TWO_FAULTS = [
+    "map(zz,cons(qq,nil))",
+    "cons(zz,map(qq,nil))",
+    "append(map(zz,nil),corec(yy,s0))",
+    "append(cons(zz,nil),iterates(qq,a))",
+    "iterates(zz,qq)",
+    "corec(zz,qq)",
+    "corec(two,qq) x",
+    "map(zz,nil))",
+    "cons(zz,nil",
+    "append(lconst(zz),nil,",
+    "map(zz,cons(a,nil)]",
+]
+
+
+def outcome(run, text):
+    """A state by its key, or an error by class, message and offset."""
+    try:
+        value = run(text)
+    except CoinductError as err:
+        return type(err), str(err), getattr(err, "offset", None)
+    return state_key(value)
+
+
+def test_one_pass_read_agrees_with_recursive_parse_and_elaborate(defs):
+    rng = random.Random(101)
+    corpus = [print_expr(random_expr(rng)) for _ in range(1000)]
+    corpus += list(mutation_corpus()) + TWO_FAULTS
+    kinds = set()
+    for text in corpus:
+        expected = outcome(lambda t: reference_elaborate(reference_parse(t), defs), text)
+        assert outcome(lambda t: read_states(t, defs), text) == expected, text
+        assert outcome(lambda t: elaborate(parse_expr(t), defs), text) == expected, text
+        try:
+            parsed = reference_parse(text)
+        except ParseError as err:
+            parsed = err.offset, err.expected
+        try:
+            assert parse_expr(text) == parsed, text
+        except ParseError as err:
+            assert (err.offset, err.expected) == parsed, text
+        kinds.add(expected if isinstance(expected, str) else expected[0])
+    assert {ParseError, UnknownAtom, UnknownFunction, UnknownMachine, UnknownSeed} < kinds
+    assert len(kinds) > 100  # many distinct states
+
+
+def test_deep_expressions_round_trip_at_the_default_recursion_limit(defs):
+    """Parsing, printing and elaborating 10^5 levels loop.  Big strings are
+    compared outside `assert`, whose report would diff them."""
+    k = 33334
+    text = "append(nil," * k + "map(h," * k + "cons(a," * k + "nil" + ")" * 3 * k
+    e = parse_expr(text)
+    same = print_expr(e) == text
+    assert same
+    l = elaborate(e, defs)
+    assert take(6, l) == take(6, read_states(text, defs)) == (["a"] * 6, False)
+    # a cons chain is not keyed here: each cell memoizes its own key
+    towers = "append(nil," * 20000 + "map(h," * 20000 + "lconst(a)" + ")" * 40000
+    key = state_key(elaborate(parse_expr(towers), defs))
+    same = key == state_key(read_states(towers, defs))
+    same &= key == "APP(NIL," * 20000 + "MAP(h," * 20000 + "CONST(a)" + ")" * 40000
+    assert same

@@ -1,10 +1,15 @@
-"""The shared term reader: tree terms against the former hand-written parser."""
+"""The shared term reader: tree terms against the former hand-written parser
+and the former recursive reader; no reader recurses."""
 
+import ast
+import pathlib
 import random
 import re
 
 import pytest
 
+import coinduct
+from conftest import reference_read
 from coinduct.errors import ParseError
 from coinduct.trees import (
     NIL_TREE,
@@ -125,6 +130,60 @@ def test_tree_terms_agree_with_reference_parser():
         checked += 1
         accepted += expected is not ParseError
     assert accepted > 400 and checked - accepted > 1000
+
+
+TREE_RULES = {
+    "nil": (lambda: NIL_TREE, ()),
+    "leaf": (leaf, ("symbol",)),
+    "numb": (numb, ("numeral",)),
+    "scons": (scons, (None, None)),
+    "in0": (in0, (None,)),
+    "in1": (in1, (None,)),
+    "cons": (cons_tree, (None, None)),
+}
+
+
+def test_tree_terms_agree_with_recursive_reader():
+    """Values, and errors with their offsets, as the recursive reader gives them."""
+
+    def result(parse, text):
+        try:
+            return parse(text)
+        except ParseError as err:
+            return err.offset, err.expected
+
+    for text in tree_term_corpus(seed=223, count=300):
+        expected = result(lambda t: reference_read("tree term", TREE_RULES, t), text)
+        assert result(parse_tree_term, text) == expected, text
+
+
+def test_no_function_calls_itself():
+    """No function in the package calls itself, so no input depth can
+    exhaust the stack; `wf.wfrec` still recurses through the caller's
+    body (ROADMAP item 3)."""
+    for path in pathlib.Path(coinduct.__file__).parent.glob("*.py"):
+        if path.stem == "wf":
+            continue
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    itself = callee.value.id in ("self", "cls") and callee.attr == fn.name
+                else:
+                    itself = isinstance(callee, ast.Name) and callee.id == fn.name
+                assert not itself, f"{module}.{fn.name} calls itself"
+
+
+def test_deep_tree_terms():
+    n = 10**4
+    tree = NIL_TREE
+    for _ in range(n):
+        tree = in1(tree)
+    assert parse_tree_term("in1(" * n + "nil" + ")" * n) == tree
 
 
 @pytest.mark.parametrize(
