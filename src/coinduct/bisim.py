@@ -4,10 +4,11 @@ A certificate is a finite relation on canonical state keys submitted as a
 bisimulation witness.  Verification replays one observation step per
 pair; the weak rule demands the tails be related again, the strong rule
 additionally accepts tails with equal keys.  `find_bisimulation` builds
-such witnesses automatically for eventually-periodic lists, and
-`bisimilarity_gfp` computes the largest bisimulation between two machines.
-That relation is the greatest fixedpoint of the one-step operator
-`llistd_fun` on the seed-pair lattice; it is computed by partition
+such witnesses for eventually-periodic lists.  Each list is one chain of
+states, which search and replay record as they read it (`_Chain`),
+observing each state once.  `bisimilarity_gfp` computes the largest
+bisimulation between two machines, the greatest fixedpoint of the
+one-step operator `llistd_fun` on the seed-pair lattice, by partition
 refinement of the two seed sets with prefix doubling.
 """
 
@@ -18,7 +19,7 @@ from itertools import chain, product
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, heads, observe, reachable_states, state_key
+from .colist import CoList, StepFn, _machine_key, heads, observe, state_key
 from .errors import (
     CertificateError,
     RootMissing,
@@ -29,10 +30,13 @@ from .errors import (
 from .trees import in0, in1, scons
 
 KeyPair = tuple[str, str]
+Step = Optional[tuple[str, str]]  # None at the end of the list, else (head, tail key)
 
 Relation = frozenset  # of KeyPair
 
 TreePairRelation = frozenset  # of (FiniteTree, FiniteTree)
+
+_ESCAPES = "tail pair escapes the relation"  # the closure failure that search steps past
 
 
 def diag_rel(trees) -> TreePairRelation:
@@ -128,17 +132,34 @@ class BoundExceeded:
 SearchOutcome = Union[Certificate, Counterexample, BoundExceeded]
 
 
-def _step(l1: CoList, l2: CoList) -> Union[None, str, tuple[CoList, CoList]]:
-    """Observe both lists once: None when both end, the reason when the
-    observations disagree, else the pair of tails."""
-    o1, o2 = observe(l1), observe(l2)
-    if o1 is None and o2 is None:
-        return None
-    if o1 is None or o2 is None:
-        return "nil/cons mismatch"
-    if o1[0] != o2[0]:
-        return "heads differ"
-    return o1[1], o2[1]
+class _Chain(dict):
+    """A list's states as read so far, state key -> step, from `root`, the
+    list's key.  Keys are asked for in chain order, so a missing key is
+    the next state's, which `__missing__` observes and keys, once."""
+
+    def __init__(self, l: CoList):
+        super().__init__()
+        self.root, self._next = state_key(l), l
+
+    def __missing__(self, key: str) -> Step:
+        obs = observe(self._next)
+        if obs is not None:
+            self._next = obs[1]
+            obs = obs[0], state_key(obs[1])
+        self[key] = obs
+        return obs
+
+
+def _closes(s1: Step, s2: Step, keys: KeyPair, rel, kind: str) -> Verdict:
+    """`closure_check` for the pair `keys`, whose states step to `s1`, `s2`."""
+    if s1 is None or s2 is None:
+        return Verdict(True) if s1 is s2 else Verdict(False, "nil/cons mismatch", keys)
+    if s1[0] != s2[0]:
+        return Verdict(False, "heads differ", keys)
+    tails = s1[1], s2[1]
+    if tails in rel or kind == "strong" and tails[0] == tails[1]:
+        return Verdict(True)
+    return Verdict(False, _ESCAPES, tails)
 
 
 def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verdict:
@@ -148,17 +169,19 @@ def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verd
     related by `rel`; under the strong kind, tails with equal keys are
     accepted as well.
     """
-    tails = _step(*pair)
-    if tails is None:
-        return Verdict(True)
-    if isinstance(tails, str):
-        return Verdict(False, tails, (state_key(pair[0]), state_key(pair[1])))
-    k1, k2 = state_key(tails[0]), state_key(tails[1])
-    if (k1, k2) in rel:
-        return Verdict(True)
-    if kind == "strong" and k1 == k2:
-        return Verdict(True)
-    return Verdict(False, "tail pair escapes the relation", (k1, k2))
+    left, right = _Chain(pair[0]), _Chain(pair[1])
+    return _closes(left[left.root], right[right.root], (left.root, right.root), rel, kind)
+
+
+def reachable_states(l: CoList, limit: int) -> dict[str, Step]:
+    """The step of each state on `l`'s chain by key, `l`'s own key first,
+    read until the list ends, repeats a key, or has `limit` + 1 states."""
+    chain = _Chain(l)
+    key = chain.root
+    while key is not None and key not in chain and len(chain) <= limit:
+        step = chain[key]
+        key = None if step is None else step[1]
+    return dict(chain)
 
 
 def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
@@ -167,10 +190,10 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     The root must be the queried pair and belong to the relation.  A pair
     the relation links to the root lies at most len(pairs) observations
     from the queried lists, so each list is walked (`reachable_states`)
-    for at most len(pairs) observations, stopping at its own first
-    repeated key; the walks' first keys are the queried pair, and every
-    key must name a state on one of the two walks.  A pass certifies
-    that the two lists are equal.
+    to at most len(pairs) + 1 states, stopping at its own first repeated
+    key; the walks' first keys are the queried pair, every key must name
+    a state on a walk, and its recorded step is the one replayed.  A pass
+    certifies that the two lists are equal.
     """
     walks = [reachable_states(l, len(cert.pairs)) for l in (l1, l2)]
     root = tuple(next(iter(walk)) for walk in walks)
@@ -178,16 +201,13 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
         raise RootMissing(
             f"certificate root {cert.root} does not match queried pair {root}"
         )
-    index = walks[0] | walks[1]
-    resolved = []
-    for ka, kb in sorted(cert.pairs):
-        if ka not in index:
-            raise UnresolvableKey(f"key {ka} names no reachable state")
-        if kb not in index:
-            raise UnresolvableKey(f"key {kb} names no reachable state")
-        resolved.append((index[ka], index[kb]))
-    for pair in resolved:
-        verdict = closure_check(pair, cert.pairs, cert.kind)
+    steps = walks[0] | walks[1]
+    pairs = sorted(cert.pairs)
+    for key in chain.from_iterable(pairs):
+        if key not in steps:
+            raise UnresolvableKey(f"key {key} names no reachable state")
+    for ka, kb in pairs:
+        verdict = _closes(steps[ka], steps[kb], (ka, kb), cert.pairs, cert.kind)
         if not verdict:
             return verdict
     return Verdict(True)
@@ -199,31 +219,28 @@ def find_bisimulation(
     """Search for a bisimulation by synchronized unfolding.
 
     Observation is deterministic, so the search walks the single chain
-    of tail pairs, memoizing on key pairs; a revisited pair closes the
-    chain, a mismatch refutes equality with its prefix index, and more
-    than `max_pairs` distinct pairs gives up.  Under the strong kind a
-    pair of identical keys closes immediately.  A returned certificate
-    always passes `verify_certificate`.
+    of tail pairs, adding each pair to a relation and checking it by
+    replay's closure rule against that relation: a pair that closes
+    ends the chain with a certificate that passes `verify_certificate`,
+    a mismatch refutes equality with its prefix index, a tail pair that
+    escapes is the next pair, and more than `max_pairs` pairs gives up.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be at least 1")
-    root = (state_key(l1), state_key(l2))
+    if kind not in ("weak", "strong"):
+        raise ValueError(f"kind must be 'weak' or 'strong', got {kind!r}")
+    left, right = _Chain(l1), _Chain(l2)
+    root = keys = left.root, right.root
     seen: set[KeyPair] = set()
-    cur, keys, idx = (l1, l2), root, 0
-    while keys not in seen:
-        if kind == "strong" and keys[0] == keys[1] and idx > 0:
-            break
-        if len(seen) >= max_pairs:
-            return BoundExceeded(max_pairs)
+    while len(seen) < max_pairs:
         seen.add(keys)
-        tails = _step(*cur)
-        if tails is None:
-            break
-        if isinstance(tails, str):
-            return Counterexample(idx, tails, keys)
-        cur, idx = tails, idx + 1
-        keys = (state_key(cur[0]), state_key(cur[1]))
-    return Certificate(kind, frozenset(seen), root)
+        verdict = _closes(left[keys[0]], right[keys[1]], keys, seen, kind)
+        if verdict:
+            return Certificate(kind, frozenset(seen), root)
+        if verdict.reason != _ESCAPES:
+            return Counterexample(len(seen) - 1, verdict.reason, keys)
+        keys = verdict.witness
+    return BoundExceeded(max_pairs)
 
 
 def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:

@@ -565,17 +565,6 @@ def _join(items: list) -> str:
     return "".join(parts)
 
 
-def unfold(l: CoList) -> Iterator[tuple[str, CoList]]:
-    """Observe `l` one step at a time, yielding (head, tail) until it ends.
-
-    Each observation happens only when the next pair is asked for.
-    """
-    obs = observe(l)
-    while obs is not None:
-        yield obs
-        obs = observe(obs[1])
-
-
 def take(k: int, l: CoList) -> tuple[list[str], bool]:
     """First k elements and whether the list was seen to end.
 
@@ -584,20 +573,6 @@ def take(k: int, l: CoList) -> tuple[list[str], bool]:
     """
     elems = list(islice(heads(l), max(k, 0)))
     return elems, len(elems) < k
-
-
-def reachable_states(l: CoList, limit: int) -> dict[str, CoList]:
-    """The states of `l`'s chain indexed by canonical key, `l`'s own key
-    first: observation is deterministic, so the chain is walked until it
-    ends, reaches its first repeated key, or has made `limit`
-    observations."""
-    index: dict[str, CoList] = {state_key(l): l}
-    for _, state in islice(unfold(l), limit):
-        key = state_key(state)
-        if key in index:
-            break
-        index[key] = state
-    return index
 
 
 def _fold(elems: list[str], ended: bool) -> FiniteTree:

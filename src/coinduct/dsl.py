@@ -18,7 +18,8 @@ printing a parsed expression reparses to an equal expression.
 `read_states` reads the same grammar with the colist constructors, so
 it builds engine states instead of `Expr` values, in one pass;
 `elaborate` reads an `Expr`'s text that way.  Reading and printing are
-loops, so any nesting depth works at the default recursion limit.
+loops, and an `Expr` compares, hashes and prints by its printed text, so
+any nesting depth works at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -33,44 +34,55 @@ from .syntax import TERM, Grammar
 
 
 class Expr:
-    __slots__ = ()
+    """An expression; compared, hashed and shown by its `print_expr` text."""
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self is other or print_expr(self) == print_expr(other)
+
+    def __hash__(self) -> int:
+        return hash(print_expr(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({print_expr(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Nil(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cons(Expr):
     sym: str
     tail: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lconst(Expr):
     sym: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iterates(Expr):
     fn: str
     sym: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Map(Expr):
     fn: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Append(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Corec(Expr):
     machine: str
     seed: str

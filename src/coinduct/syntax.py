@@ -152,7 +152,7 @@ class Grammar:
             try:
                 head, slots = self.heads[type(term)]
             except KeyError:
-                raise TypeError(f"no {self.what} head for {term!r}") from None
+                raise TypeError(f"no {self.what} head for {type(term).__name__}") from None
             if not slots:
                 parts.append(head)
                 continue

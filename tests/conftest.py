@@ -1,14 +1,32 @@
-"""Shared fixtures: a mod-4 definitions file, random generators and the
-recursive term reader."""
+"""Shared fixtures: a mod-4 definitions file, random generators, the
+recursive term reader, and the observation loops that the kernel's
+readers replaced."""
 
 from __future__ import annotations
 
 import random
 import re
+from itertools import islice
+from typing import Iterator
 
 import pytest
 
-from coinduct.colist import Alphabet, AtomFun, Definitions, StepFn
+from coinduct.colist import (
+    Alphabet,
+    AtomFun,
+    CoList,
+    Definitions,
+    StepFn,
+    cons,
+    corec,
+    iterates,
+    lappend,
+    lconst,
+    lmap,
+    nil,
+    observe,
+    state_key,
+)
 from coinduct.errors import ParseError
 from coinduct.lattice import Carrier, Subset, SubsetOperator
 
@@ -107,6 +125,71 @@ def ring_machine(n: int) -> StepFn:
     """The machine "big": seeds s0..s(n-1) in one all-`a` ring."""
     seeds = [f"s{i}" for i in range(n)]
     return StepFn("big", seeds, {s: ("a", seeds[(i + 1) % n]) for i, s in enumerate(seeds)})
+
+
+ABC = Alphabet(("a", "b", "c"))
+ROT = AtomFun("rot", {"a": "b", "b": "c", "c": "a"})
+FLIP = AtomFun("flip", {"a": "b", "b": "a", "c": "c"})
+
+
+def random_state(rng, machines, depth=4):
+    """A random lazy list mixing every combinator, nested up to `depth`."""
+    kinds = ("nil", "const", "iter", "corec") + ("cons", "map", "append") * (depth > 0)
+    kind = rng.choice(kinds)
+    sym = rng.choice(ABC.symbols)
+    fn = rng.choice((ROT, FLIP))
+    if kind == "nil":
+        return nil()
+    if kind == "const":
+        return lconst(sym, ABC)
+    if kind == "iter":
+        return iterates(fn, sym)
+    if kind == "corec":
+        m = rng.choice(machines)
+        return corec(rng.choice(m.seeds), m)
+    if kind == "cons":
+        return cons(sym, random_state(rng, machines, depth - 1), ABC)
+    if kind == "map":
+        return lmap(fn, random_state(rng, machines, depth - 1))
+    return lappend(random_state(rng, machines, depth - 1), random_state(rng, machines, depth - 1))
+
+
+def unfold(l: CoList) -> Iterator[tuple[str, CoList]]:
+    """Observe `l` one step at a time, yielding (head, tail) until it
+    ends: the loop over `observe` that `colist.heads` replaced."""
+    obs = observe(l)
+    while obs is not None:
+        yield obs
+        obs = observe(obs[1])
+
+
+def step_pair(l1: CoList, l2: CoList):
+    """Observe both lists once: None when both end, the reason when the
+    observations disagree, else the pair of tails.  The synchronized
+    step that `eq_upto`, search and replay took before they read head
+    streams and recorded chains."""
+    o1, o2 = observe(l1), observe(l2)
+    if o1 is None and o2 is None:
+        return None
+    if o1 is None or o2 is None:
+        return "nil/cons mismatch"
+    if o1[0] != o2[0]:
+        return "heads differ"
+    return o1[1], o2[1]
+
+
+def walk_states(l: CoList, limit: int) -> dict:
+    """The states of `l`'s chain by key, `l`'s own key first, walked with
+    `unfold` until the list ends, reaches its first repeated key, or has
+    made `limit` observations: the chain walk that certificate replay
+    made before it recorded steps, and its oracle."""
+    walk = {state_key(l): l}
+    for _, state in islice(unfold(l), limit):
+        key = state_key(state)
+        if key in walk:
+            break
+        walk[key] = state
+    return walk
 
 
 def random_monotone_operator(rng: random.Random, carrier: Carrier) -> SubsetOperator:

@@ -5,7 +5,18 @@ import random
 
 import pytest
 
-from conftest import CountingFun, random_machine, rename_seeds, ring_machine
+from conftest import (
+    ABC,
+    FLIP,
+    ROT,
+    CountingFun,
+    random_machine,
+    random_state,
+    rename_seeds,
+    ring_machine,
+    step_pair,
+    walk_states,
+)
 from coinduct import bisim, colist, lattice
 from coinduct.bisim import (
     BoundExceeded,
@@ -25,9 +36,11 @@ from coinduct.colist import (
     StepFn,
     cons,
     corec,
+    lappend,
     lconst,
     lmap,
     nil,
+    observe,
     state_key,
 )
 from coinduct.errors import CertificateError, RootMissing, UnresolvableKey, Verdict
@@ -169,6 +182,17 @@ def test_find_bisimulation_needs_a_positive_budget():
         find_bisimulation(const, const, max_pairs=0)
 
 
+def test_find_bisimulation_rejects_an_unknown_kind_first():
+    """An unknown kind is refused before either list is observed, on
+    equal lists and on unequal ones alike."""
+    f = CountingFun(SWAP)
+    mapped = lmap(f, lconst("a", AB))
+    for other in (lconst("b", AB), lconst("a", AB)):
+        with pytest.raises(ValueError, match=r"^kind must be 'weak' or 'strong', got 'bogus'$"):
+            find_bisimulation(mapped, other, kind="bogus")
+    assert f.calls == 0
+
+
 SHAPE_FAULTS = [
     # (kind, pairs, root, message): each fault is reported ahead of those after it
     ("x", 3, ["a"], "root: must be a pair of keys"),
@@ -294,27 +318,33 @@ def test_synchronized_observation_counts():
     cert = find_bisimulation(l, b)
     assert cert.pairs == {("MAP(swap,CONST(a))", "CONST(b)")} and f.calls == 1
     f.calls = 0
-    assert verify_certificate(cert, l, b) and f.calls == 2
+    assert verify_certificate(cert, l, b) and f.calls == 1
     f.calls = 0
     assert closure_check((l, b), cert.pairs, "weak") and f.calls == 1
 
 
 def test_search_keys_each_pair_once(monkeypatch):
-    """The root's keys are the first pair's keys: the search keys each
-    pair on the chain once, the closing repeat included."""
+    """The search keys each list's root once and the tail of each state
+    it observes once, however many pairs hold the state: the pair keys
+    are read from the recorded chains."""
     keyed = []
     real = bisim.state_key
     monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or real(l))
     const = lconst("a", AB)
     cert = find_bisimulation(const, cons("a", const, AB))
     assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
-    assert len(keyed) == 2 * (len(cert.pairs) + 1)
+    assert len(keyed) == 2 + 1 + 2
+    keyed.clear()
+    two, three = ring_machine(2), rename_seeds(ring_machine(3), "r_")
+    cert = find_bisimulation(corec("s0", two), corec("r_s0", three))
+    assert len(cert.pairs) == 6 and len(keyed) == 2 + 2 + 3
 
 
 def test_replay_walks_each_list_once(monkeypatch):
     """Replay walks each queried list once through `reachable_states`,
-    as far as the certificate has pairs, and keys each root once."""
-    walks, keyed = [], []
+    as far as the certificate has pairs, keys each root once, and
+    observes each walked state once."""
+    walks, keyed, observed = [], [], []
     real_walk, real_key = bisim.reachable_states, colist.state_key
 
     def walk(l, limit):
@@ -332,10 +362,197 @@ def test_replay_walks_each_list_once(monkeypatch):
     monkeypatch.setattr(bisim, "reachable_states", walk)
     monkeypatch.setattr(bisim, "state_key", key)
     monkeypatch.setattr(colist, "state_key", key)
+    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
     assert verify_certificate(cert, l1, l2)
     assert [limit for _, limit in walks] == [len(cert.pairs)] * 2
     assert walks[0][0] is l1 and walks[1][0] is l2
     assert sum(x is l1 for x in keyed) == sum(x is l2 for x in keyed) == 1
+    # l1 repeats its key after one step, l2 after two
+    assert len(observed) == 1 + 2
+
+
+def _oracle_search(l1, l2, max_pairs, kind):
+    """`find_bisimulation` as it was before it read recorded chains: one
+    `step_pair` on the two states of every pair, then both tails keyed.
+    The oracle for the search."""
+    root = (state_key(l1), state_key(l2))
+    seen = set()
+    cur, keys, idx = (l1, l2), root, 0
+    while keys not in seen:
+        if kind == "strong" and keys[0] == keys[1] and idx > 0:
+            break
+        if len(seen) >= max_pairs:
+            return BoundExceeded(max_pairs)
+        seen.add(keys)
+        tails = step_pair(*cur)
+        if tails is None:
+            break
+        if isinstance(tails, str):
+            return Counterexample(idx, tails, keys)
+        cur, idx = tails, idx + 1
+        keys = (state_key(cur[0]), state_key(cur[1]))
+    return Certificate(kind, frozenset(seen), root)
+
+
+def _oracle_closure(pair, rel, kind):
+    """`closure_check` by observing both states again: the oracle."""
+    tails = step_pair(*pair)
+    if tails is None:
+        return Verdict(True)
+    if isinstance(tails, str):
+        return Verdict(False, tails, (state_key(pair[0]), state_key(pair[1])))
+    k1, k2 = state_key(tails[0]), state_key(tails[1])
+    if (k1, k2) in rel or kind == "strong" and k1 == k2:
+        return Verdict(True)
+    return Verdict(False, "tail pair escapes the relation", (k1, k2))
+
+
+def _oracle_verify(cert, l1, l2):
+    """`verify_certificate` as a walk over states (`walk_states`), then
+    `_oracle_closure` on the two states of every pair: the oracle for
+    replay."""
+    walks = [walk_states(l, len(cert.pairs)) for l in (l1, l2)]
+    root = tuple(next(iter(walk)) for walk in walks)
+    if cert.root != root:
+        raise RootMissing(f"certificate root {cert.root} does not match queried pair {root}")
+    index = walks[0] | walks[1]
+    resolved = []
+    for ka, kb in sorted(cert.pairs):
+        for key in (ka, kb):
+            if key not in index:
+                raise UnresolvableKey(f"key {key} names no reachable state")
+        resolved.append((index[ka], index[kb]))
+    for pair in resolved:
+        verdict = _oracle_closure(pair, cert.pairs, cert.kind)
+        if not verdict:
+            return verdict
+    return Verdict(True)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_lists(rng, machines):
+    """Two random lists: one list twice, two unrelated ones, or a list
+    and an equal one under other keys (mapped by a function power that
+    is the identity, appended to nil, or with its first cell rebuilt)."""
+    l = random_state(rng, machines)
+    case = rng.randrange(5)
+    if case == 0:
+        other = l
+    elif case == 1:
+        other = random_state(rng, machines)
+    elif case == 2:
+        other = lmap(ROT, lmap(ROT, lmap(ROT, l)))
+    elif case == 3:
+        other = lappend(nil(), lmap(FLIP, lmap(FLIP, l)))
+    else:
+        obs = observe(l)
+        other = nil() if obs is None else cons(obs[0], obs[1], ABC)
+    return (l, other) if rng.random() < 0.5 else (other, l)
+
+
+def _machine_lists(rng, i):
+    """Two machine lists over one to three symbols: one machine twice,
+    a renamed copy, or two random machines."""
+    syms = ("a", "b", "c")[: rng.randint(1, 3)]
+    m1 = random_machine(rng, f"p{i}", 8, syms, rng.choice((0.0, 0.1, 0.3)))
+    m2 = (m1, rename_seeds(m1, "r_"), random_machine(rng, f"q{i}", 8, syms, 0.1))[i % 3]
+    return corec(rng.choice(m1.seeds), m1), corec(rng.choice(m2.seeds), m2)
+
+
+def _mutants(rng, cert, l1, l2):
+    """Certificates around `cert`: itself and under the other kind, with
+    a non-root pair dropped, with a pair added (keys from both walks in
+    either order, or from one walk), with a key past the walk, with a
+    key no state has, and with a wrong root."""
+    keys1, keys2 = list(walk_states(l1, 10_000)), list(walk_states(l2, 10_000))
+    pairs, root = set(cert.pairs), cert.root
+    other = "weak" if cert.kind == "strong" else "strong"
+    out = [cert, Certificate(other, pairs, root)]
+    rest = sorted(pairs - {root})
+    if rest:
+        out.append(Certificate(cert.kind, pairs - {rng.choice(rest)}, root))
+        out.append(Certificate(cert.kind, pairs, rng.choice(rest)))
+    for added in ((rng.choice(keys1), rng.choice(keys2)), (rng.choice(keys2), rng.choice(keys1)),
+                  (rng.choice(keys1), rng.choice(keys1)), (rng.choice(keys2), rng.choice(keys2)),
+                  (root[0], "CONST(zz)")):
+        out.append(Certificate(cert.kind, pairs | {added}, root))
+    far = len(pairs) + 2  # past a walk over the pairs with one added
+    for keys in (keys1, keys2):
+        if len(keys) > far:
+            out.append(Certificate(cert.kind, pairs | {(keys[far], keys[far])}, root))
+    swapped = root[::-1]
+    out.append(Certificate(cert.kind, pairs | {swapped}, swapped))
+    return out
+
+
+def test_search_and_replay_match_the_oracles(monkeypatch):
+    """Random lists and machine lists, both kinds, budgets from 1 up:
+    search returns what the oracle search returns, and every certificate
+    around it (`_mutants`) replays to the oracle's verdict or exception.
+    Each search observes at most each distinct state of each list once,
+    and each replay observes exactly the states it walks."""
+    observed = []
+    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
+    rng = random.Random(59)
+    machines = [random_machine(rng, f"m{i}") for i in range(6)]
+    seen = set()
+    for i in range(400):
+        l1, l2 = _random_lists(rng, machines) if i % 2 else _machine_lists(rng, i)
+        distinct = len(walk_states(l1, 10_000)) + len(walk_states(l2, 10_000))
+        for kind in ("weak", "strong"):
+            for budget in (rng.randint(1, 6), 10_000):
+                observed.clear()
+                outcome = find_bisimulation(l1, l2, budget, kind)
+                assert outcome == _oracle_search(l1, l2, budget, kind), (i, kind, budget)
+                assert len(observed) <= distinct
+                seen.add(type(outcome))
+            if not isinstance(outcome, Certificate):
+                continue
+            for cert in _mutants(rng, outcome, l1, l2):
+                observed.clear()
+                verdict = _outcome(verify_certificate, cert, l1, l2)
+                assert verdict == _outcome(_oracle_verify, cert, l1, l2), (i, cert)
+                walked = [len(walk_states(l, len(cert.pairs))) for l in (l1, l2)]
+                assert len(observed) == sum(walked)
+                seen.add(verdict if isinstance(verdict, tuple) else bool(verdict))
+    assert {Certificate, Counterexample, BoundExceeded, True, False} <= seen
+    assert {v[0] for v in seen if isinstance(v, tuple)} == {RootMissing, UnresolvableKey}
+
+
+def test_closure_check_matches_the_oracle():
+    rng = random.Random(61)
+    machines = [random_machine(rng, f"m{i}") for i in range(6)]
+    for i in range(300):
+        pair = _random_lists(rng, machines)
+        keys = [list(walk_states(l, 3)) for l in pair]
+        rel = frozenset((rng.choice(keys[0]), rng.choice(keys[1])) for _ in range(rng.randint(0, 3)))
+        for kind in ("weak", "strong"):
+            assert closure_check(pair, rel, kind) == _oracle_closure(pair, rel, kind), i
+
+
+def test_coprime_rings_observe_each_state_once(monkeypatch):
+    """Rings with periods 30 and 31 visit 930 pairs.  Search and replay
+    each observe the 61 states once; observing both states of every pair,
+    as the oracles do, takes 1860 machine steps to search and 61 + 1860
+    to replay."""
+    steps = []
+    real = StepFn.step
+    monkeypatch.setattr(StepFn, "step", lambda m, seed: steps.append(seed) or real(m, seed))
+    l1, l2 = corec("s0", ring_machine(30)), corec("r_s0", rename_seeds(ring_machine(31), "r_"))
+    cert = find_bisimulation(l1, l2, kind="strong")
+    assert len(cert.pairs) == 930 and len(steps) == 61
+    assert _oracle_search(l1, l2, 10_000, "strong") == cert and len(steps) == 61 + 1860
+    steps.clear()
+    assert verify_certificate(cert, l1, l2) and len(steps) == 61
+    steps.clear()
+    assert _oracle_verify(cert, l1, l2) and len(steps) == 61 + 1860
 
 
 def test_strong_subsumes_weak():

@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOD4_SYMS, CountingFun, random_machine, ring_machine
+from conftest import (
+    ABC,
+    MOD4_SYMS,
+    CountingFun,
+    random_machine,
+    random_state,
+    ring_machine,
+    step_pair,
+    unfold,
+    walk_states,
+)
 from coinduct import colist
 from coinduct.colist import (
     Alphabet,
@@ -35,11 +45,9 @@ from coinduct.colist import (
     lmap,
     nil,
     observe,
-    reachable_states,
     state_key,
     take,
     tree_trunc,
-    unfold,
 )
 from coinduct.errors import (
     DefsError,
@@ -47,7 +55,12 @@ from coinduct.errors import (
     UnknownSeed,
     Verdict,
 )
-from coinduct.bisim import Certificate, _step, eq_upto, find_bisimulation, verify_certificate
+from coinduct.bisim import (
+    eq_upto,
+    find_bisimulation,
+    reachable_states,
+    verify_certificate,
+)
 from coinduct.trees import (
     EMPTY_TREE,
     AtomShape,
@@ -168,15 +181,12 @@ def test_lcorf_chain_and_fuel_stability():
 
 def compile_machine(l, limit):
     """Flatten the states of `l`'s chain into an equivalent StepFn whose
-    seeds are the states' keys; the start seed is returned alongside.
-    The chain must close within `limit` observations, else a successor
-    seed is undeclared and `StepFn` refuses the table."""
-    index = reachable_states(l, limit)
-    table = {}
-    for key, state in index.items():
-        obs = observe(state)
-        table[key] = None if obs is None else (obs[0], state_key(obs[1]))
-    return StepFn("compiled", tuple(index), table), next(iter(index))
+    seeds are the states' keys and whose table is the chain's steps; the
+    start seed is returned alongside.  The chain must close within
+    `limit` observations, else a successor seed is undeclared and
+    `StepFn` refuses the table."""
+    steps = reachable_states(l, limit)
+    return StepFn("compiled", tuple(steps), steps), next(iter(steps))
 
 
 def compiled_trunc(k, l):
@@ -184,33 +194,6 @@ def compiled_trunc(k, l):
     machine, take its k-fuel approximant and cut it below depth k."""
     machine, seed = compile_machine(l, 10_000)
     return ntrunc(k, lcorf(k, seed, machine))
-
-
-ABC = Alphabet(("a", "b", "c"))
-ROT = AtomFun("rot", {"a": "b", "b": "c", "c": "a"})
-FLIP = AtomFun("flip", {"a": "b", "b": "a", "c": "c"})
-
-
-def random_state(rng, machines, depth=4):
-    """A random lazy list mixing every combinator, nested up to `depth`."""
-    kinds = ("nil", "const", "iter", "corec") + ("cons", "map", "append") * (depth > 0)
-    kind = rng.choice(kinds)
-    sym = rng.choice(ABC.symbols)
-    fn = rng.choice((ROT, FLIP))
-    if kind == "nil":
-        return nil()
-    if kind == "const":
-        return lconst(sym, ABC)
-    if kind == "iter":
-        return iterates(fn, sym)
-    if kind == "corec":
-        m = rng.choice(machines)
-        return corec(rng.choice(m.seeds), m)
-    if kind == "cons":
-        return cons(sym, random_state(rng, machines, depth - 1), ABC)
-    if kind == "map":
-        return lmap(fn, random_state(rng, machines, depth - 1))
-    return lappend(random_state(rng, machines, depth - 1), random_state(rng, machines, depth - 1))
 
 
 def test_tree_trunc_matches_compiled_oracle():
@@ -224,13 +207,13 @@ def test_tree_trunc_matches_compiled_oracle():
 
 def test_tree_trunc_compiles_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("tree_trunc must not compile or key states")
+        raise AssertionError("tree_trunc must not observe tails or key states")
 
     rng = random.Random(3)
     machines = [random_machine(rng, f"m{i}") for i in range(4)]
     cases = [(k, random_state(rng, machines)) for k in range(30)]
     expected = [compiled_trunc(k, l) for k, l in cases]
-    for name in ("reachable_states", "state_key"):
+    for name in ("observe", "state_key"):
         monkeypatch.setattr(colist, name, refuse)
     assert [tree_trunc(k, l) for k, l in cases] == expected
 
@@ -583,11 +566,11 @@ def _oracle_check(k, l, atoms):
 
 
 def _oracle_eq_upto(k, l1, l2):
-    """`eq_upto` as one synchronized `_step` per position: the oracle for
+    """`eq_upto` as one synchronized `step_pair` per position: the oracle for
     the head-stream `eq_upto`."""
     pair = (l1, l2)
     for i in range(k):
-        pair = _step(*pair)
+        pair = step_pair(*pair)
         if pair is None:
             return Verdict(True)
         if isinstance(pair, str):
@@ -754,29 +737,28 @@ def test_deep_cons_chain_keys_without_recursion():
         chain = cons("a", chain, AB)
     key = state_key(chain)
     assert key == "CONS(a," * n + "CONST(a)" + ")" * n
-    index = reachable_states(chain, n + 1)
-    assert len(index) == n + 1 and index[key] is chain
+    steps = reachable_states(chain, n + 1)
+    assert len(steps) == n + 1 and steps[key] == ("a", key[len("CONS(a,"):-1])
     m, seed = compile_machine(chain, n + 1)
     assert seed == key and len(m.seeds) == n + 1
     assert take(n + 2, corec(seed, m)) == (["a"] * (n + 2), False)
 
 
-def _replay_walk(l, limit):
-    """The chain walk `bisim.verify_certificate` carried inline before it
-    called `reachable_states`: the oracle for it."""
-    walk = {state_key(l): l}
-    for _, state in islice(unfold(l), limit):
-        key = state_key(state)
-        if key in walk:
-            break
-        walk[key] = state
-    return walk
+def _observed_steps(walk):
+    """Each walked state's step, by key: None at the end of the list,
+    else its head and its tail's key."""
+    steps = {}
+    for key, state in walk.items():
+        obs = observe(state)
+        steps[key] = None if obs is None else (obs[0], state_key(obs[1]))
+    return steps
 
 
 def test_reachable_states_matches_replay_walk():
     """Random lists, towers and observed tower tails, walked at every
     limit from 0 to two past the chain's length: the same keys in the
-    same order, naming equal states."""
+    same order as the walk over states (`walk_states`), each with the
+    step of the state it names."""
     rng = random.Random(41)
     machines = [random_machine(rng, f"m{i}") for i in range(6)]
     zipped = 0
@@ -788,23 +770,25 @@ def test_reachable_states_matches_replay_walk():
                 break
             l = obs[1]
         zipped += isinstance(l, TowerList)
-        length = len(_replay_walk(l, 10_000))
+        length = len(walk_states(l, 10_000))
         for limit in range(length + 3):
             walk = reachable_states(l, limit)
-            assert list(walk.items()) == list(_replay_walk(l, limit).items())
+            expected = _observed_steps(walk_states(l, limit))
+            assert list(walk.items()) == list(expected.items())
             assert len(walk) == min(limit + 1, length)
     assert zipped >= 20
 
 
 def test_reachable_states_observes_to_the_first_repeat(succ):
-    """The walk stops at the list's first repeated key, or after `limit`
-    observations, whichever comes first."""
+    """The walk stops at the list's first repeated key, or once it has
+    `limit` + 1 states, whichever comes first, and observes each of its
+    states once, the last one included."""
     f = CountingFun(succ)
     l = iterates(f, "x0")
     for limit, keys in ((0, 1), (2, 3), (4, 4), (100, 4)):
         f.calls = 0
         assert len(reachable_states(l, limit)) == keys
-        assert f.calls == min(limit, 4)
+        assert f.calls == keys
 
 
 def test_reachable_states_past_the_former_bound():
@@ -873,7 +857,7 @@ def test_combinator_equations_on_every_reachable_state(defs):
     ]
     checked = zipped = 0
     for l in candidates:
-        for state in reachable_states(l, 1000).values():
+        for state in walk_states(l, 1000).values():
             obs = observe(state)
             if isinstance(state, NilList):
                 assert obs is None

@@ -14,6 +14,7 @@ from coinduct.dsl import (
     Append,
     Cons,
     Corec,
+    Expr,
     Iterates,
     Lconst,
     Map,
@@ -312,4 +313,28 @@ def test_deep_expressions_round_trip_at_the_default_recursion_limit(defs):
     key = state_key(elaborate(parse_expr(towers), defs))
     same = key == state_key(read_states(towers, defs))
     same &= key == "APP(NIL," * 20000 + "MAP(h," * 20000 + "CONST(a)" + ")" * 40000
+    assert same
+
+
+def test_expressions_compare_hash_and_show_by_text():
+    """`Expr` values compare, hash and print by their `print_expr` text,
+    with loops, so 10^5 levels work at the default recursion limit.  Big
+    strings are compared outside `assert`, whose report would diff them."""
+    assert repr(Cons("a", Nil())) == "Cons(cons(a,nil))"
+    assert repr(Nil()) == "Nil(nil)"
+    assert Map("h", Nil()) != Map("g", Nil()) and Nil() != "nil"
+    assert {Iterates("succ", "x0"): 1}[parse_expr("iterates(succ, x0)")] == 1
+
+    class Stray(Expr):
+        pass
+
+    with pytest.raises(TypeError, match="^no expression head for Stray$"):
+        repr(Cons("a", Stray()))
+    n = 10**5
+    text = "cons(a," * n + "nil" + ")" * n
+    one, two = parse_expr(text), parse_expr(text)
+    other = parse_expr("cons(a," * n + "lconst(a)" + ")" * n)
+    same = one == two and hash(one) == hash(two) and one is not two
+    same &= one != other and not one == other
+    same &= repr(one) == "Cons(" + text + ")"
     assert same
