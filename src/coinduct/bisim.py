@@ -72,10 +72,15 @@ class Certificate:
     def __post_init__(self):
         """Check the shape (root, pairs, kind, root among the pairs) and
         store `pairs` as a frozenset of key-string tuples."""
-        root = _key_pair(self.root, "root")
+        if not _is_key_pair(self.root):
+            raise CertificateError("root: must be a pair of keys")
+        root = tuple(self.root)
         if not isinstance(self.pairs, (list, tuple, set, frozenset)):
             raise CertificateError("pairs: must be an array of key pairs")
-        pairs = frozenset(_key_pair(p, f"pairs[{i}]") for i, p in enumerate(self.pairs))
+        if not all(map(_is_key_pair, self.pairs)):
+            i = next(i for i, p in enumerate(self.pairs) if not _is_key_pair(p))
+            raise CertificateError(f"pairs[{i}]: must be a pair of keys")
+        pairs = frozenset(map(tuple, self.pairs))
         if self.kind not in ("weak", "strong"):
             raise CertificateError(f"kind: must be \"weak\" or \"strong\", got {self.kind!r}")
         if root not in pairs:
@@ -103,10 +108,9 @@ class Certificate:
         return cls.from_dict(read_json(path, CertificateError, "certificate"))
 
 
-def _key_pair(p, where: str) -> KeyPair:
-    if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(isinstance(k, str) for k in p):
-        raise CertificateError(f"{where}: must be a pair of keys")
-    return tuple(p)
+def _is_key_pair(p) -> bool:
+    return (isinstance(p, (list, tuple)) and len(p) == 2
+            and isinstance(p[0], str) and isinstance(p[1], str))
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,8 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     to at most len(pairs) + 1 states, stopping at its own first repeated
     key; the walks' first keys are the queried pair, every key must name
     a state on a walk, and its recorded step is the one replayed.  A pass
-    certifies that the two lists are equal.
+    certifies that the two lists are equal; of several faults, the one in
+    the smallest pair is reported.
     """
     walks = [reachable_states(l, len(cert.pairs)) for l in (l1, l2)]
     root = tuple(next(iter(walk)) for walk in walks)
@@ -202,15 +207,16 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
             f"certificate root {cert.root} does not match queried pair {root}"
         )
     steps = walks[0] | walks[1]
-    pairs = sorted(cert.pairs)
-    for key in chain.from_iterable(pairs):
-        if key not in steps:
-            raise UnresolvableKey(f"key {key} names no reachable state")
-    for ka, kb in pairs:
-        verdict = _closes(steps[ka], steps[kb], (ka, kb), cert.pairs, cert.kind)
-        if not verdict:
-            return verdict
-    return Verdict(True)
+    unresolved = [p for p in cert.pairs if p[0] not in steps or p[1] not in steps]
+    if unresolved:
+        key = next(k for k in min(unresolved) if k not in steps)
+        raise UnresolvableKey(f"key {key} names no reachable state")
+
+    def replay(pair: KeyPair) -> Verdict:
+        return _closes(steps[pair[0]], steps[pair[1]], pair, cert.pairs, cert.kind)
+
+    failed = [p for p in cert.pairs if not replay(p)]
+    return replay(min(failed)) if failed else Verdict(True)
 
 
 def find_bisimulation(

@@ -12,7 +12,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-from .errors import CarrierTooLarge, LatticeFileError, NotMonotone, ParseError, Verdict
+from .errors import (
+    CarrierTooLarge,
+    LatticeFileError,
+    Malformed,
+    NotMonotone,
+    ParseError,
+    Verdict,
+)
 
 EXHAUSTIVE_BOUND = 12
 
@@ -225,17 +232,13 @@ def verify_extremal(
     return Verdict(True)
 
 
-def _union_operator(carrier: Carrier, base, succ, name: str) -> SubsetOperator:
-    """Z |-> base | union of succ(y) for y in Z, with `base` and each
-    succ(y) tabulated once as carrier bitmasks (non-members drop out)."""
-    base_bits, *succ_bits = (
-        Subset.of(carrier, {x for x in xs if x in carrier}).bits
-        for xs in [base, *map(succ, carrier.elements)]
-    )
+def _union_operator(carrier: Carrier, base: int, succ: list[int], name: str) -> SubsetOperator:
+    """Z |-> base | union of succ[i] for the i-th carrier element in Z, with
+    `base` and each succ[i] given as carrier bitmasks."""
 
     def apply(z: Subset) -> Subset:
-        bits = base_bits
-        for i, m in enumerate(succ_bits):
+        bits = base
+        for i, m in enumerate(succ):
             if z.bits >> i & 1:
                 bits |= m
         return Subset(carrier, bits)
@@ -244,46 +247,80 @@ def _union_operator(carrier: Carrier, base, succ, name: str) -> SubsetOperator:
 
 
 def _fin_operator(carrier: Carrier, base: list) -> SubsetOperator:
-    sets = {}
+    """The finite-subsets operator Z |-> {{}} | {y + {x} : y in Z, x in base}.
+
+    Each member symbol gets a bit and each carrier set key the mask of its
+    members, so y + {x} is found by its mask.  A base symbol with a comma
+    is no member: it reaches only the keys its text spells, which are
+    found by writing those keys out.  (An empty symbol, which no member
+    is, spells only {} from {}, and {} is in the base anyway.)
+    """
+    bit: dict = {}
+    sets, masks = [], []
     for key in carrier.elements:
         if not (key.startswith("{") and key.endswith("}")):
             raise LatticeFileError(f"carrier: element {key!r} is not a set key")
         members = key[1:-1].split(",") if key != "{}" else []
-        sets[key] = frozenset(members)
-        if "" in sets[key] or sorted(sets[key]) != members:
-            canonical = "{" + ",".join(sorted(sets[key] - {""})) + "}"
+        as_set = frozenset(members)
+        if "" in as_set or sorted(as_set) != members:
+            canonical = "{" + ",".join(sorted(as_set - {""})) + "}"
             raise LatticeFileError(f"carrier: element {key!r} is not written as {canonical!r}")
-
-    def succ(y):
-        return ["{" + ",".join(sorted(sets[y] | {x})) + "}" for x in base]
-
-    return _union_operator(carrier, ["{}"], succ, "fin")
+        sets.append(as_set)
+        mask = 0
+        for x in members:
+            mask |= bit.setdefault(x, 1 << len(bit))
+        masks.append(mask)
+    by_mask = {mask: 1 << i for i, mask in enumerate(masks)}
+    by_key = {key: 1 << i for i, key in enumerate(carrier.elements)}
+    symbols = [bit.setdefault(x, 1 << len(bit)) for x in base if "," not in x]
+    written = [x for x in base if "," in x]
+    succ = []
+    for as_set, mask in zip(sets, masks):
+        bits = 0
+        for b in symbols:
+            bits |= by_mask.get(mask | b, 0)
+        for x in written:
+            bits |= by_key.get("{" + ",".join(sorted(as_set | {x})) + "}", 0)
+        succ.append(bits)
+    return _union_operator(carrier, by_mask.get(0, 0), succ, "fin")
 
 
 def _list_fun_operator(carrier: Carrier, atoms: list) -> SubsetOperator:
-    from .trees import NIL_TREE, cons_tree, leaf, parse_tree_term
+    """The list operator Z |-> {nil} | {cons(leaf(a), t) : t in Z, a in atoms}.
 
-    trees = {}
+    Each carrier tree is taken apart once by `list_case`: nil goes into
+    the base, and cons(h, t), with h an atom leaf and t in the carrier,
+    into the successors of t.  No tree is built.
+    """
+    from .trees import list_case, leaf, parse_tree_term
+
+    trees = []
     for x in carrier.elements:
         try:
-            trees[x] = parse_tree_term(x)
+            trees.append(parse_tree_term(x))
         except ParseError as exc:
             raise LatticeFileError(
                 f"carrier: element {x!r} is not a tree term ({exc})"
             ) from None
-    by_tree = {}
-    for x, t in trees.items():
+    by_tree: dict = {}  # tree -> its carrier position
+    for i, (x, t) in enumerate(zip(carrier.elements, trees)):
         if t in by_tree:
             raise LatticeFileError(
-                f"carrier: element {x!r} is the same tree as {by_tree[t]!r}"
+                f"carrier: element {x!r} is the same tree as {carrier.elements[by_tree[t]]!r}"
             )
-        by_tree[t] = x
-    heads = [leaf(s) for s in atoms]
-
-    def succ(y):
-        return [by_tree.get(cons_tree(head, trees[y])) for head in heads]
-
-    return _union_operator(carrier, [by_tree.get(NIL_TREE)], succ, "list_fun")
+        by_tree[t] = i
+    heads = {leaf(s) for s in atoms}
+    base, succ = 0, [0] * len(trees)
+    for i, t in enumerate(trees):
+        try:
+            cell = list_case(t)
+        except Malformed:
+            continue
+        if cell is None:
+            base |= 1 << i
+        elif cell[0] in heads and cell[1] in by_tree:
+            succ[by_tree[cell[1]]] |= 1 << i
+    return _union_operator(carrier, base, succ, "list_fun")
 
 
 _UNION_DEMOS = {"fin": ("base", _fin_operator), "list_fun": ("atoms", _list_fun_operator)}

@@ -5,6 +5,7 @@ spaces, transitive closure, and recursion along a well-founded relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps wf.lattice
@@ -90,7 +91,13 @@ def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> frozenset:
 
 @dataclass(frozen=True)
 class WFRelation:
-    """An acyclic relation over an explicit finite carrier."""
+    """An acyclic relation over an explicit finite carrier.
+
+    Construction checks acyclicity by Kahn's topological sort, O(V + E).
+    `below` answers a direct pair at once; otherwise it finds everything
+    below its second argument in one search and keeps that set.
+    `closure` is built when first read.
+    """
 
     carrier: tuple
     pairs: frozenset
@@ -98,23 +105,71 @@ class WFRelation:
     def __init__(self, carrier: Iterable[Hashable], pairs: Iterable[tuple]):
         elems = tuple(carrier)
         rel = frozenset(pairs)
-        index = set(elems)
+        index = {x: i for i, x in enumerate(elems)}  # the work below is on positions
         if len(index) != len(elems):
             raise ValueError("carrier must be duplicate-free")
+        preds: list = [[] for _ in elems]
+        succ: list = [[] for _ in elems]
         for a, b in rel:
-            if a not in index or b not in index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ValueError(f"pair ({a!r}, {b!r}) leaves the carrier")
-        closure = transitive_closure(rel)
-        for x in index:
-            if (x, x) in closure:
-                raise ValueError(f"relation is cyclic at {x!r}")
+            preds[j].append(i)
+            succ[i].append(j)
+        # Kahn (1962): an element is sorted once all its predecessors are;
+        # waiting[i] counts the predecessors of element i still unsorted.
+        waiting = [len(p) for p in preds]
+        ready = [i for i, n in enumerate(waiting) if not n]
+        for i in ready:  # grows as elements are sorted
+            for j in succ[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    ready.append(j)
+        if len(ready) < len(elems):
+            # Every unsorted element has an unsorted predecessor, so walking
+            # back along them must repeat, and what repeats is on a cycle.
+            i, seen = next(i for i, n in enumerate(waiting) if n), set()
+            while i not in seen:
+                seen.add(i)
+                i = next(j for j in preds[i] if waiting[j])
+            raise ValueError(f"relation is cyclic at {elems[i]!r}")
         object.__setattr__(self, "carrier", elems)
         object.__setattr__(self, "pairs", rel)
-        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_below", {})  # i -> positions below elems[i]
+
+    @cached_property
+    def closure(self) -> frozenset:
+        """The transitive closure of `pairs`."""
+        return transitive_closure(self.pairs)
 
     def below(self, y, x) -> bool:
         """True when y is strictly below x in the transitive closure."""
-        return (y, x) in self.closure
+        if (y, x) in self.pairs:
+            return True
+        i, j = self._index.get(x), self._index.get(y)
+        if i is None or j is None:
+            return False
+        reached = self._below.get(i)
+        if reached is None:
+            reached, stack = set(), list(self._preds[i])
+            while stack:
+                k = stack.pop()
+                if k not in reached:
+                    reached.add(k)
+                    stack.extend(self._preds[k])
+            self._below[i] = reached  # threads that race here store equal sets
+        return j in reached
+
+
+class _Unfinished(BaseException):
+    """`rec` asked for a value that the `wfrec` call owning `results` has
+    not computed yet.  A BaseException, so that a body catching Exception
+    lets it through."""
+
+    def __init__(self, results: dict, y):
+        self.results, self.y = results, y
 
 
 @dataclass(frozen=True)
@@ -123,6 +178,13 @@ class RecSpec:
 
     The body receives the argument and a getter for recursive values;
     the getter only answers for elements strictly below the argument.
+    Bodies must be pure: `wfrec` stops a body at the first value it asks
+    for that is not computed yet, and runs it again once that value is.
+    A body that asks for m values not yet computed so runs m + 1 times,
+    making O(m^2) `rec` calls where a recursive evaluation makes m.  A
+    run that asked for a missing value is discarded however it ends, so
+    a body that catches every exception (a bare `except:`) still gets the
+    right values, at the cost of its wasted runs.
     """
 
     relation: WFRelation
@@ -132,32 +194,61 @@ class RecSpec:
 def wfrec(spec: RecSpec, arg):
     """Evaluate the recursion at `arg`.
 
-    Values are memoized and computed on demand, so smaller elements are
-    always finished before any element depending on them; the body's
-    recursive access is guarded, raising IllFoundedCall on any request
-    that is not strictly below the current argument.  Only elements the
-    body actually demands are evaluated.
+    Values are memoized and computed on demand: when the body at x asks
+    for an unfinished y, `wfrec` sets x aside on an explicit stack,
+    finishes y, and runs the body at x again, so no input depth can
+    exhaust Python's stack.  The body at each element returns once and
+    runs at most once more per value it finds unfinished.  An exception
+    raised by the body at y is kept and raised again by each `rec(y)`,
+    so it reaches the bodies that ask for y as it would in a recursive
+    evaluation.  The body's recursive access is guarded, raising
+    IllFoundedCall on any request that is not strictly below the
+    current argument.  Only elements the body actually demands are
+    evaluated.
     """
     rel = spec.relation
-    if arg not in set(rel.carrier):
+    if arg not in rel._index:
         raise ValueError(f"argument {arg!r} not in carrier")
 
     results: dict = {}
+    errors: dict = {}  # element -> the exception its body raised
+    missed: list = []  # values the current run asked for and found missing
 
-    def eval_at(x):
-        if x in results:
-            return results[x]
+    def getter(x):
+        def rec(y):
+            if not rel.below(y, x):
+                raise IllFoundedCall(f"requested {y!r}, not strictly below {x!r}")
+            if y in results:
+                return results[y]
+            if y in errors:
+                raise errors[y]
+            missed.append(y)
+            raise _Unfinished(results, y)
 
-        def rec(y, _x=x):
-            if not rel.below(y, _x):
-                raise IllFoundedCall(f"requested {y!r}, not strictly below {_x!r}")
-            return eval_at(y)
+        return rec
 
-        value = spec.body(x, rec)
-        results[x] = value
-        return value
-
-    return eval_at(arg)
+    stack = [arg]  # each element strictly below the one before it
+    while stack:
+        x = stack[-1]
+        missed.clear()
+        try:
+            value = spec.body(x, getter(x))
+        except _Unfinished as signal:
+            if signal.results is not results:  # a recursion this body runs
+                raise
+        except Exception as exc:
+            if not missed:
+                if len(stack) == 1:
+                    raise
+                errors[x] = exc
+                stack.pop()
+        else:
+            if not missed:
+                results[x] = value
+                stack.pop()
+        if missed:
+            stack.append(missed[0])
+    return results[arg]
 
 
 def subexpression_space(roots: Iterable[FiniteTree]) -> tuple[list[FiniteTree], WFRelation]:

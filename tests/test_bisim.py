@@ -120,6 +120,23 @@ def test_verify_certificate():
         verify_certificate(bogus, const, wrapped)
 
 
+def test_certificate_with_two_bad_pairs():
+    """Of two malformed pairs the first is named; of two pairs failing
+    replay, the smallest is reported; of two pairs with unresolvable
+    keys, the first unresolvable key of the smallest."""
+    with pytest.raises(CertificateError, match=r"^pairs\[1\]: must be a pair of keys$"):
+        Certificate("weak", [["a", "b"], ["c"], 3], ["a", "b"])
+    a, b = lconst("a", AB), lconst("b", AB)
+    ka, kb, kc = state_key(a), state_key(b), state_key(cons("a", b, AB))
+    cert = Certificate("weak", {(ka, kc), (kb, ka), (ka, kb)}, (ka, kc))
+    verdict = verify_certificate(cert, a, cons("a", b, AB))
+    assert (verdict.reason, verdict.witness) == ("heads differ", (ka, kb))
+    assert verdict == _oracle_verify(cert, a, cons("a", b, AB))
+    cert = Certificate("weak", {(ka, ka), ("Y(1)", ka), (ka, "Z(2)")}, (ka, ka))
+    with pytest.raises(UnresolvableKey, match=r"^key Z\(2\) names no reachable state$"):
+        verify_certificate(cert, a, a)
+
+
 def test_unresolvable_right_key():
     const = lconst("a", AB)
     root = (state_key(const), state_key(const))

@@ -16,7 +16,7 @@ from coinduct.lattice import (
     load_demo,
     verify_extremal,
 )
-from coinduct.trees import NIL_TREE, cons_tree, leaf
+from coinduct.trees import NIL_TREE, cons_tree, leaf, parse_tree_term
 
 IDENTITY = SubsetOperator(lambda s: s, "identity")
 
@@ -287,3 +287,97 @@ def test_load_demo_rejects_second_term_for_one_tree():
     assert str(exc.value) == (
         "carrier: element 'cons( leaf(a) , nil )' is the same tree as 'cons(leaf(a),nil)'"
     )
+
+
+def oracle_union_operator(carrier, base, succ):
+    """Z |-> base | union of succ(y) for y in Z, on carrier elements; what
+    the operators produce outside the carrier drops out."""
+    def bits(xs):
+        return Subset.of(carrier, {x for x in xs if x in carrier}).bits
+
+    base_bits, succ_bits = bits(base), [bits(succ(y)) for y in carrier.elements]
+    return lambda z: base_bits | _or(m for i, m in enumerate(succ_bits) if z.bits >> i & 1)
+
+
+def _or(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def oracle_fin(carrier, base):
+    """The string-building `fin` operator: each successor key is written
+    out, sorted, and looked up."""
+    sets = {key: frozenset(key[1:-1].split(",") if key != "{}" else []) for key in carrier.elements}
+    return oracle_union_operator(
+        carrier, ["{}"], lambda y: ["{" + ",".join(sorted(sets[y] | {x})) + "}" for x in base])
+
+
+def oracle_list_fun(carrier, atoms):
+    """The tree-building `list_fun` operator: cons(leaf(a), t) is built for
+    every carrier tree t and atom a, and looked up."""
+    trees = {x: parse_tree_term(x) for x in carrier.elements}
+    by_tree = {t: x for x, t in trees.items()}
+    return oracle_union_operator(
+        carrier, [by_tree.get(NIL_TREE)],
+        lambda y: [by_tree.get(cons_tree(leaf(a), trees[y])) for a in atoms])
+
+
+def _same_operator(doc, oracle, param):
+    carrier, op, _ = load_demo(doc)
+    expected = oracle(carrier, doc["operator"][param])
+    n = len(carrier)
+    subsets = range(1 << n) if n <= 8 else [0, (1 << n) - 1] + [random.Random(n).getrandbits(n)
+                                                                for _ in range(30)]
+    for bits in subsets:
+        assert op(Subset(carrier, bits)).bits == expected(Subset(carrier, bits)), (doc, bits)
+    oracle_op = SubsetOperator(lambda z: Subset(carrier, expected(z)))
+    for fix in (lfp, gfp):
+        assert fix(op, carrier) == fix(oracle_op, carrier), doc
+
+
+def test_fin_operator_matches_the_string_oracle():
+    """Random carriers, full powersets or not, in random order, with base
+    symbols inside and outside the universe, empty, or holding a comma."""
+    rng = random.Random(61)
+    for case in range(150):
+        universe = rng.sample("abcdef", rng.randint(0, 4))
+        sets = [sorted(x for i, x in enumerate(universe) if bits >> i & 1)
+                for bits in range(1 << len(universe))]
+        if case % 2:
+            sets = rng.sample(sets, rng.randint(0, len(sets)))
+        rng.shuffle(sets)
+        pool = universe + ["z", "", "a,b", "b,c", "a,c,d", ",a"]
+        base = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        doc = {"carrier": ["{" + ",".join(s) + "}" for s in sets],
+               "operator": {"name": "fin", "base": base}, "mode": "lfp"}
+        _same_operator(doc, oracle_fin, "base")
+
+
+LIST_FUN_JUNK = ["leaf(a)", "leaf(z)", "numb(0)", "numb(1)", "in0(numb(1))", "in1(leaf(a))",
+                 "in0(nil)", "scons(leaf(a),nil)", "cons(numb(0),nil)", "cons(nil,nil)",
+                 "cons(leaf(a),leaf(b))", "cons(leaf(b),numb(0))", "in1(scons(leaf(a),nil))"]
+
+
+def test_list_fun_operator_matches_the_tree_oracle():
+    """Random carriers of list terms over the atoms and beyond, plus terms
+    that are no list, such as leaf(a), or are a list cell with a non-atom
+    head or a non-list tail."""
+    rng = random.Random(67)
+    for case in range(150):
+        atoms = rng.sample("abc", rng.randint(0, 2))
+        lists = {tuple(rng.choice("abz") for _ in range(rng.randint(0, 4))) for _ in range(12)}
+        terms = {_list_term(xs) for xs in lists} | set(rng.sample(LIST_FUN_JUNK, rng.randint(0, 5)))
+        terms.discard("in1(scons(leaf(a),nil))" if "cons(leaf(a),nil)" in terms else None)
+        carrier = rng.sample(sorted(terms), len(terms))
+        doc = {"carrier": carrier, "operator": {"name": "list_fun", "atoms": atoms},
+               "mode": "lfp"}
+        _same_operator(doc, oracle_list_fun, "atoms")
+
+
+def _list_term(xs):
+    text = "nil"
+    for x in reversed(xs):
+        text = f"cons(leaf({x}),{text})"
+    return text

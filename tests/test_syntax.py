@@ -159,11 +159,8 @@ def test_tree_terms_agree_with_recursive_reader():
 
 def test_no_function_calls_itself():
     """No function in the package calls itself, so no input depth can
-    exhaust the stack; `wf.wfrec` still recurses through the caller's
-    body (ROADMAP item 3)."""
+    exhaust the stack."""
     for path in pathlib.Path(coinduct.__file__).parent.glob("*.py"):
-        if path.stem == "wf":
-            continue
         module = path.stem
         tree = ast.parse(path.read_text())
         for fn in ast.walk(tree):

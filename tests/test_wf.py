@@ -277,17 +277,27 @@ def test_subexpression_space_compares_no_trees(monkeypatch):
 
 
 def test_wfrec_memoizes_shared_subtrees():
-    """Equal subtrees are one carrier element, evaluated once."""
+    """Equal subtrees are one carrier element, whose body returns once.
+    A body stopped at a value not computed yet runs again, so it runs at
+    most once more than it returns per such miss."""
     tree = list_encode(["a", "b", "a", "b"], AB).tree
     _, rel = subexpression_space([tree])
-    calls = []
+    calls, returns, misses = [], [], []
 
     def size(t, rec):
         calls.append(t)
+
+        def tracked(y):
+            if y not in returns:
+                misses.append(y)
+            return rec(y)
+
         shape = case_tree(t)
+        value = 1
         if isinstance(shape, SconsShape):
-            return 1 + rec(shape.left) + rec(shape.right)
-        return 1
+            value += tracked(shape.left) + tracked(shape.right)
+        returns.append(t)
+        return value
 
     def plain_size(t):
         shape = case_tree(t)
@@ -296,7 +306,8 @@ def test_wfrec_memoizes_shared_subtrees():
         return 1
 
     assert wfrec(RecSpec(rel, size), tree) == plain_size(tree)
-    assert sorted(calls, key=rel.carrier.index) == list(rel.carrier)
+    assert sorted(returns, key=rel.carrier.index) == list(rel.carrier)
+    assert len(calls) <= len(returns) + len(misses)
 
 
 def _is_branch(m, n):
@@ -369,3 +380,206 @@ def test_wfrec_requires_carrier_membership():
     carrier, rel = subexpression_space([NIL_TREE])
     with pytest.raises(ValueError):
         wfrec(RecSpec(rel, length_body), leaf("a"))
+
+
+class ClosureWFRelation:
+    """The closure-first relation that `WFRelation` replaced, kept as the
+    oracle: the full transitive closure is built up front, a cycle shows
+    as some (x, x) in it, and `below` is closure membership."""
+
+    def __init__(self, carrier, pairs):
+        elems = tuple(carrier)
+        rel = frozenset(pairs)
+        index = set(elems)
+        if len(index) != len(elems):
+            raise ValueError("carrier must be duplicate-free")
+        for a, b in rel:
+            if a not in index or b not in index:
+                raise ValueError(f"pair ({a!r}, {b!r}) leaves the carrier")
+        self.closure = transitive_closure(rel)
+        for x in index:
+            if (x, x) in self.closure:
+                raise ValueError(f"relation is cyclic at {x!r}")
+        self.carrier, self.pairs = elems, rel
+
+    def below(self, y, x) -> bool:
+        return (y, x) in self.closure
+
+
+def oracle_wfrec(spec, arg):
+    """The recursive `wfrec` that the explicit stack replaced."""
+    rel = spec.relation
+    if arg not in set(rel.carrier):
+        raise ValueError(f"argument {arg!r} not in carrier")
+    results = {}
+
+    def eval_at(x):
+        if x in results:
+            return results[x]
+
+        def rec(y, _x=x):
+            if not rel.below(y, _x):
+                raise IllFoundedCall(f"requested {y!r}, not strictly below {_x!r}")
+            return eval_at(y)
+
+        results[x] = spec.body(x, rec)
+        return results[x]
+
+    return eval_at(arg)
+
+
+def random_relation(rng, n, cyclic):
+    """Random pairs on n labels: ordered by a hidden ranking, hence
+    acyclic, plus one back edge or self-loop when `cyclic`.  The carrier
+    comes in another order than the ranking."""
+    rank = rng.sample(range(10 * n), n)
+    pairs = {(rank[i], rank[j]) for i, j in
+             (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n)) if n > 1)}
+    if cyclic:
+        i, j = sorted(rng.choice(range(n)) for _ in range(2))
+        pairs |= {(rank[k], rank[k + 1]) for k in range(i, j)} | {(rank[j], rank[i])}
+    return rng.sample(rank, n), pairs
+
+
+def test_wf_relation_matches_the_closure_oracle():
+    """Same verdict; a named element lies on a cycle; `below` is closure
+    membership on every pair of carrier elements; `closure` is equal."""
+    rng = random.Random(31)
+    verdicts = set()
+    for case in range(300):
+        carrier, pairs = random_relation(rng, rng.randint(1, 12), case % 3 == 0)
+        try:
+            oracle = ClosureWFRelation(carrier, pairs)
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^relation is cyclic at (\d+)$") as exc:
+                WFRelation(carrier, pairs)
+            named = int(exc.value.args[0].rsplit(" ", 1)[1])
+            assert (named, named) in transitive_closure(pairs), case
+            verdicts.add("cyclic")
+            continue
+        rel = WFRelation(carrier, pairs)
+        order = rng.sample(carrier, len(carrier))
+        for x in order:
+            for y in [*order, -1]:
+                assert rel.below(y, x) == oracle.below(y, x), (case, y, x)
+        assert rel.closure == oracle.closure
+        verdicts.add("acyclic")
+    assert verdicts == {"cyclic", "acyclic"}
+
+
+def test_wf_relation_checks_the_carrier_first():
+    for carrier, pairs, message in (
+        ((1, 1), {(1, 1)}, "carrier must be duplicate-free"),
+        ((1, 2), {(1, 3)}, "pair (1, 3) leaves the carrier"),
+        ((1,), {(1, 1)}, "relation is cyclic at 1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            WFRelation(carrier, pairs)
+        assert str(exc.value) == message
+
+
+def test_wf_relation_builds_its_closure_when_read(monkeypatch):
+    """Construction and `below` build no closure; the first read of
+    `closure` builds it through the module's `transitive_closure`, once."""
+    built = []
+    monkeypatch.setattr(wf, "transitive_closure", lambda pairs: built.append(pairs) or frozenset())
+    rel = WFRelation(range(3000), {(i, i + 1) for i in range(2999)})
+    assert rel.below(0, 2999) and not rel.below(2999, 0) and built == []
+    assert rel.closure == rel.closure == frozenset() and built == [rel.pairs]
+
+
+def test_wfrec_matches_the_recursive_oracle():
+    """Bodies that ask for random elements, some not below their argument,
+    some raising KeyError after they ask, and some catching what `rec`
+    raises (KeyError only, or everything as a bare `except:` would): the
+    same value, or the same exception, as the recursive wfrec."""
+    rng = random.Random(37)
+    outcomes = set()
+    for case in range(300):
+        carrier, pairs = random_relation(rng, rng.randint(1, 10), False)
+        rel = WFRelation(carrier, pairs)
+        asks = {x: rng.sample(carrier, rng.randint(0, min(3, len(carrier)))) for x in carrier}
+        guarded = case % 4 != 0
+        raises = {x for x in carrier if rng.random() < 0.2}
+        catches = {x: rng.choice(((), KeyError, BaseException)) for x in carrier}
+
+        def body(x, rec):
+            total = x
+            for y in asks[x]:
+                if guarded and not rel.below(y, x):
+                    continue
+                try:
+                    total += 3 * rec(y)
+                except catches[x]:
+                    total += 1
+            if x in raises:
+                raise KeyError(x)
+            return total
+
+        arg = rng.choice(carrier)
+        results = []
+        for run in (wfrec, oracle_wfrec):
+            try:
+                results.append(run(RecSpec(rel, body), arg))
+            except (IllFoundedCall, KeyError) as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], case
+        outcomes.add(results[0][0] if isinstance(results[0], tuple) else int)
+    assert outcomes == {int, IllFoundedCall, KeyError}
+
+
+def test_wfrec_deep_chain_at_the_default_recursion_limit():
+    """10^5 levels, each asking for the one below: no Python recursion."""
+    import sys
+
+    assert sys.getrecursionlimit() <= 10**4
+    n = 10**5
+    rel = WFRelation(range(n), {(i, i + 1) for i in range(n - 1)})
+    spec = RecSpec(rel, lambda x, rec: 0 if x == 0 else 1 + rec(x - 1))
+    assert wfrec(spec, n - 1) == n - 1
+
+
+def test_wfrec_inside_a_body_keeps_each_recursion_apart():
+    """A body that runs a second recursion, asking the outer `rec` from
+    inside it, gets the outer values."""
+    outer = WFRelation(range(5), {(i, i + 1) for i in range(4)})
+    inner = WFRelation(("top",), ())
+
+    def body(x, rec):
+        if x == 0:
+            return 1
+        return wfrec(RecSpec(inner, lambda _, __: 2 * rec(x - 1)), "top")
+
+    assert wfrec(RecSpec(outer, body), 4) == 16
+
+
+def test_below_from_many_threads():
+    """Threads that race on the same first searches get the closure's
+    answers.  Tree elements hash and compare in Python, so a thread can be
+    switched out in the middle of a search."""
+    import sys
+    import threading
+
+    carrier, rel = subexpression_space([list_encode(["a", "b"] * 150, AB).tree])
+    oracle = ClosureWFRelation(carrier, rel.pairs)
+    wrong = []
+
+    def ask(seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            y, x = rng.choice(carrier), rng.choice(carrier)
+            if rel.below(y, x) != oracle.below(y, x):
+                wrong.append((y, x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
