@@ -87,7 +87,7 @@ from .wf import (
     transitive_closure,
     wfrec,
 )
-from .dsl import Expr, elaborate, parse_expr, print_expr
+from .dsl import elaborate, parse_expr
 from .cli import run_command
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,8 @@ import sys
 
 from . import bisim, colist, lattice
 from .colist import Definitions
-# parse_expr and elaborate stay bound here for bench/tracing.py, which wraps them by name
+# The CLI calls neither parse_expr nor elaborate (read_states by its earlier name);
+# both stay bound here because bench/tracing.py wraps them by name.
 from .dsl import elaborate, parse_expr, read_states  # noqa: F401
 from .errors import CoinductError, LatticeFileError, SizeExceeded, read_json
 from .trees import dump_tree

@@ -10,21 +10,19 @@ Grammar (whitespace-insensitive, LL(1)):
           | `append(` expr `,` expr `)`
           | `corec(` name `,` seed `)`
 
-Symbols, names and seeds are words over [A-Za-z0-9_].  The grammar is a
-head table read and written by `syntax.Grammar`: parsing raises
-ParseError with the offset at which the expected token would start, and
-printing a parsed expression reparses to an equal expression.
+Symbols, names and seeds are words over [A-Za-z0-9_].  An expression is
+its canonical text: its tokens joined without whitespace, which
+`parse_expr` returns once the text parses.  The grammar is a head table
+read by `syntax.Grammar`, which raises ParseError with the offset at
+which the expected token would start.
 
-`read_states` reads the same grammar with the colist constructors, so
-it builds engine states instead of `Expr` values, in one pass;
-`elaborate` reads an `Expr`'s text that way.  Reading and printing are
-loops, and an `Expr` compares, hashes and prints by its printed text, so
-any nesting depth works at the default recursion limit.
+`read_states` reads the grammar with the colist constructors, so it
+builds engine states in one pass.  Reading is a loop, so any nesting
+depth works at the default recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from . import colist
@@ -32,81 +30,22 @@ from .colist import AtomFun, CoList, Definitions, StepFn
 from .errors import UnknownAtom, UnknownFunction, UnknownMachine
 from .syntax import TERM, Grammar
 
-
-class Expr:
-    """An expression; compared, hashed and shown by its `print_expr` text."""
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self is other or print_expr(self) == print_expr(other)
-
-    def __hash__(self) -> int:
-        return hash(print_expr(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({print_expr(self)})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Nil(Expr):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Cons(Expr):
-    sym: str
-    tail: Expr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Lconst(Expr):
-    sym: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Iterates(Expr):
-    fn: str
-    sym: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Map(Expr):
-    fn: str
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Append(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Corec(Expr):
-    machine: str
-    seed: str
-
-
+# heads and slots only: `_elaborating` gives the constructors
 _EXPR = Grammar("expression", {
-    "nil": (Nil, ()),
-    "cons": (Cons, ("symbol", TERM)),
-    "lconst": (Lconst, ("symbol",)),
-    "iterates": (Iterates, ("name", "symbol")),
-    "map": (Map, ("name", TERM)),
-    "append": (Append, (TERM, TERM)),
-    "corec": (Corec, ("name", "seed")),
+    "nil": (None, ()),
+    "cons": (None, ("symbol", TERM)),
+    "lconst": (None, ("symbol",)),
+    "iterates": (None, ("name", "symbol")),
+    "map": (None, ("name", TERM)),
+    "append": (None, (TERM, TERM)),
+    "corec": (None, ("name", "seed")),
 })
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse an expression; raises ParseError on any deviation."""
-    return _EXPR.read(text)
-
-
-def print_expr(e: Expr) -> str:
-    """Canonical text for an expression; reparses to an equal value."""
-    return _EXPR.write(e)
+def parse_expr(text: str) -> str:
+    """The canonical text of an expression; raises ParseError on any
+    deviation."""
+    return _EXPR.canonical(text)
 
 
 def _elaborating(defs: Definitions) -> dict:
@@ -150,13 +89,13 @@ def _elaborating(defs: Definitions) -> dict:
 
 
 def read_states(text: str, defs: Definitions) -> CoList:
-    """`elaborate(parse_expr(text), defs)` in one pass: the same state
-    and the same first error, with each state built once and no `Expr`
-    built at all."""
+    """The engine state that an expression's text denotes, built in one
+    pass with each state built once.  A parse error anywhere in the text
+    comes before any resolution error."""
     return _EXPR.read(text, _elaborating(defs))
 
 
-def elaborate(e: Expr, defs: Definitions) -> CoList:
-    """Bind an expression to engine states against a definitions file:
-    its text read by `read_states`."""
-    return read_states(print_expr(e), defs)
+def elaborate(e: str, defs: Definitions) -> CoList:
+    """`read_states` under its earlier name, which the benchmark harness
+    (`bench/tracing.py`, `bench/test_bench.py`) still calls."""
+    return read_states(e, defs)

@@ -83,7 +83,8 @@ class CertificateError(CoinductError):
 class ParseError(CoinductError):
     """Expression text deviates from the grammar.
 
-    `offset` is the byte offset where the expected token would start;
+    `offset` is the character offset (an index into the text, not into
+    its UTF-8 bytes) where the expected token would start;
     `expected` is a short summary of what was expected there.
     """
 

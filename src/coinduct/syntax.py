@@ -15,11 +15,12 @@ where a term is due (and at any character outside the token set), the
 slot's label where a word is due, "'('", "','", "')'", or
 "end of input".
 
-Reading and writing are loops over an explicit stack of open terms, so
-any nesting depth works at the default recursion limit.  A term can be
-read with another constructor table of the same syntax (`Grammar.table`):
-its constructors then build something else, and a word slot may resolve
-its word as it is read.
+Reading is a loop over an explicit stack of open terms, so any nesting
+depth works at the default recursion limit.  A term can be read with
+another constructor table of the same syntax (`Grammar.table`): its
+constructors then build something else, and a word slot may resolve its
+word as it is read.  `Grammar.canonical` reads a term with no
+constructors and returns its tokens joined without whitespace.
 """
 
 from __future__ import annotations
@@ -42,18 +43,17 @@ TERM = None  # the slot of a nested term
 
 
 class Grammar:
-    """A head table read and written in the term syntax.
+    """A head table read in the term syntax.
 
     `what` names a term in errors; `rules` maps a head to its
-    constructor and slots, and a constructed value's dataclass fields
-    are its slot values in order, which is what `write` prints.
+    constructor and slots.  A grammar whose constructors are None is
+    only read with `canonical` or with a `table` of its own.
     """
 
     def __init__(self, what: str, rules: dict):
         self.what = what
         self.rules = self.table(rules)
-        self.heads = {make: (head, slots) for head, (make, slots) in rules.items()}
-        # the same syntax with no constructors, to look for a parse error
+        # the same syntax with no constructors, to check a text and to look for its parse error
         self._syntax = {head: (lambda *args: None, tuple(s and (s[0], None) for s in slots))
                         for head, (_, slots) in self.rules.items()}
 
@@ -97,6 +97,13 @@ class Grammar:
             self._build(text, toks, self._syntax)  # raises the text's parse error, if any
             raise
 
+    def canonical(self, text: str) -> str:
+        """The tokens of `text` joined without whitespace, once `text`
+        reads as a term; else the ParseError `read` raises."""
+        self.read(text, self._syntax)
+        # a term's text is tokens and whitespace, and whitespace never separates two words
+        return "".join(text.split())
+
     def _build(self, text: str, toks: list, rules: dict):
         """The term the tokens of `text` spell, built with `rules`."""
         stack = []  # open terms above the current one: (make, slots, args, next slot)
@@ -138,33 +145,6 @@ class Grammar:
                     return value
                 make, slots, args, k = stack.pop()
                 args.append(value)
-
-    def write(self, value) -> str:
-        """The text of `value`, which `read` reads back as an equal value."""
-        parts = []
-        todo = [(value,)]  # terms as 1-tuples, text as strings, last first
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            term = item[0]
-            try:
-                head, slots = self.heads[type(term)]
-            except KeyError:
-                raise TypeError(f"no {self.what} head for {type(term).__name__}") from None
-            if not slots:
-                parts.append(head)
-                continue
-            parts.append(head + "(")
-            todo.append(")")
-            fields = type(term).__match_args__
-            for k in reversed(range(len(slots))):
-                part = getattr(term, fields[k])
-                todo.append((part,) if slots[k] is TERM else str(part))
-                if k:
-                    todo.append(",")
-        return "".join(parts)
 
 
 def _error(text: str, i: int, expected: str) -> ParseError:

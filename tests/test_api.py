@@ -23,7 +23,6 @@ PUBLIC_API = {
     "Definitions": ["alphabet", "functions", "machines"],
     "EMPTY_TREE": None,
     "EmptyOperand": None,
-    "Expr": [],
     "FinList": ["tree", "elems"],
     "FiniteTree": ["nodes"],
     "IllFoundedCall": None,
@@ -85,7 +84,6 @@ PUBLIC_API = {
     "oplus": ["a", "b"],
     "otimes": ["a", "b"],
     "parse_expr": ["text"],
-    "print_expr": ["e"],
     "rel_combine": ["kind", "r", "s"],
     "run_command": ["argv"],
     "scons": ["m", "n"],

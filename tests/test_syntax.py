@@ -196,6 +196,8 @@ def test_deep_tree_terms():
         ("nil extra", 4, "end of input"),
         ("  widget(a)", 2, "tree term"),
         ("cons(leaf(a),nil!)", 16, "tree term"),
+        # a character offset: the no-break space is whitespace, one character, two UTF-8 bytes
+        ("\u00a0widget", 1, "tree term"),
     ],
 )
 def test_tree_term_errors(text, offset, expected):
