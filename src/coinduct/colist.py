@@ -15,8 +15,10 @@ is immutable and pure, apart from key and map memos.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
@@ -37,9 +39,10 @@ class Alphabet:
             raise DefsError("alphabet: must be nonempty")
         if len(members) != len(syms):
             raise DefsError("alphabet: duplicate symbol")
-        for s in syms:
-            if not WORD.fullmatch(s):
-                raise DefsError(f"alphabet: bad symbol {s!r}")
+        if not _all_words(syms):
+            for s in syms:
+                if not WORD.fullmatch(s):
+                    raise DefsError(f"alphabet: bad symbol {s!r}")
         object.__setattr__(self, "symbols", syms)
         # not a field, so == and repr read `symbols` alone
         object.__setattr__(self, "_members", members)
@@ -98,33 +101,21 @@ class StepFn:
     ):
         self.name = name
         self.seeds = tuple(seeds)
-        for s in self.seeds:
-            if not isinstance(s, str):
-                raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
-        declared = frozenset(self.seeds)
-        if len(declared) != len(self.seeds):
-            raise DefsError(f"machines.{name}.seeds: duplicate seed")
-        self.table = {}
-        for s, act in table.items():
-            if s not in declared:
-                raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
-            if act is not None:
-                if not (
-                    isinstance(act, (tuple, list))
-                    and len(act) == 2
-                    and isinstance(act[0], str)
-                    and isinstance(act[1], str)
-                ):
-                    raise DefsError(
-                        f"machines.{name}.step.{s}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
-                    )
-                if act[1] not in declared:
-                    raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
-                act = (act[0], act[1])
-            self.table[s] = act
-        for s in self.seeds:
-            if s not in self.table:
-                raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
+        acts = [act for act in table.values() if act is not None]
+        kinds = set(map(type, acts))
+        try:
+            declared = frozenset(self.seeds)
+            fine = (set(map(type, declared)) <= {str} and len(declared) == len(self.seeds)
+                    and table.keys() == declared
+                    and kinds <= {tuple, list} and set(map(len, acts)) <= {2}
+                    and declared.issuperset(map(itemgetter(1), acts))
+                    and set(map(type, set(map(itemgetter(0), acts)))) <= {str})
+        except TypeError:  # an unhashable seed or emit
+            fine = False
+        if not fine:
+            _check_steps(name, self.seeds, table)  # raises the first fault
+        self.table = dict(table) if kinds <= {tuple} else {
+            s: act if act is None else (act[0], act[1]) for s, act in table.items()}
 
     def step(self, seed: str) -> Optional[tuple[str, str]]:
         if seed not in self.table:
@@ -144,6 +135,45 @@ class StepFn:
 
     def __repr__(self) -> str:
         return f"StepFn({self.name}, {len(self.seeds)} seeds)"
+
+
+def _check_steps(name: str, seeds: tuple, table: dict) -> None:
+    """Raise the DefsError of the first fault in `StepFn`'s seeds and
+    table, walking them in order: a seed that is no string, a duplicate
+    seed, then the table's entries, then a seed with no entry."""
+    for s in seeds:
+        if not isinstance(s, str):
+            raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
+    declared = frozenset(seeds)
+    if len(declared) != len(seeds):
+        raise DefsError(f"machines.{name}.seeds: duplicate seed")
+    for s, act in table.items():
+        if s not in declared:
+            raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
+        if act is not None:
+            if not (
+                isinstance(act, (tuple, list))
+                and len(act) == 2
+                and isinstance(act[0], str)
+                and isinstance(act[1], str)
+            ):
+                raise DefsError(
+                    f"machines.{name}.step.{s}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
+                )
+            if act[1] not in declared:
+                raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
+    for s in seeds:
+        if s not in table:
+            raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
+
+
+def _all_words(strings) -> bool:
+    """Whether every item of `strings` is a string and a word."""
+    return (all(map(isinstance, strings, repeat(str))) and "" not in strings
+            and _WORD_CHARS.issuperset("".join(strings)))
+
+
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 
 
 class CoList:
@@ -629,26 +659,26 @@ class Definitions:
         if not isinstance(doc, dict):
             raise DefsError("definitions: top level must be an object")
         alpha_raw = doc.get("alphabet")
-        if not isinstance(alpha_raw, list) or not all(
-            isinstance(s, str) for s in alpha_raw
-        ):
+        if not isinstance(alpha_raw, list) or not all(map(isinstance, alpha_raw, repeat(str))):
             raise DefsError("alphabet: must be an array of strings")
         alphabet = Alphabet(alpha_raw)
 
+        members = alphabet._members
         functions: dict[str, AtomFun] = {}
         for name, table in _section(doc, "functions").items():
             if not WORD.fullmatch(name):
                 raise DefsError(f"functions.{name}: bad name")
             if not isinstance(table, dict):
                 raise DefsError(f"functions.{name}: must be an object")
-            for sym in alphabet:
-                if sym not in table:
-                    raise DefsError(f"functions.{name}: missing entry for {sym!r}")
-            for sym, out in table.items():
-                if sym not in alphabet:
-                    raise DefsError(f"functions.{name}.{sym}: key not in alphabet")
-                if not isinstance(out, str) or out not in alphabet:
-                    raise DefsError(f"functions.{name}.{sym}: value {out!r} not in alphabet")
+            if table.keys() != members or not _within(table.values(), members):
+                for sym in alphabet:
+                    if sym not in table:
+                        raise DefsError(f"functions.{name}: missing entry for {sym!r}")
+                for sym, out in table.items():
+                    if sym not in alphabet:
+                        raise DefsError(f"functions.{name}.{sym}: key not in alphabet")
+                    if not isinstance(out, str) or out not in alphabet:
+                        raise DefsError(f"functions.{name}.{sym}: value {out!r} not in alphabet")
             functions[name] = AtomFun(name, table)
 
         machines: dict[str, StepFn] = {}
@@ -659,9 +689,10 @@ class Definitions:
             step = spec.get("step") if isinstance(spec, dict) else None
             if not isinstance(seeds, list) or not seeds:
                 raise DefsError(f"machines.{name}.seeds: must be a nonempty array")
-            for s in seeds:
-                if isinstance(s, str) and not WORD.fullmatch(s):
-                    raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
+            if not _all_words(seeds):
+                for s in seeds:
+                    if isinstance(s, str) and not WORD.fullmatch(s):
+                        raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
             if not isinstance(step, dict):
                 raise DefsError(f"machines.{name}.step: must be an object")
             table = {}
@@ -672,18 +703,28 @@ class Definitions:
                         f"machines.{name}.step.{seed}: must be \"stop\" or {{\"emit\": [symbol, seed]}}"
                     )
                 table[seed] = emit
-            machines[name] = StepFn(name, seeds, table)
-            for seed, act in machines[name].table.items():
-                if act is not None and act[0] not in alphabet:
-                    raise DefsError(
-                        f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet"
-                    )
+            machine = machines[name] = StepFn(name, seeds, table)
+            # StepFn checked the table, so its entries are None or pairs
+            if not members.issuperset(map(itemgetter(0), filter(None, machine.table.values()))):
+                for seed, act in machine.table.items():
+                    if act is not None and act[0] not in alphabet:
+                        raise DefsError(
+                            f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet"
+                        )
 
         return cls(alphabet, functions, machines)
 
     @classmethod
     def load(cls, path: str) -> "Definitions":
         return cls.from_dict(read_json(path, DefsError, "definitions"))
+
+
+def _within(values, members: frozenset) -> bool:
+    """Whether every one of `values` is in `members`."""
+    try:
+        return members.issuperset(values)
+    except TypeError:  # an unhashable value
+        return False
 
 
 def _section(doc: dict, key: str) -> dict:

@@ -396,6 +396,35 @@ def test_key_text_bound_at_the_argument_size_limit(capsys, tmp_path):
     assert 3000 * len(DEEP["cons"][0](3000)) < KEY_TEXT_BOUND
 
 
+def test_key_text_bound_counts_cons_cells_only(capsys, tmp_path):
+    """Only a `cons` term is a cons cell.  A 3000-deep `append` tower of
+    `lconst(a)` (about 54 KB) has none, though `lconst` contains `cons`,
+    so `bisim` proves it equal to `lconst(a)` with one pair; nor do a
+    symbol or a name spelled `cons` count."""
+    n = 3000
+    tower = "append(lconst(a)," * n + "lconst(a)" + ")" * n
+    assert tower.count("cons") * len(tower) > KEY_TEXT_BOUND
+    code, out, err = run(capsys, "bisim", "--defs", DEFS, tower, "lconst(a)")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS\ncertificate: kind=strong pairs=1\n")
+
+    doc = json.loads(pathlib.Path(DEFS).read_text())
+    doc["alphabet"].append("cons")
+    doc["functions"] = {"cons": {s: s for s in doc["alphabet"]}}
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps(doc))
+    n = 2000  # cells x length: 2000 x 26 KB
+    chain = "map(cons," + "cons( cons ," * n + "lconst(cons)" + ")" * n + ")"
+    assert n * len(chain) < KEY_TEXT_BOUND < chain.count("cons") * len(chain)
+    code, out, err = run(capsys, "bisim", "--defs", str(defs), chain, "lconst(cons)")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS\n")
+    n = 2 * n
+    chain = "cons( cons ," * n + "lconst(cons)" + ")" * n
+    assert run(capsys, "bisim", "--defs", str(defs), chain, "lconst(cons)") == (
+        2, "", f"error: too many cons cells to key: bound {n * len(chain)} > {KEY_TEXT_BOUND} characters\n")
+
+
 def test_bisim_implies_eq(capsys):
     family = [
         "nil",

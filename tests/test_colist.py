@@ -1,8 +1,10 @@
 """Corecursive lists: one-step unfolding laws, approximants, truncation."""
 
 import dataclasses
+import json
 import functools
 import random
+import re
 import sys
 from itertools import islice
 
@@ -975,3 +977,184 @@ def test_step_table_checked_by_stepfn(defs_doc, seeds, table, message):
         with pytest.raises(DefsError) as exc:
             build()
         assert str(exc.value) == message
+
+
+WORD_RE = re.compile("[A-Za-z0-9_]+")
+
+
+def reference_load(doc):
+    """`Definitions.from_dict` as it was before its checks became set
+    comparisons: each table checked entry by entry, a machine's step table
+    in three loops (its JSON shape, then `StepFn`'s seed and table checks,
+    then its symbols).  Returns the alphabet, the function tables and the
+    machines' seeds and step tables."""
+    if not isinstance(doc, dict):
+        raise DefsError("definitions: top level must be an object")
+    syms = doc.get("alphabet")
+    if not isinstance(syms, list) or not all(isinstance(s, str) for s in syms):
+        raise DefsError("alphabet: must be an array of strings")
+    if not syms:
+        raise DefsError("alphabet: must be nonempty")
+    if len(set(syms)) != len(syms):
+        raise DefsError("alphabet: duplicate symbol")
+    for s in syms:
+        if not WORD_RE.fullmatch(s):
+            raise DefsError(f"alphabet: bad symbol {s!r}")
+
+    def section(key):
+        value = doc.get(key) or {}
+        if not isinstance(value, dict):
+            raise DefsError(f"{key}: must be an object")
+        return value
+
+    functions = {}
+    for name, table in section("functions").items():
+        if not WORD_RE.fullmatch(name):
+            raise DefsError(f"functions.{name}: bad name")
+        if not isinstance(table, dict):
+            raise DefsError(f"functions.{name}: must be an object")
+        for sym in syms:
+            if sym not in table:
+                raise DefsError(f"functions.{name}: missing entry for {sym!r}")
+        for sym, out in table.items():
+            if sym not in syms:
+                raise DefsError(f"functions.{name}.{sym}: key not in alphabet")
+            if not isinstance(out, str) or out not in syms:
+                raise DefsError(f"functions.{name}.{sym}: value {out!r} not in alphabet")
+        functions[name] = dict(table)
+
+    bad_entry = 'machines.{}.step.{}: must be "stop" or {{"emit": [symbol, seed]}}'
+    machines = {}
+    for name, spec in section("machines").items():
+        if not WORD_RE.fullmatch(name):
+            raise DefsError(f"machines.{name}: bad name")
+        seeds = spec.get("seeds") if isinstance(spec, dict) else None
+        step = spec.get("step") if isinstance(spec, dict) else None
+        if not isinstance(seeds, list) or not seeds:
+            raise DefsError(f"machines.{name}.seeds: must be a nonempty array")
+        for s in seeds:
+            if isinstance(s, str) and not WORD_RE.fullmatch(s):
+                raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
+        if not isinstance(step, dict):
+            raise DefsError(f"machines.{name}.step: must be an object")
+        raw = {}
+        for seed, act in step.items():
+            emit = act.get("emit") if isinstance(act, dict) and len(act) == 1 else None
+            if emit is None and act != "stop":
+                raise DefsError(bad_entry.format(name, seed))
+            raw[seed] = emit
+        for s in seeds:
+            if not isinstance(s, str):
+                raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
+        if len(set(seeds)) != len(seeds):
+            raise DefsError(f"machines.{name}.seeds: duplicate seed")
+        table = {}
+        for s, act in raw.items():
+            if s not in seeds:
+                raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
+            if act is not None:
+                if not (isinstance(act, (tuple, list)) and len(act) == 2
+                        and isinstance(act[0], str) and isinstance(act[1], str)):
+                    raise DefsError(bad_entry.format(name, s))
+                if act[1] not in seeds:
+                    raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
+                act = (act[0], act[1])
+            table[s] = act
+        for s in seeds:
+            if s not in table:
+                raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
+        for seed, act in table.items():
+            if act is not None and act[0] not in syms:
+                raise DefsError(f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet")
+        machines[name] = (tuple(seeds), table)
+    return tuple(syms), functions, machines
+
+
+JUNK = [None, 1, 1.5, "", "a", "zz", "s0", "s 0", "stop", "go", [], ["a"], ["zz", "s0"], ["a", "zz"],
+        [1, "s0"], ["a", ["x"]], ["a", "s0", "s0"], {}, {"emit": ["a", "s0"]}, {"emit": "a"},
+        {"emit": None}, {"emit": ["a", "s0"], "x": 1}, {"emit": ["zz", "s1"]}, {"emit": ["a", "zz"]},
+        {"emit": [1, "s1"]}, {"emit": ["a", 2]}, {"emit": ["a"]}, {"emit": ["b", "s1", "s1"]}]
+
+
+def mutated_definitions(rng, doc):
+    """`doc` with one to three random faults (or none) in its alphabet,
+    functions, seeds or step tables."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        where = rng.choice(("alphabet", "function", "function", "seeds", "step", "step", "step", "names"))
+        junk = rng.choice(JUNK)
+        if where == "alphabet":
+            syms = doc["alphabet"]
+            syms.insert(rng.randrange(len(syms) + 1), rng.choice([syms[0], "b-c", "", 3, ["x"]]))
+        elif where == "function":
+            table = rng.choice(list(doc["functions"].values()))
+            key = rng.choice(list(table))
+            action = rng.randrange(3)
+            if action == 0:
+                del table[key]
+            elif action == 1:
+                table[rng.choice(["zz", "s0", key])] = rng.choice(doc["alphabet"])
+            else:
+                table[key] = junk
+        elif where == "names":
+            section = rng.choice(("functions", "machines"))
+            name = rng.choice(list(doc[section]))
+            doc[section][rng.choice(["bad-name", "", name + "_2"])] = doc[section].pop(name)
+        else:
+            spec = rng.choice(list(doc["machines"].values()))
+            seeds, step = spec["seeds"], spec["step"]
+            if where == "seeds":
+                seeds.insert(rng.randrange(len(seeds) + 1),
+                             rng.choice([seeds[0], 1, ["x"], "s-1", "", "new"]))
+            else:
+                key = rng.choice(list(step))
+                action = rng.randrange(3)
+                if action == 0:
+                    del step[key]
+                elif action == 1:
+                    step[rng.choice(["zz", key])] = rng.choice(["stop", junk])
+                else:
+                    step[key] = junk
+    return doc
+
+
+def test_loader_agrees_with_entry_by_entry_checks():
+    """`Definitions.from_dict` against the loader it replaced, on mutated
+    definitions: the same tables, or the same first error."""
+    base = {
+        "alphabet": ["a", "b", "c", "x0", "x1"],
+        "functions": {
+            "succ": {"a": "b", "b": "c", "c": "a", "x0": "x1", "x1": "x0"},
+            "id": {"a": "a", "b": "b", "c": "c", "x0": "x0", "x1": "x1"},
+        },
+        "machines": {
+            "two": {"seeds": ["s0", "s1"],
+                    "step": {"s0": {"emit": ["a", "s1"]}, "s1": {"emit": ["b", "s0"]}}},
+            "fin": {"seeds": ["s0", "s1", "s2"],
+                    "step": {"s0": {"emit": ["c", "s1"]}, "s1": {"emit": ["x0", "s2"]}, "s2": "stop"}},
+        },
+    }
+
+    def outcome(load, doc):
+        try:
+            return load(doc)
+        except DefsError as err:
+            return str(err)
+
+    def load(doc):
+        defs = Definitions.from_dict(doc)
+        return (defs.alphabet.symbols, {n: f.table for n, f in defs.functions.items()},
+                {n: (m.seeds, m.table) for n, m in defs.machines.items()})
+
+    rng = random.Random(331)
+    errors = set()
+    loaded = 0
+    for _ in range(6000):
+        doc = mutated_definitions(rng, base)
+        expected = outcome(reference_load, doc)
+        assert outcome(load, doc) == expected, doc
+        if isinstance(expected, str):
+            errors.add(expected.split(":")[1])
+        else:
+            loaded += 1
+    assert loaded > 1000 and len(errors) > 30, errors

@@ -305,3 +305,72 @@ def test_deep_expressions_round_trip_at_the_default_recursion_limit(defs):
     same = key == state_key(read_states(towers, defs))
     same &= key == "APP(NIL," * 20000 + "MAP(h," * 20000 + "CONST(a)" + ")" * 40000
     assert same
+
+
+SPACES = ["", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+
+
+def respaced(rng, text):
+    """`text` with random whitespace before each token and at the end
+    (stray characters kept), and now and then one word split in two by
+    a space: a word-space-word fault."""
+    pieces = re.findall(r"[A-Za-z0-9_]+|\S", text)
+    if rng.random() < 0.2:
+        long = [i for i, p in enumerate(pieces) if len(p) > 1 and TOKEN.fullmatch(p)]
+        if long:
+            i = rng.choice(long)
+            cut = rng.randrange(1, len(pieces[i]))
+            pieces[i] = pieces[i][:cut] + rng.choice(SPACES[2:]) + pieces[i][cut:]
+    return "".join(rng.choice(SPACES) + p for p in pieces) + rng.choice(SPACES)
+
+
+def test_spaced_read_agrees_with_recursive_parse_and_elaborate(defs):
+    """The random, mutation and two-fault corpora with whitespace between
+    their tokens: the same states, or the same error and offset, as
+    the recursive reader gives."""
+    rng = random.Random(107)
+    corpus = [random_expr(rng) for _ in range(1000)]
+    corpus += list(mutation_corpus()) + TWO_FAULTS
+    kinds = set()
+    for text in corpus:
+        spaced = respaced(rng, text)
+        expected = outcome(lambda t: reference_elaborate(reference_parse(t), defs), spaced)
+        assert outcome(lambda t: read_states(t, defs), spaced) == expected, spaced
+        kinds.add(expected if isinstance(expected, str) else expected[:2])
+    assert len(kinds) > 200
+
+
+@pytest.mark.parametrize("text, offset, expected", [
+    ("cons(a b,nil)", 7, "','"),
+    ("cons( a b , nil )", 8, "','"),
+    ("map(suc c,nil)", 8, "','"),
+    ("corec(two,s 0)", 12, "')'"),
+    ("iterates(succ,x 0)", 16, "')'"),
+    ("cons(a,cons(b,cons(c d,nil)))", 21, "','"),
+    ("ni l", 0, "expression"),
+    ("nil nil", 4, "end of input"),
+])
+def test_word_space_word_faults(defs, text, offset, expected):
+    """Whitespace between two words never joins them: the reader names
+    the second word's offset, as the recursive reader does."""
+    assert outcome(reference_parse, text) == (ParseError, str(ParseError(offset, expected)), offset)
+    for read in (parse_expr, lambda t: read_states(t, defs)):
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert (exc.value.offset, exc.value.expected) == (offset, expected), text
+
+
+@pytest.mark.parametrize("text, message", [
+    # a word slot resolves as it is read, outer terms first, also inside a run
+    ("map(zz,map(qq,nil))", "function 'zz' not defined"),
+    ("map(succ,map(zz,map(qq,nil)))", "function 'zz' not defined"),
+    ("map(zz,cons(qq,nil))", "function 'zz' not defined"),
+    # a cons cell checks its symbol when it closes, inner cells first
+    ("cons(zz,cons(qq,nil))", "symbol 'qq' not in alphabet"),
+    ("cons(a,cons(zz,cons(qq,lconst(yy))))", "symbol 'yy' not in alphabet"),
+    ("cons(zz,map(succ,cons(qq,nil)))", "symbol 'qq' not in alphabet"),
+])
+def test_resolution_order_inside_runs(defs, text, message):
+    expected = outcome(lambda t: reference_elaborate(reference_parse(t), defs), text)
+    assert expected[1] == message
+    assert outcome(lambda t: read_states(t, defs), text) == expected

@@ -11,6 +11,7 @@ import pytest
 import coinduct
 from conftest import reference_read
 from coinduct.errors import ParseError
+from coinduct.syntax import Grammar
 from coinduct.trees import (
     NIL_TREE,
     cons_tree,
@@ -176,11 +177,19 @@ def test_no_function_calls_itself():
 
 
 def test_deep_tree_terms():
-    n = 10**4
-    tree = NIL_TREE
-    for _ in range(n):
+    """Two runs, 10^5 terms deep in all, each read with one match and
+    closed with one `startswith`."""
+    h = 5 * 10**4
+    tree = numb(3)
+    for _ in range(h):
+        tree = in0(tree)
+    for _ in range(h):
         tree = in1(tree)
-    assert parse_tree_term("in1(" * n + "nil" + ")" * n) == tree
+    text = "in1(" * h + "in0(" * h + "numb(3)" + ")" * (2 * h)
+    assert parse_tree_term(text) == tree
+    with pytest.raises(ParseError) as exc:
+        parse_tree_term(text[:-1])
+    assert (exc.value.offset, exc.value.expected) == (len(text) - 1, "')'")
 
 
 @pytest.mark.parametrize(
@@ -188,6 +197,10 @@ def test_deep_tree_terms():
     [
         ("numb(x)", 5, "numeral"),
         ("numb( 1x )", 6, "numeral"),
+        ("numb(1a)", 5, "numeral"),
+        ("in0(in0(numb(1a)))", 13, "numeral"),
+        ("in1( in1( numb( a ) ) )", 16, "numeral"),
+        ("cons(numb(2),numb(x2))", 18, "numeral"),
         ("numb()", 5, "numeral"),
         ("leaf(,)", 5, "symbol"),
         ("cons(leaf(a)", 12, "','"),
@@ -209,3 +222,73 @@ def test_tree_term_errors(text, offset, expected):
 def test_numerals_read_as_naturals():
     assert parse_tree_term("numb(007)") == numb(7)
     assert parse_tree_term("leaf(007)") == leaf("007")
+
+
+# Word slots after a TERM slot are read by a continuation's regex.
+MIXED_RULES = {
+    "f": (lambda a, w, b, n: ("f", a, w, b, n), (None, "word", None, "numeral")),
+    "g": (lambda w, a, v, n: ("g", w, a, v, n), ("word", None, "word", "numeral")),
+    "h": (lambda a: ("h", a), (None,)),
+    "k": (lambda: ("k",), ()),
+    "p": (lambda n, a: ("p", n, a), ("numeral", None)),
+}
+
+
+def random_mixed_term(rng, depth=0):
+    head = rng.choice("kkp" if depth > 3 else "fghkp")
+    word = lambda: rng.choice(["a", "b", "x_1"])
+    numeral = lambda: rng.choice(["0", "7", "012"])
+    term = lambda: random_mixed_term(rng, depth + 1)
+    if head == "f":
+        return f"f({term()},{word()},{term()},{numeral()})"
+    if head == "g":
+        return f"g({word()},{term()},{word()},{numeral()})"
+    if head == "h":
+        return f"h({term()})"
+    if head == "p":
+        return f"p({numeral()},{term() if depth < 4 else 'k'})"
+    return "k"
+
+
+def test_words_after_term_slots_agree_with_recursive_reader():
+    grammar = Grammar("mixed", MIXED_RULES)
+    rng = random.Random(229)
+    replacements = ["f", "g", "h", "k", "p", "a", "7", "(", ")", ",", "", "!"]
+
+    def result(read, text):
+        try:
+            return read(text)
+        except ParseError as err:
+            return err.offset, err.expected
+
+    checked = 0
+    for _ in range(400):
+        tokens = re.findall(r"[A-Za-z0-9_]+|[(),]", random_mixed_term(rng))
+        texts = ["".join(tokens), " ".join(tokens)]
+        for _ in range(3):
+            i = rng.randrange(len(tokens))
+            texts.append("".join(tokens[:i] + [rng.choice(replacements)] + tokens[i + 1:]))
+        for text in texts:
+            expected = result(lambda t: reference_read("mixed", MIXED_RULES, t), text)
+            assert result(grammar.read, text) == expected, text
+            checked += not isinstance(expected[0], int)
+    assert checked > 800
+
+    # a word is resolved when it is read, in the order of the text
+    log = []
+
+    def resolving(label):
+        return label, lambda w: log.append(w) or w.upper()
+
+    table = grammar.table({
+        "f": (MIXED_RULES["f"][0], (None, resolving("word"), None, resolving("numeral"))),
+        "g": (MIXED_RULES["g"][0], (resolving("word"), None, resolving("word"), resolving("numeral"))),
+        "h": MIXED_RULES["h"],
+        "k": MIXED_RULES["k"],
+        "p": (MIXED_RULES["p"][0], (resolving("numeral"), None)),
+    })
+    text = "g(a,f(p(7,k),b,h(g(x_1,k,b,0)),012),a,7)"
+    assert grammar.read(text, table) == (
+        "g", "A", ("f", ("p", "7", ("k",)), "B", ("h", ("g", "X_1", ("k",), "B", "0")), "012"),
+        "A", "7")
+    assert log == ["a", "7", "b", "x_1", "b", "0", "012", "a", "7"]
