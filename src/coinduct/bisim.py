@@ -15,11 +15,12 @@ refinement of the two seed sets with prefix doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
+from math import gcd
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, heads, observe, state_key
+from .colist import CoList, StepFn, _machine_key, lasso, observe, state_key, unroll
 from .errors import (
     CertificateError,
     RootMissing,
@@ -252,17 +253,71 @@ def find_bisimulation(
 def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:
     """Bounded take-lemma equality: k synchronized observations agree.
 
-    Each step reads the next head of `l1`, then of `l2` (None once a list
-    has ended), and the first disagreement stops the walk.
+    Both lists are read in lockstep with `lasso`: each position reads the
+    next head of `l1`, then of `l2`, and the first disagreement stops the
+    walk.  A side whose cycle has closed is not read again, as its heads
+    repeat from then on; once both have closed, the rest is decided from
+    the two lassos alone (`_lassos_differ`).
     """
-    left, right = chain(heads(l1), [None]), chain(heads(l2), [None])
-    for i, h1, h2 in zip(range(k), left, right):
+    p1: list[int] = []
+    p2: list[int] = []
+    r1, r2 = lasso(l1, p1), lasso(l2, p2)
+    seen1: list[str] = []
+    seen2: list[str] = []
+    for i in range(k):
+        if r1 is not None:
+            h1 = next(r1, None)
+            if h1 is None:
+                r1 = None
+            else:
+                seen1.append(h1)
+        if r1 is None:
+            h1 = _repeat(seen1, p1, i)
+        if r2 is not None:
+            h2 = next(r2, None)
+            if h2 is None:
+                r2 = None
+            else:
+                seen2.append(h2)
+        if r2 is None:
+            h2 = _repeat(seen2, p2, i)
         if h1 != h2:
             ended = h1 is None or h2 is None
             return Verdict(False, "nil/cons mismatch" if ended else "heads differ", i)
         if h1 is None:
             break
+        if r1 is None and r2 is None:
+            index = _lassos_differ(seen1, p1[0], seen2, p2[0], i + 1, k)
+            return Verdict(True) if index is None else Verdict(False, "heads differ", index)
     return Verdict(True)
+
+
+def _repeat(seen: list[str], period: list[int], i: int) -> Optional[str]:
+    """Head i of a list whose reading has stopped after the heads `seen`:
+    None if it ended, else the head its cycle of `period[0]` repeats."""
+    if not period:
+        return None
+    n = len(seen)
+    return seen[n - period[0] + (i - n) % period[0]]
+
+
+def _lassos_differ(seen1: list[str], c1: int, seen2: list[str], c2: int,
+                   start: int, k: int) -> Optional[int]:
+    """The first position in [start, k) at which two lassos differ, or
+    None.  A lasso is the heads `seen`, then their last c repeated, so
+    its cycle starts at m = len(seen) - c.  From max(m1, m2) on both are
+    purely periodic, and two words of periods c1 and c2 that agree on
+    c1 + c2 - gcd(c1, c2) positions agree everywhere (Fine and Wilf
+    1965), so no position past max(m1, m2) + c1 + c2 - gcd(c1, c2)
+    needs a look."""
+    m = max(len(seen1) - c1, len(seen2) - c2)
+    n = min(k, m + c1 + c2 - gcd(c1, c2))
+    if n <= start:
+        return None
+    a, b = unroll(seen1, c1, n), unroll(seen2, c2, n)
+    if a[start:] == b[start:]:
+        return None
+    return next(i for i in range(start, n) if a[i] != b[i])
 
 
 def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> Relation:

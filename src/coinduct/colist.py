@@ -8,9 +8,12 @@ map, append) are states in their own right, each unfolding by its own
 one-step equation.  A map/append tower is observed as a zipper
 (`TowerList`): its live state inside a shared stack of frames, so one
 step touches the live state alone.  Loops that read only heads
-(`take`, `check_llist_upto`, `bisim.eq_upto`) run on `heads`, which
-keeps the live state in locals and builds no tail states.  Everything
-is immutable and pure, apart from key and map memos.
+(`take`, `check_llist_upto`, `bisim.eq_upto`) read them with `lasso`,
+which keeps the live state in locals, builds no tail states, and stops
+once the list's cycle closes: a list built from finitely many symbols,
+seeds and constants ends, or is a finite prefix and then one cycle,
+repeated.  Everything is immutable and pure, apart from key and map
+memos.
 """
 
 from __future__ import annotations
@@ -385,13 +388,21 @@ def observe(l: CoList) -> Observation:
         l, frames = popped
 
 
-def heads(l: CoList) -> Iterator[str]:
-    """The heads of `l`, observed one at a time as they are asked for.
+def lasso(l: CoList, period: list[int]) -> Iterator[str]:
+    """The heads of `l`, observed one at a time as they are asked for,
+    until they start to repeat.
 
     The same observations as `observe`, in the same order and with the
     same calls and errors, but the live state stays in locals (the cons
     cell, the symbol, the seed) and no tail state is built.  Iterates
     applies its function in the observation that yields the argument.
+
+    A constant, iterates or machine state that is live never ends, so
+    the frames around it never change again; the reader stops at the
+    first repeat of its symbol or seed, before that repeat is observed,
+    and appends to `period` the number of heads read since the repeated
+    state was first live.  The rest of the list is then its last
+    `period[0]` heads repeated.  A list that ends leaves `period` empty.
     """
     frames = None
     if isinstance(l, TowerList):
@@ -406,21 +417,29 @@ def heads(l: CoList) -> Iterator[str]:
                 l = l.tail
             continue
         if isinstance(l, ConstList):
-            sym = l.sym
-            while True:
-                yield sym if m is None else _map_head(m, sym)
-        elif isinstance(l, IterList):
-            fn, sym = l.fn, l.sym
-            while True:
+            yield l.sym if m is None else _map_head(m, l.sym)
+            period.append(1)
+            return
+        if isinstance(l, IterList):
+            fn, sym, seen = l.fn, l.sym, {}
+            while sym not in seen:
+                seen[sym] = len(seen)
                 after = fn(sym)
                 yield sym if m is None else _map_head(m, sym)
                 sym = after
-        elif isinstance(l, MachineList):
-            step = l.machine.step
-            act = step(l.seed)
+            period.append(len(seen) - seen[sym])
+            return
+        if isinstance(l, MachineList):
+            step, seed, seen = l.machine.step, l.seed, {}
+            act = step(seed)
             while act is not None:
+                seen[seed] = len(seen)
                 yield act[0] if m is None else _map_head(m, act[0])
-                act = step(act[1])
+                seed = act[1]
+                if seed in seen:
+                    period.append(len(seen) - seen[seed])
+                    return
+                act = step(seed)
         elif not isinstance(l, NilList):
             raise TypeError(f"not a CoList state: {l!r}")
         if frames is None:
@@ -598,11 +617,26 @@ def _join(items: list) -> str:
 def take(k: int, l: CoList) -> tuple[list[str], bool]:
     """First k elements and whether the list was seen to end.
 
-    Performs at most k observations; in particular take(0, .) observes
-    nothing and reports ended=False even on nil().
+    Observes at most k heads, and none past the point where the list's
+    cycle closes (`lasso`): the elements after it repeat that cycle.  In
+    particular take(0, .) observes nothing and reports ended=False even
+    on nil().
     """
-    elems = list(islice(heads(l), max(k, 0)))
+    period: list[int] = []
+    elems = list(islice(lasso(l, period), max(k, 0)))
+    if period:
+        elems = unroll(elems, period[0], k)
     return elems, len(elems) < k
+
+
+def unroll(heads: list[str], period: int, n: int) -> list[str]:
+    """The first n heads of a lasso: `heads`, then their last `period`
+    repeated."""
+    if n <= len(heads):
+        return heads[:n]
+    cycle = heads[-period:]
+    reps, rest = divmod(n - len(heads), period)
+    return heads + cycle * reps + cycle[:rest]
 
 
 def _fold(elems: list[str], ended: bool) -> FiniteTree:
@@ -636,9 +670,12 @@ def tree_trunc(k: int, l: CoList) -> FiniteTree:
 
 
 def check_llist_upto(k: int, l: CoList, atoms: Iterable[str]) -> Verdict:
-    """Depth-k membership check: every head within `atoms` until Nil."""
+    """Depth-k membership check: every head within `atoms` until Nil.
+
+    Only the heads `lasso` reads are checked: past the point where the
+    list's cycle closes, every head repeats one of them."""
     allowed = frozenset(atoms)
-    for i, head in enumerate(islice(heads(l), max(k, 0))):
+    for i, head in enumerate(islice(lasso(l, []), max(k, 0))):
         if head not in allowed:
             return Verdict(False, f"head {head} outside allowed atoms", i)
     return Verdict(True)

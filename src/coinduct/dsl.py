@@ -23,10 +23,8 @@ depth works at the default recursion limit.
 
 from __future__ import annotations
 
-from functools import partial
-
 from . import colist
-from .colist import AtomFun, CoList, Definitions, StepFn
+from .colist import AtomFun, CoList, ConsList, ConstList, Definitions, StepFn
 from .errors import UnknownAtom, UnknownFunction, UnknownMachine
 from .syntax import TERM, Grammar
 
@@ -58,6 +56,7 @@ def _elaborating(defs: Definitions) -> dict:
     cell's symbol is checked after its tail is built.
     """
     alphabet, functions, machines = defs.alphabet, defs.functions, defs.machines
+    members = alphabet._members
 
     def function(name: str) -> AtomFun:
         try:
@@ -71,16 +70,28 @@ def _elaborating(defs: Definitions) -> dict:
         except KeyError:
             raise UnknownMachine(f"machine {name!r} not defined") from None
 
+    # colist.cons and colist.lconst, checking the symbol against the
+    # alphabet's frozenset as each cell's term closes
+    def cons(sym: str, tail: CoList) -> CoList:
+        if sym not in members:
+            raise UnknownAtom(f"symbol {sym!r} not in alphabet")
+        return ConsList(sym, tail)
+
+    def lconst(sym: str) -> CoList:
+        if sym not in members:
+            raise UnknownAtom(f"symbol {sym!r} not in alphabet")
+        return ConstList(sym)
+
     def iterates(fn: AtomFun, sym: str) -> CoList:
         # colist.iterates words this "not in domain of <fn>"
-        if sym not in alphabet:
+        if sym not in members:
             raise UnknownAtom(f"symbol {sym!r} not in alphabet")
         return colist.iterates(fn, sym)
 
     return _EXPR.table({
         "nil": (colist.nil, ()),
-        "cons": (partial(colist.cons, alphabet=alphabet), ("symbol", TERM)),
-        "lconst": (partial(colist.lconst, alphabet=alphabet), ("symbol",)),
+        "cons": (cons, ("symbol", TERM)),
+        "lconst": (lconst, ("symbol",)),
         "iterates": (iterates, (("name", function), "symbol")),
         "map": (colist.lmap, (("name", function), TERM)),
         "append": (colist.lappend, (TERM, TERM)),

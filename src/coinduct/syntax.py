@@ -7,7 +7,8 @@ A term is a word, optionally followed by a parenthesised list of slots:
 Words are over [A-Za-z0-9_] and whitespace between tokens is ignored.
 A grammar maps each head word to its constructor and its slots; a slot
 is TERM (a nested term) or the label of a word ("symbol", "name", ...).
-A word slot labelled "numeral" takes digits only and passes an int.
+A word slot labelled "numeral" takes digits only, at most
+NUMERAL_DIGITS of them, and passes an int.
 
 Reading raises ParseError with the offset at which the expected token
 would start and what was expected there: the grammar's term label
@@ -64,6 +65,12 @@ _NOT_WORD = frozenset(("(", ")", ",", ""))
 
 TERM = None  # the slot of a nested term
 
+# The most digits a numeral may have: the longest decimal text that
+# Python's `int` reads and `str` writes under the default limit of
+# Python 3.11 on (sys.int_info.default_max_str_digits), so a numeral
+# that reads also prints, on every version.
+NUMERAL_DIGITS = 4300
+
 
 def _resolve(label: str):
     """How a word slot labelled `label` passes its word by default."""
@@ -91,7 +98,7 @@ def _pattern(piece: list) -> str:
     """The regex of a piece of a term's text, one group per word slot."""
     return "".join(
         re.escape(tok) if isinstance(tok, str)
-        else "([0-9]+)" if tok[0] == "numeral" else f"([{_WORD_CHARS}]+)"
+        else f"([0-9]{{1,{NUMERAL_DIGITS}}})" if tok[0] == "numeral" else f"([{_WORD_CHARS}]+)"
         for tok in piece)
 
 
@@ -325,6 +332,8 @@ class Grammar:
                     tok = toks[i]
                     if tok in _NOT_WORD or (slot == "numeral" and not tok.isdigit()):
                         return _error(text, i, slot)
+                    if slot == "numeral" and len(tok) > NUMERAL_DIGITS:
+                        return _error(text, i, f"numeral of at most {NUMERAL_DIGITS} digits")
                     i += 1
                     continue
                 if slots:

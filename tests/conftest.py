@@ -156,7 +156,7 @@ def random_state(rng, machines, depth=4):
 
 def unfold(l: CoList) -> Iterator[tuple[str, CoList]]:
     """Observe `l` one step at a time, yielding (head, tail) until it
-    ends: the loop over `observe` that `colist.heads` replaced."""
+    ends: the loop over `observe` that `colist.lasso` replaced."""
     obs = observe(l)
     while obs is not None:
         yield obs

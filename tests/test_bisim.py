@@ -320,17 +320,18 @@ def test_eq_upto():
 
 
 def test_synchronized_observation_counts():
-    """Each synchronized step observes both lists once, and no step runs
-    past the first disagreement."""
+    """Each synchronized step observes both lists at most once, a list
+    whose cycle has closed is not observed again (at most min(k, prefix
+    + period) calls), and no step runs past the first disagreement."""
     f = CountingFun(SWAP)
     l, b = lmap(f, lconst("a", AB)), lconst("b", AB)
-    assert eq_upto(7, l, b) and f.calls == 7
+    assert eq_upto(7, l, b) and f.calls <= min(7, 0 + 1)
     f.calls = 0
     assert eq_upto(7, l, lconst("a", AB)) == Verdict(False, "heads differ", 0)
-    assert f.calls == 1
+    assert f.calls <= 1
     f.calls = 0
     assert eq_upto(7, l, cons("b", nil(), AB)) == Verdict(False, "nil/cons mismatch", 1)
-    assert f.calls == 2
+    assert f.calls <= min(2, 0 + 1)
     f.calls = 0
     cert = find_bisimulation(l, b)
     assert cert.pairs == {("MAP(swap,CONST(a))", "CONST(b)")} and f.calls == 1

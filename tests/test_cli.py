@@ -12,6 +12,7 @@ import pytest
 
 import coinduct
 from coinduct.cli import KEY_TEXT_BOUND, _build_parser, run_command
+from coinduct.syntax import NUMERAL_DIGITS
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFS = str(DATA / "defs.json")
@@ -259,6 +260,25 @@ def test_lattice_unproducible_element_exits_2(capsys, tmp_path, name):
     doc, expected = UNPRODUCIBLE_DEMOS[name]
     path = tmp_path / "demo.json"
     path.write_text(json.dumps(doc))
+    assert run(capsys, "lattice", "--spec", str(path)) == (2, "", expected)
+
+
+def test_long_numeral_exits_2(capsys, tmp_path):
+    """A numeral longer than NUMERAL_DIGITS is a parse error of its
+    carrier element, on one `error:` line, not an exception from `int`;
+    one at the limit reads."""
+    digits = 5000
+    assert digits > NUMERAL_DIGITS
+    path = tmp_path / "demo.json"
+    for n, code in ((digits, 2), (NUMERAL_DIGITS, 0)):
+        doc = {"carrier": ["numb(" + "7" * n + ")", "nil"],
+               "operator": {"name": "list_fun", "atoms": ["a"]}, "mode": "lfp"}
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "lattice", "--spec", str(path))[0] == code
+    doc["carrier"][0] = "numb(" + "7" * digits + ")"
+    path.write_text(json.dumps(doc))
+    expected = (f"error: carrier: element {doc['carrier'][0]!r} is not a tree term (parse "
+                f"error at offset 5: expected numeral of at most {NUMERAL_DIGITS} digits)\n")
     assert run(capsys, "lattice", "--spec", str(path)) == (2, "", expected)
 
 
