@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 on pass/equal, 1 on fail/counterexample, 2 on usage or
-validation errors (reported on stderr), 3 when a search exhausts its
-pair budget.  Each expression is read straight into engine states
+validation errors or when memory runs out (reported on stderr), 3 when
+a search exhausts its pair budget.  Each expression is read straight into engine states
 (`dsl.read_states`), in one loop at any depth.
 """
 
@@ -173,6 +173,9 @@ def run_command(argv) -> int:
         return 0 if verdict else 1
     except (CoinductError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,15 @@
 """Term syntax shared by the expression language and the tree terms.
 
-A term is a word, optionally followed by a parenthesised list of slots:
+A term is a head word, optionally followed by a parenthesised list of
+slots, its word slots first and then its TERM slots:
 
-    term := word | word `(` slot (`,` slot)* `)`
+    term  := word | word `(` slots `)`
+    slots := word (`,` word)* | (word `,`)* term (`,` term)*
 
 Words are over [A-Za-z0-9_] and whitespace between tokens is ignored.
 A grammar maps each head word to its constructor and its slots; a slot
-is TERM (a nested term) or the label of a word ("symbol", "name", ...).
+is TERM (a nested term) or the label of a word ("symbol", "name", ...),
+and a head with a word slot after a TERM slot is refused (ValueError).
 A word slot labelled "numeral" takes digits only, at most
 NUMERAL_DIGITS of them, and passes an int.
 
@@ -21,17 +24,16 @@ taken out; that changes no token unless whitespace separates two words,
 which is a parse error.  Each head has an opening -- the head and its
 word slots up to its first TERM slot (`cons(a,`, `map(f,`, `append(`),
 or the whole term when it has none (`corec(m,s)`, `leaf(a)`, `nil`) --
-and one continuation after each TERM slot: `,` or `)` and any word
-slots between.  The openings are one regex, so one match opens a term and
-reads its leading words; a `,` continuation is matched together with
-the opening after it.  A head whose only TERM slot is its last (`cons`,
-`map`, `in0`) reads a run of nested openings of itself with one match,
-splits the run's words with one `findall`, and closes the run with one
-`startswith` of its `)`s.  Reading is a loop over an explicit stack of
-open terms and runs, so any nesting depth works at the default
-recursion limit.  A word slot is resolved when it is read, outer terms
-first, also inside a run; a term is built when it closes, inner terms
-first.
+and its TERM slots follow, separated by `,` and closed by `)`.  The
+openings are one regex, so one match opens a term and reads its words;
+a `,` is matched together with the opening after it.  A head with one
+TERM slot and at most one word (`cons`, `map`, `in0`) reads a run of
+nested openings of itself with one match, splits the run's words with
+one `findall`, and closes the run with one `startswith` of its `)`s.
+Reading is a loop over an explicit stack of open terms and runs, so any
+nesting depth works at the default recursion limit.  A word slot is
+resolved when it is read, outer terms first, also inside a run; a term
+is built when it closes, inner terms first.
 
 A text that does not read is read again one token at a time with the
 grammar's slots alone (`Grammar._parse_error`).  That loop only names
@@ -77,88 +79,49 @@ def _resolve(label: str):
     return int if label == "numeral" else None
 
 
-def _slot_resolve(slot):
-    """How a word slot, a label or (label, resolve), passes its word."""
-    return slot[1] if isinstance(slot, tuple) else _resolve(slot)
-
-
-def _resolved(cont: tuple, resolves) -> tuple:
-    """A chain of continuations with the resolves of its words taken,
-    in order, from the iterator `resolves`."""
-    pieces = []
-    while cont is not None:
-        piece, r, cont = cont
-        pieces.append((piece, r and tuple(next(resolves) for _ in r)))
-    for piece, r in reversed(pieces):
-        cont = (piece, r, cont)
-    return cont
-
-
-def _pattern(piece: list) -> str:
-    """The regex of a piece of a term's text, one group per word slot."""
-    return "".join(
-        re.escape(tok) if isinstance(tok, str)
-        else f"([0-9]{{1,{NUMERAL_DIGITS}}})" if tok[0] == "numeral" else f"([{_WORD_CHARS}]+)"
-        for tok in piece)
+def _word(label: str) -> str:
+    """The regex group of a word slot labelled `label`."""
+    return f"([0-9]{{1,{NUMERAL_DIGITS}}})" if label == "numeral" else f"([{_WORD_CHARS}]+)"
 
 
 class Grammar:
     """A head table read in the term syntax.
 
     `what` names a term in errors; `rules` maps a head to its
-    constructor and slots.  A grammar whose constructors are None is
-    only read with `canonical` or with a `table` of its own.
+    constructor and slots, its word slots (labels) before its TERM
+    slots.  A grammar whose constructors are None is only read with
+    `canonical` or with a `table` of its own.
     """
 
     def __init__(self, what: str, rules: dict):
         self.what = what
-        self._slots = {head: tuple(s if s is TERM or isinstance(s, str) else s[0] for s in slots)
-                       for head, (_, slots) in rules.items()}
-        # Each head's text cut at its TERM slots: the opening, then one
-        # continuation after each TERM.  A word slot is a 1-tuple of its label.
-        cuts = {}
-        for head, slots in self._slots.items():
-            pieces = [[head]]
-            for k, slot in enumerate(slots):
-                pieces[-1].append("," if k else "(")
-                if slot is TERM:
-                    pieces.append([])
-                else:
-                    pieces[-1].append((slot,))
-            if slots:
-                pieces[-1].append(")")
-            cuts[head] = pieces
-        openings = [_pattern(pieces[0]) + ("" if len(pieces[0]) > 1 else f"(?![{_WORD_CHARS}])")
-                    for pieces in cuts.values()]
-        self._opening = re.compile("|".join(f"({opening})" for opening in openings))
-        then_open = "(?:" + self._opening.pattern + ")"
-        # head -> its table entry, less its constructor: (group of its
-        # opening, (group, resolve) of each word of the opening, first
-        # continuation, run).  A continuation is (piece, resolves, next
-        # continuation).  A piece with words is a regex, with one resolve
-        # per word; a piece without is its text when it closes the term,
-        # and else a regex that matches it and the next term's opening.
+        self._slots = {head: tuple(slots) for head, (_, slots) in rules.items()}
+        # head -> its table entry less its constructor: (group of its opening,
+        # (group, resolve) of each word slot, number of TERM slots, run)
         self._layout = {}
+        openings = []
         group = 1
-        for (head, pieces), opening in zip(cuts.items(), openings):
-            labels = [tok[0] for tok in pieces[0] if isinstance(tok, tuple)]
-            words = tuple((group + 1 + j, _resolve(label)) for j, label in enumerate(labels))
-            cont = run = None
-            if len(pieces) == 2 and self._slots[head][-1] is TERM and len(words) <= 1:
-                # a run head: its terms close by `)` and need no continuation
-                run = (head + "(", re.compile(f"(?:{opening})+"), re.compile(opening))
+        for head, slots in self._slots.items():
+            terms = slots.count(TERM)
+            labels = slots[:len(slots) - terms]
+            if TERM in labels:
+                raise ValueError(f"{what} {head!r}: a word slot follows a TERM slot")
+            if slots:
+                opening = (re.escape(head) + r"\(" + ",".join(map(_word, labels))
+                           + (r"\)" if not terms else "," if labels else ""))
             else:
-                for piece in reversed(pieces[1:]):
-                    labels = [tok[0] for tok in piece if isinstance(tok, tuple)]
-                    if labels:
-                        cont = (re.compile(_pattern(piece)), tuple(map(_resolve, labels)), cont)
-                    elif cont is None:
-                        cont = ("".join(piece), None, None)
-                    else:
-                        cont = (re.compile(_pattern(piece) + then_open), None, cont)
-            self._layout[head] = (group, words, cont, run)
+                opening = re.escape(head) + f"(?![{_WORD_CHARS}])"
+            words = tuple((group + 1 + j, _resolve(label)) for j, label in enumerate(labels))
+            # a run head: its terms close by `)` and need no `,`
+            run = ((head + "(", re.compile(f"(?:{opening})+"), re.compile(opening))
+                   if terms == 1 and len(words) <= 1 else None)
+            self._layout[head] = (group, words, terms, run)
+            openings.append(opening)
             group += 1 + len(words)
         self._groups = group
+        self._opening = re.compile("|".join(f"({opening})" for opening in openings))
+        # a `,` and the next term's opening, in the opening regex's groups
+        self._then_open = re.compile(f",(?:{self._opening.pattern})")
         self.rules = self.table(rules)
         # the same syntax with no constructors, to check a text
         self._syntax = self.table({
@@ -174,20 +137,17 @@ class Grammar:
         word, called as soon as the word is read.
 
         The table is indexed by the group of a head's opening in the
-        opening regex; its entry is (make, words, continuation, run), as
+        opening regex; its entry is (make, words, TERM slots, run), as
         in `_layout`, with the resolves `rules` gives.  A run is
         (`head(`, the regex of a run of openings, the regex of one).
         """
         entries = [None] * self._groups
         for head, (make, slots) in rules.items():
-            group, words, cont, run = self._layout[head]
+            group, words, terms, run = self._layout[head]
             if tuple in map(type, slots):  # some word is resolved as it is read
-                # the opening's words are the slots before the first TERM
                 words = tuple([(g, slot[1] if isinstance(slot, tuple) else r)
                                for (g, r), slot in zip(words, slots)])
-                if cont is not None:  # the later word slots; TERM is None
-                    cont = _resolved(cont, map(_slot_resolve, filter(None, slots[len(words):])))
-            entries[group] = (make, words, cont, run)
+            entries[group] = (make, words, terms, run)
         return entries
 
     def read(self, text: str, table: Optional[list] = None):
@@ -232,13 +192,15 @@ class Grammar:
         `table`; a text that does not read raises its ParseError."""
         if canon is None:
             raise self._parse_error(text)
-        opening = self._opening.match
-        stack = []  # open terms: (make, args, continuation due), or a run's (make, words, terms)
+        opening, then_open = self._opening.match, self._then_open.match
+        # open terms: (make, args, TERM slots after the one being read),
+        # or a run's (make, words, its `)`s)
+        stack = []
         m = opening(canon)
         while True:  # m opens a term, if the text reads
             if m is None:
                 raise self._parse_error(text)
-            make, words, cont, run = table[m.lastindex]
+            make, words, terms, run = table[m.lastindex]
             pos = m.end()
             args = []
             for g, resolve in words:
@@ -257,48 +219,35 @@ class Grammar:
                         else:
                             count += (r.end() - pos) // len(start)
                         pos = r.end()
-                stack.append((make, args, count))
+                stack.append((make, args, ")" * count))
                 m = opening(canon, pos)
                 continue
-            if cont is not None:
-                stack.append((make, args, cont))
+            if terms:
+                stack.append((make, args, terms - 1))
                 m = opening(canon, pos)
                 continue
             value = make(*args)
             while stack:  # close what the value completes
-                make, args, cont = stack.pop()
-                if cont.__class__ is int:  # a run of `cont` terms
-                    if not canon.startswith(")" * cont, pos):
+                make, args, left = stack.pop()
+                if left.__class__ is str:  # a run, closed by its `)`s
+                    if not canon.startswith(left, pos):
                         raise self._parse_error(text)
-                    pos += cont
+                    pos += len(left)
                     if args:
                         for word in reversed(args):
                             value = make(word, value)
                     else:
-                        for _ in range(cont):
+                        for _ in range(len(left)):
                             value = make(value)
                     continue
                 args.append(value)
-                piece, resolves, cont = cont
-                if resolves is None:
-                    if cont is not None:  # the piece and the next term's opening
-                        stack.append((make, args, cont))
-                        m = piece.match(canon, pos)
-                        break
-                    if not canon.startswith(piece, pos):
-                        raise self._parse_error(text)
-                    pos += len(piece)
-                else:
-                    c = piece.match(canon, pos)
-                    if c is None:
-                        raise self._parse_error(text)
-                    pos = c.end()
-                    for word, resolve in zip(c.groups(), resolves):
-                        args.append(word if resolve is None else resolve(word))
-                    if cont is not None:
-                        stack.append((make, args, cont))
-                        m = opening(canon, pos)
-                        break
+                if left:
+                    stack.append((make, args, left - 1))
+                    m = then_open(canon, pos)
+                    break
+                if not canon.startswith(")", pos):
+                    raise self._parse_error(text)
+                pos += 1
                 value = make(*args)
             else:
                 if pos != len(canon):

@@ -282,6 +282,18 @@ def test_long_numeral_exits_2(capsys, tmp_path):
     assert run(capsys, "lattice", "--spec", str(path)) == (2, "", expected)
 
 
+@pytest.mark.parametrize("command", ["eval", "trunc"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, command):
+    """A depth whose heads do not fit in memory is one `error:` line and
+    exit 2, not a traceback."""
+    def take(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(coinduct.cli.colist, "take", take)
+    assert run(capsys, command, "--defs", DEFS, "--depth", "100000000", "lconst(a)") == (
+        2, "", "error: out of memory\n")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "eval")
     assert code == 2 and err.startswith("error:")

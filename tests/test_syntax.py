@@ -224,7 +224,7 @@ def test_numerals_read_as_naturals():
     assert parse_tree_term("leaf(007)") == leaf("007")
 
 
-# Word slots after a TERM slot are read by a continuation's regex.
+# `f` and `g` have a word slot after a TERM slot, which a grammar refuses.
 MIXED_RULES = {
     "f": (lambda a, w, b, n: ("f", a, w, b, n), (None, "word", None, "numeral")),
     "g": (lambda w, a, v, n: ("g", w, a, v, n), ("word", None, "word", "numeral")),
@@ -233,27 +233,39 @@ MIXED_RULES = {
     "p": (lambda n, a: ("p", n, a), ("numeral", None)),
 }
 
+# the heads of MIXED_RULES that a grammar reads, and one with two TERM slots
+ONE_SHAPE_RULES = {
+    "h": MIXED_RULES["h"],
+    "k": MIXED_RULES["k"],
+    "p": MIXED_RULES["p"],
+    "q": (lambda w, a, b: ("q", w, a, b), ("word", None, None)),
+}
 
-def random_mixed_term(rng, depth=0):
-    head = rng.choice("kkp" if depth > 3 else "fghkp")
-    word = lambda: rng.choice(["a", "b", "x_1"])
-    numeral = lambda: rng.choice(["0", "7", "012"])
-    term = lambda: random_mixed_term(rng, depth + 1)
-    if head == "f":
-        return f"f({term()},{word()},{term()},{numeral()})"
-    if head == "g":
-        return f"g({word()},{term()},{word()},{numeral()})"
+
+def test_word_after_term_slot_is_refused():
+    for head in "fg":
+        with pytest.raises(ValueError, match=f"'{head}': a word slot follows a TERM slot"):
+            Grammar("mixed", {head: MIXED_RULES[head]})
+    with pytest.raises(ValueError):
+        Grammar("mixed", MIXED_RULES)
+
+
+def random_one_shape_term(rng, depth=0):
+    head = rng.choice("kkp" if depth > 3 else "hkpq")
+    term = lambda: random_one_shape_term(rng, depth + 1)
     if head == "h":
         return f"h({term()})"
     if head == "p":
-        return f"p({numeral()},{term() if depth < 4 else 'k'})"
+        return f"p({rng.choice(['0', '7', '012'])},{term() if depth < 4 else 'k'})"
+    if head == "q":
+        return f"q({rng.choice(['a', 'b', 'x_1'])},{term()},{term()})"
     return "k"
 
 
-def test_words_after_term_slots_agree_with_recursive_reader():
-    grammar = Grammar("mixed", MIXED_RULES)
+def test_terms_of_one_shape_agree_with_recursive_reader():
+    grammar = Grammar("mixed", ONE_SHAPE_RULES)
     rng = random.Random(229)
-    replacements = ["f", "g", "h", "k", "p", "a", "7", "(", ")", ",", "", "!"]
+    replacements = ["h", "k", "p", "q", "a", "7", "(", ")", ",", "", "!"]
 
     def result(read, text):
         try:
@@ -263,13 +275,13 @@ def test_words_after_term_slots_agree_with_recursive_reader():
 
     checked = 0
     for _ in range(400):
-        tokens = re.findall(r"[A-Za-z0-9_]+|[(),]", random_mixed_term(rng))
+        tokens = re.findall(r"[A-Za-z0-9_]+|[(),]", random_one_shape_term(rng))
         texts = ["".join(tokens), " ".join(tokens)]
         for _ in range(3):
             i = rng.randrange(len(tokens))
             texts.append("".join(tokens[:i] + [rng.choice(replacements)] + tokens[i + 1:]))
         for text in texts:
-            expected = result(lambda t: reference_read("mixed", MIXED_RULES, t), text)
+            expected = result(lambda t: reference_read("mixed", ONE_SHAPE_RULES, t), text)
             assert result(grammar.read, text) == expected, text
             checked += not isinstance(expected[0], int)
     assert checked > 800
@@ -281,14 +293,13 @@ def test_words_after_term_slots_agree_with_recursive_reader():
         return label, lambda w: log.append(w) or w.upper()
 
     table = grammar.table({
-        "f": (MIXED_RULES["f"][0], (None, resolving("word"), None, resolving("numeral"))),
-        "g": (MIXED_RULES["g"][0], (resolving("word"), None, resolving("word"), resolving("numeral"))),
-        "h": MIXED_RULES["h"],
-        "k": MIXED_RULES["k"],
-        "p": (MIXED_RULES["p"][0], (resolving("numeral"), None)),
+        "h": ONE_SHAPE_RULES["h"],
+        "k": ONE_SHAPE_RULES["k"],
+        "p": (ONE_SHAPE_RULES["p"][0], (resolving("numeral"), None)),
+        "q": (ONE_SHAPE_RULES["q"][0], (resolving("word"), None, None)),
     })
-    text = "g(a,f(p(7,k),b,h(g(x_1,k,b,0)),012),a,7)"
+    text = "q(a,p(7,q(b,k,h(p(0,k)))),q(x_1,p(012,p(3,k)),k))"
     assert grammar.read(text, table) == (
-        "g", "A", ("f", ("p", "7", ("k",)), "B", ("h", ("g", "X_1", ("k",), "B", "0")), "012"),
-        "A", "7")
-    assert log == ["a", "7", "b", "x_1", "b", "0", "012", "a", "7"]
+        "q", "A", ("p", "7", ("q", "B", ("k",), ("h", ("p", "0", ("k",))))),
+        ("q", "X_1", ("p", "012", ("p", "3", ("k",))), ("k",)))
+    assert log == ["a", "7", "b", "0", "x_1", "012", "3"]
