@@ -93,10 +93,11 @@ def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> frozenset:
 class WFRelation:
     """An acyclic relation over an explicit finite carrier.
 
-    Construction checks acyclicity by Kahn's topological sort, O(V + E).
-    `below` answers a direct pair at once; otherwise it finds everything
-    below its second argument in one search and keeps that set.
-    `closure` is built when first read.
+    Construction checks acyclicity by Kahn's topological sort, O(V + E),
+    and keeps each element's rank in that sort, so every element ranks
+    after all those below it.  `below` answers a direct pair at once;
+    otherwise it finds everything below its second argument in one
+    search and keeps that set.  `closure` is built when first read.
     """
 
     carrier: tuple
@@ -133,10 +134,14 @@ class WFRelation:
                 seen.add(i)
                 i = next(j for j in preds[i] if waiting[j])
             raise ValueError(f"relation is cyclic at {elems[i]!r}")
+        rank = [0] * len(elems)
+        for r, i in enumerate(ready):
+            rank[i] = r
         object.__setattr__(self, "carrier", elems)
         object.__setattr__(self, "pairs", rel)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_below", {})  # i -> positions below elems[i]
 
     @cached_property
@@ -149,8 +154,11 @@ class WFRelation:
         if (y, x) in self.pairs:
             return True
         i, j = self._index.get(x), self._index.get(y)
-        if i is None or j is None:
-            return False
+        return i is not None and j is not None and j in self._reach(i)
+
+    def _reach(self, i: int) -> set:
+        """Positions strictly below position i, found by one search over
+        predecessors and kept for the next question about i."""
         reached = self._below.get(i)
         if reached is None:
             reached, stack = set(), list(self._preds[i])
@@ -160,16 +168,7 @@ class WFRelation:
                     reached.add(k)
                     stack.extend(self._preds[k])
             self._below[i] = reached  # threads that race here store equal sets
-        return j in reached
-
-
-class _Unfinished(BaseException):
-    """`rec` asked for a value that the `wfrec` call owning `results` has
-    not computed yet.  A BaseException, so that a body catching Exception
-    lets it through."""
-
-    def __init__(self, results: dict, y):
-        self.results, self.y = results, y
+        return reached
 
 
 @dataclass(frozen=True)
@@ -178,13 +177,9 @@ class RecSpec:
 
     The body receives the argument and a getter for recursive values;
     the getter only answers for elements strictly below the argument.
-    Bodies must be pure: `wfrec` stops a body at the first value it asks
-    for that is not computed yet, and runs it again once that value is.
-    A body that asks for m values not yet computed so runs m + 1 times,
-    making O(m^2) `rec` calls where a recursive evaluation makes m.  A
-    run that asked for a missing value is discarded however it ends, so
-    a body that catches every exception (a bare `except:`) still gets the
-    right values, at the cost of its wasted runs.
+    `wfrec` runs the body at every element below its argument, so bodies
+    must be pure, and total there: an error raised at an element no body
+    asks for is kept and never seen.
     """
 
     relation: WFRelation
@@ -194,25 +189,24 @@ class RecSpec:
 def wfrec(spec: RecSpec, arg):
     """Evaluate the recursion at `arg`.
 
-    Values are memoized and computed on demand: when the body at x asks
-    for an unfinished y, `wfrec` sets x aside on an explicit stack,
-    finishes y, and runs the body at x again, so no input depth can
-    exhaust Python's stack.  The body at each element returns once and
-    runs at most once more per value it finds unfinished.  An exception
-    raised by the body at y is kept and raised again by each `rec(y)`,
-    so it reaches the bodies that ask for y as it would in a recursive
-    evaluation.  The body's recursive access is guarded, raising
-    IllFoundedCall on any request that is not strictly below the
-    current argument.  Only elements the body actually demands are
-    evaluated.
+    Runs bottom-up: the body runs once at each element strictly below
+    `arg`, in the relation's Kahn order, and then once at `arg`.  So every
+    value a body asks for is computed before the body runs, and no input
+    depth can exhaust Python's stack.  Finding and ordering the elements
+    below `arg` takes one search over predecessors and one sort by rank.
+    An exception raised by the body at y is kept and raised again by each
+    `rec(y)`, so it reaches the bodies that ask for y as it would in a
+    recursive evaluation; one raised at `arg` propagates.  The body's
+    recursive access is guarded, raising IllFoundedCall on any request
+    that is not strictly below the current argument.
     """
     rel = spec.relation
-    if arg not in rel._index:
+    i = rel._index.get(arg)
+    if i is None:
         raise ValueError(f"argument {arg!r} not in carrier")
 
     results: dict = {}
     errors: dict = {}  # element -> the exception its body raised
-    missed: list = []  # values the current run asked for and found missing
 
     def getter(x):
         def rec(y):
@@ -220,35 +214,17 @@ def wfrec(spec: RecSpec, arg):
                 raise IllFoundedCall(f"requested {y!r}, not strictly below {x!r}")
             if y in results:
                 return results[y]
-            if y in errors:
-                raise errors[y]
-            missed.append(y)
-            raise _Unfinished(results, y)
+            raise errors[y]  # y is below arg, so its body has run
 
         return rec
 
-    stack = [arg]  # each element strictly below the one before it
-    while stack:
-        x = stack[-1]
-        missed.clear()
+    for k in sorted(rel._reach(i), key=rel._rank.__getitem__):
+        x = rel.carrier[k]
         try:
-            value = spec.body(x, getter(x))
-        except _Unfinished as signal:
-            if signal.results is not results:  # a recursion this body runs
-                raise
+            results[x] = spec.body(x, getter(x))
         except Exception as exc:
-            if not missed:
-                if len(stack) == 1:
-                    raise
-                errors[x] = exc
-                stack.pop()
-        else:
-            if not missed:
-                results[x] = value
-                stack.pop()
-        if missed:
-            stack.append(missed[0])
-    return results[arg]
+            errors[x] = exc
+    return spec.body(arg, getter(arg))
 
 
 def subexpression_space(roots: Iterable[FiniteTree]) -> tuple[list[FiniteTree], WFRelation]:

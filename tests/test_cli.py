@@ -72,12 +72,13 @@ def test_bisim_counterexample(capsys):
     assert (code, out) == (1, "FAIL heads differ @ 1\n")
 
 
-def run_fresh(*argv):
-    """One command in a new interpreter: (exit code, stdout, stderr)."""
+def run_fresh(*argv, entry=("-c", "from coinduct.cli import main; main()")):
+    """One command in a new interpreter, started by the interpreter
+    arguments `entry`: (exit code, stdout, stderr)."""
     src = str(pathlib.Path(coinduct.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", "from coinduct.cli import main; main()", *argv],
+        [sys.executable, *entry, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -93,6 +94,12 @@ def test_parser_reuse_matches_fresh_process(capsys):
     assert in_process == [run_fresh(*usage), run_fresh(*valid)]
     assert [code for code, _, _ in in_process] == [2, 0]
     assert _build_parser() is _build_parser()
+
+
+def test_module_entry_runs_a_command():
+    """`python -m coinduct` runs the driver and writes nothing to stderr."""
+    argv = ("eval", "--defs", DEFS, "--depth", "3", "lconst(a)")
+    assert run_fresh(*argv, entry=("-m", "coinduct")) == (0, "[a,a,a,...]\n", "")
 
 
 def test_bisim_bound(capsys):

@@ -277,25 +277,18 @@ def test_subexpression_space_compares_no_trees(monkeypatch):
 
 
 def test_wfrec_memoizes_shared_subtrees():
-    """Equal subtrees are one carrier element, whose body returns once.
-    A body stopped at a value not computed yet runs again, so it runs at
-    most once more than it returns per such miss."""
+    """Equal subtrees are one carrier element, whose body runs once and
+    returns."""
     tree = list_encode(["a", "b", "a", "b"], AB).tree
     _, rel = subexpression_space([tree])
-    calls, returns, misses = [], [], []
+    calls, returns = [], []
 
     def size(t, rec):
         calls.append(t)
-
-        def tracked(y):
-            if y not in returns:
-                misses.append(y)
-            return rec(y)
-
         shape = case_tree(t)
         value = 1
         if isinstance(shape, SconsShape):
-            value += tracked(shape.left) + tracked(shape.right)
+            value += rec(shape.left) + rec(shape.right)
         returns.append(t)
         return value
 
@@ -307,7 +300,23 @@ def test_wfrec_memoizes_shared_subtrees():
 
     assert wfrec(RecSpec(rel, size), tree) == plain_size(tree)
     assert sorted(returns, key=rel.carrier.index) == list(rel.carrier)
-    assert len(calls) <= len(returns) + len(misses)
+    assert calls == returns
+
+
+def test_wfrec_runs_each_body_once():
+    """A root over m = 10^4 leaves whose body sums every leaf: m + 1 body
+    runs, where re-running the root at each leaf it finds missing made
+    2m + 1 and O(m^2) `rec` calls."""
+    m = 10**4
+    rel = WFRelation(range(m + 1), {(i, m) for i in range(m)})
+    runs = []
+
+    def body(x, rec):
+        runs.append(x)
+        return sum(rec(i) for i in range(m)) if x == m else 1
+
+    assert wfrec(RecSpec(rel, body), m) == m
+    assert len(runs) == m + 1
 
 
 def _is_branch(m, n):
@@ -407,7 +416,7 @@ class ClosureWFRelation:
 
 
 def oracle_wfrec(spec, arg):
-    """The recursive `wfrec` that the explicit stack replaced."""
+    """The recursive `wfrec`, kept as the oracle for the bottom-up one."""
     rel = spec.relation
     if arg not in set(rel.carrier):
         raise ValueError(f"argument {arg!r} not in carrier")
