@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
 from .syntax import WORD
-from .trees import FiniteTree, NIL_TREE, branch_union, EMPTY_TREE, leaf, numb, ntrunc
+from .trees import FiniteTree, NIL_TREE, ONE_ATOM, branch_union, EMPTY_TREE, leaf, ntrunc
 
 
 @dataclass(frozen=True)
@@ -644,7 +644,7 @@ def _fold(elems: list[str], ended: bool) -> FiniteTree:
     first: on the nil tree if the list ended, else on the empty tree."""
     tree = NIL_TREE if ended else EMPTY_TREE
     for sym in reversed(elems):
-        tree = branch_union(numb(1), branch_union(leaf(sym), tree))
+        tree = branch_union(ONE_ATOM, branch_union(leaf(sym), tree))
     return tree
 
 

@@ -12,12 +12,11 @@ from . import lattice  # noqa: F401  bench/tracing.py wraps wf.lattice
 from .colist import Alphabet
 from .errors import IllFoundedCall, Malformed, NotAList, SizeExceeded, UnknownAtom
 from .trees import (
-    AtomShape,
     FiniteTree,
     NIL_TREE,
-    SconsShape,
     UserAtom,
-    case_tree,
+    _case,
+    case_tree,  # noqa: F401  bench/tracing.py wraps wf.case_tree
     cons_tree,
     enumerate_trees,
     leaf,
@@ -57,12 +56,11 @@ def list_decode(t: FiniteTree) -> list[str]:
             raise NotAList(str(exc)) from None
         if cell is None:
             return elems
-        head, tail = cell
-        shape = case_tree(head) if head else None
-        if not isinstance(shape, AtomShape) or not isinstance(shape.label, UserAtom):
+        head, cur = cell
+        label = _case(head)
+        if not isinstance(label, UserAtom):
             raise NotAList("list head is not a leaf atom")
-        elems.append(shape.label.symbol)
-        cur = tail
+        elems.append(label.symbol)
 
 
 def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> frozenset:
@@ -239,9 +237,8 @@ def subexpression_space(roots: Iterable[FiniteTree]) -> tuple[list[FiniteTree], 
     seen = set(carrier)
     pairs: set[tuple[FiniteTree, FiniteTree]] = set()
     for t in carrier:  # the carrier grows as new branches are reached
-        shape = case_tree(t)
-        if isinstance(shape, SconsShape):
-            for branch in (shape.left, shape.right):
+        if _case(t) is None:
+            for branch in (t._left, t._right):
                 pairs.add((branch, t))
                 if branch not in seen:
                     seen.add(branch)
@@ -293,17 +290,15 @@ def is_sexp(t: FiniteTree, alphabet: Alphabet, numeral_bound: int) -> bool:
     while stack:
         cur = stack.pop()
         try:
-            shape = case_tree(cur)
+            lbl = _case(cur)
         except Malformed:
             return False
-        if isinstance(shape, AtomShape):
-            lbl = shape.label
-            if isinstance(lbl, UserAtom):
-                if lbl.symbol not in alphabet:
-                    return False
-            elif not 0 <= lbl.value < numeral_bound:
+        if lbl is None:
+            stack.append(cur._left)
+            stack.append(cur._right)
+        elif isinstance(lbl, UserAtom):
+            if lbl.symbol not in alphabet:
                 return False
-        else:
-            stack.append(shape.left)
-            stack.append(shape.right)
+        elif not 0 <= lbl.value < numeral_bound:
+            return False
     return True

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from coinduct import trees
 from coinduct.errors import EmptyOperand, Malformed, ParseError
 from coinduct.trees import (
     EMPTY_TREE,
@@ -63,10 +64,12 @@ def test_scons_enumerates_push_images():
 
 
 def test_scons_rejects_empty_operands():
-    with pytest.raises(EmptyOperand):
-        scons(EMPTY_TREE, leaf("a"))
-    with pytest.raises(EmptyOperand):
-        scons(leaf("a"), EMPTY_TREE)
+    """So do the constructors built on it, with the same message."""
+    for build in (lambda t: scons(t, leaf("a")), lambda t: scons(leaf("a"), t), in0, in1,
+                  lambda t: cons_tree(t, leaf("a")), lambda t: cons_tree(leaf("a"), t)):
+        with pytest.raises(EmptyOperand) as got:
+            build(EMPTY_TREE)
+        assert str(got.value) == "scons operands must be nonempty"
 
 
 def test_injections():
@@ -81,6 +84,31 @@ def test_injections():
     assert inject(0, leaf("a")) == in0(leaf("a"))
     with pytest.raises(EmptyOperand):
         in1(EMPTY_TREE)
+
+
+def test_constructors_build_only_new_nodes_and_share_atoms(monkeypatch):
+    m, n = leaf("a"), NIL_TREE
+    calls = []
+    real = trees._tree
+    monkeypatch.setattr(trees, "_tree", lambda *args: calls.append(args) or real(*args))
+    cell = cons_tree(m, n)
+    assert len(calls) == 2
+    calls.clear()
+    x = in1(m)
+    assert len(calls) == 1
+    calls.clear()
+    in0(m)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert cell._right._left is m and cell._right._right is n
+    assert leaf("a") is leaf("a")
+    assert x._left is numb(1) is trees.ONE_ATOM
+    assert in0(m)._left is numb(0) is trees.ZERO_ATOM
+    assert NIL_TREE._left is NIL_TREE._right is numb(0)
+    assert numb(1) is numb(1)
+    assert dump_tree(numb(True)) == ". num:True\n"
+    assert dump_tree(numb(1)) == ". num:1\n"
+    assert numb(True) == numb(1)
 
 
 def test_case_tree_shapes():
@@ -296,6 +324,49 @@ def ref_case_tree(t):
     return SconsShape(left, right)
 
 
+REF_ZERO, REF_ONE = RefTree([Node((), Num(0))]), RefTree([Node((), Num(1))])
+
+
+def ref_split(t):
+    shape = ref_case_tree(t)
+    if isinstance(shape, AtomShape):
+        raise Malformed("split applied to an atom")
+    return shape.left, shape.right
+
+
+def ref_sum_case(t):
+    shape = ref_case_tree(t)
+    if isinstance(shape, SconsShape) and shape.left == REF_ZERO:
+        return 0, shape.right
+    if isinstance(shape, SconsShape) and shape.left == REF_ONE:
+        return 1, shape.right
+    raise Malformed("not an injection image")
+
+
+def ref_list_case(t):
+    side, body = ref_sum_case(t)
+    if side == 0:
+        if body == REF_ZERO:
+            return None
+        raise Malformed("left injection of a non-zero payload is not a list")
+    return ref_split(body)
+
+
+def parts(fn, t):
+    """fn(t) with each tree in it replaced by its nodes, or the Malformed
+    message it raised."""
+    try:
+        got = fn(t)
+    except Malformed as exc:
+        return "Malformed", str(exc)
+    if got is None:
+        return None
+    return tuple(x if isinstance(x, int) else x.nodes for x in got)
+
+
+ELIMINATORS = ((split, ref_split), (sum_case, ref_sum_case), (list_case, ref_list_case))
+
+
 def outcome(fn, t):
     try:
         shape = fn(t)
@@ -316,6 +387,8 @@ def assert_agree(pairs):
         assert t.sort_key() == ref.sort_key()
         assert tree_depth(t) == max((ndepth(n) for n in ref.nodes), default=0)
         assert outcome(case_tree, t) == outcome(ref_case_tree, ref)
+        for fn, ref_fn in ELIMINATORS:
+            assert parts(fn, t) == parts(ref_fn, ref)
         rebuilt = FiniteTree(ref.nodes)
         assert rebuilt == t and hash(rebuilt) == hash(t)
     for t, ref in pairs:
@@ -337,16 +410,37 @@ def test_trie_agrees_with_node_tuples_on_enumerated_trees():
             assert ntrunc(k, t).nodes == ref_ntrunc(k, ref).nodes
 
 
+def random_atom(rng, labels):
+    """A shared atom (leaf or numb) or a fresh one (atom), and its reference."""
+    label = rng.choice(labels)
+    if rng.random() < 0.5:
+        t = atom(label)
+    else:
+        t = leaf(label.symbol) if isinstance(label, UserAtom) else numb(label.value)
+    return t, RefTree([Node((), label)])
+
+
 def random_pair(rng, budget):
     """A trie tree and its reference, built side by side from atoms,
-    empty trees, branch unions (empty branches allowed) and truncations."""
+    empty trees, branch unions (empty branches allowed), injection- and
+    list-shaped node sets (a numeral tag on branch 0) and truncations."""
     roll = rng.random()
-    if budget <= 0 or roll < 0.25:
-        label = rng.choice([UserAtom("a"), UserAtom("b"), Num(0), Num(1)])
-        return atom(label), RefTree([Node((), label)])
-    if roll < 0.3:
+    if budget <= 0 or roll < 0.2:
+        return random_atom(rng, [UserAtom("a"), UserAtom("b"), Num(0), Num(1)])
+    if roll < 0.25:
         return EMPTY_TREE, RefTree(())
-    if roll < 0.8:
+    if roll < 0.5:
+        tag, ref_tag = random_atom(rng, [Num(0), Num(1), Num(1), Num(2), UserAtom("a")])
+        if rng.random() < 0.3:  # nil, or a near miss: payload 1 or a leaf
+            m, ref_m = random_atom(rng, [Num(0), Num(0), Num(1), UserAtom("a")])
+        elif rng.random() < 0.6:  # a list cell: (head, tail) under the tag
+            m, ref_m = random_pair(rng, 0)
+            n, ref_n = random_pair(rng, budget - 1)
+            m, ref_m = branch_union(m, n), ref_branch_union(ref_m, ref_n)
+        else:
+            m, ref_m = random_pair(rng, budget - 1)
+        return branch_union(tag, m), ref_branch_union(ref_tag, ref_m)
+    if roll < 0.85:
         m, ref_m = random_pair(rng, budget - 1)
         n, ref_n = random_pair(rng, budget - 1)
         return branch_union(m, n), ref_branch_union(ref_m, ref_n)
@@ -360,6 +454,11 @@ def test_trie_agrees_with_node_tuples_on_random_trees():
     pairs = [random_pair(rng, rng.randint(0, 7)) for _ in range(300)]
     assert any(not ref.nodes for _, ref in pairs)
     assert any(outcome(ref_case_tree, ref)[0] == "Malformed" and ref.nodes for _, ref in pairs)
+    seen = {o if o is None or o[0] == "Malformed" else "cell"
+            for o in (parts(ref_list_case, ref) for _, ref in pairs)}
+    assert seen >= {None, "cell", ("Malformed", "not an injection image"),
+                    ("Malformed", "split applied to an atom"),
+                    ("Malformed", "left injection of a non-zero payload is not a list")}
     assert_agree(pairs)
     # root nodes mixed with deeper ones only come from literal node sets
     for t, ref in pairs[:60]:

@@ -6,16 +6,25 @@ import pytest
 
 from coinduct.bisim import eq_upto
 from coinduct.colist import Alphabet, cons, lconst
-from coinduct.errors import IllFoundedCall, NotAList, SizeExceeded, UnknownAtom
+from coinduct.errors import CoinductError, IllFoundedCall, Malformed, NotAList, SizeExceeded, UnknownAtom
 from coinduct.lattice import Carrier, Subset, SubsetOperator, lfp
 from coinduct.trees import (
+    EMPTY_TREE,
     NIL_TREE,
+    AtomShape,
     FiniteTree,
+    Node,
     SconsShape,
+    UserAtom,
+    branch_union,
     case_tree,
     cons_tree,
     enumerate_trees,
+    in0,
+    in1,
     leaf,
+    list_case,
+    ntrunc,
     numb,
     otimes,
     scons,
@@ -592,3 +601,123 @@ def test_below_from_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# --------------------------------------------------------------------------
+# The readers that took trees apart through case_tree's shape objects,
+# kept as oracles for the ones that read the trie fields.
+
+
+def shape_list_decode(t):
+    elems = []
+    cur = t
+    while True:
+        try:
+            cell = list_case(cur)
+        except Malformed as exc:
+            raise NotAList(str(exc)) from None
+        if cell is None:
+            return elems
+        head, tail = cell
+        shape = case_tree(head) if head else None
+        if not isinstance(shape, AtomShape) or not isinstance(shape.label, UserAtom):
+            raise NotAList("list head is not a leaf atom")
+        elems.append(shape.label.symbol)
+        cur = tail
+
+
+def shape_subexpression_space(roots):
+    carrier = list(dict.fromkeys(roots))
+    seen = set(carrier)
+    pairs = set()
+    for t in carrier:
+        shape = case_tree(t)
+        if isinstance(shape, SconsShape):
+            for branch in (shape.left, shape.right):
+                pairs.add((branch, t))
+                if branch not in seen:
+                    seen.add(branch)
+                    carrier.append(branch)
+    return carrier, frozenset(pairs)
+
+
+def shape_is_sexp(t, alphabet, numeral_bound):
+    if t.is_empty:
+        return False
+    stack = [t]
+    while stack:
+        try:
+            shape = case_tree(stack.pop())
+        except Malformed:
+            return False
+        if isinstance(shape, AtomShape):
+            lbl = shape.label
+            if isinstance(lbl, UserAtom):
+                if lbl.symbol not in alphabet:
+                    return False
+            elif not 0 <= lbl.value < numeral_bound:
+                return False
+        else:
+            stack.append(shape.left)
+            stack.append(shape.right)
+    return True
+
+
+def random_wf_tree(rng, budget):
+    """List encodings and near misses: cells whose heads are leaves,
+    numerals or deeper trees, odd tags and nil payloads, cut and empty
+    branches, and node sets mixing a root node with deeper ones."""
+    roll = rng.random()
+    if budget <= 0 or roll < 0.2:
+        shared = rng.choice([leaf("a"), leaf("b"), leaf("z"), numb(0), numb(1), numb(2)])
+        return shared if rng.random() < 0.5 else FiniteTree(shared.nodes)  # an equal copy
+    if roll < 0.45:
+        t = rng.choice([NIL_TREE, in0(numb(1)), in1(leaf("a")), numb(0)])
+        for _ in range(rng.randint(0, 4)):
+            head = leaf(rng.choice("abz")) if rng.random() < 0.7 else random_wf_tree(rng, budget - 1)
+            t = cons_tree(head, t)
+        return t
+    if roll < 0.6:
+        return in0(random_wf_tree(rng, budget - 1)) if rng.random() < 0.5 else in1(
+            random_wf_tree(rng, budget - 1))
+    if roll < 0.8:
+        m = random_wf_tree(rng, budget - 1) if rng.random() < 0.9 else EMPTY_TREE
+        n = random_wf_tree(rng, budget - 1) if rng.random() < 0.9 else EMPTY_TREE
+        return branch_union(m, n)
+    if roll < 0.9:
+        return ntrunc(rng.randint(1, 8), random_wf_tree(rng, budget - 1))
+    t = random_wf_tree(rng, budget - 1)
+    if any(not n.pos for n in t):
+        return t
+    return FiniteTree(t.nodes + (Node((), UserAtom("a")),))
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except CoinductError as exc:
+        return type(exc), str(exc)
+
+
+def test_trie_readers_match_the_shape_readers():
+    """list_decode, subexpression_space and is_sexp give the value, or the
+    exception type and message, of their case_tree-based versions."""
+    rng = random.Random(53)
+    decoded = []
+    for case in range(600):
+        t = random_wf_tree(rng, rng.randint(0, 5))
+        got = outcome_of(list_decode, t)
+        assert got == outcome_of(shape_list_decode, t), case
+        decoded.append(got if isinstance(got, tuple) else list)
+        for alphabet, bound in ((AB, 2), (Alphabet(("a", "b", "z")), 1)):
+            assert is_sexp(t, alphabet, bound) == shape_is_sexp(t, alphabet, bound), case
+        roots = [t, random_wf_tree(rng, 2)]
+        space = outcome_of(subexpression_space, roots)
+        if isinstance(space, tuple) and isinstance(space[1], WFRelation):
+            space = space[0], space[1].pairs
+        assert space == outcome_of(shape_subexpression_space, roots), case
+    kinds = set(decoded)
+    assert list in kinds and (NotAList, "list head is not a leaf atom") in kinds
+    assert (NotAList, "not an injection image") in kinds
+    assert (NotAList, "left injection of a non-zero payload is not a list") in kinds
+    assert (Malformed, "one branch is empty; not a constructor image") in kinds  # from a head
