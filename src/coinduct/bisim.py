@@ -6,10 +6,11 @@ pair; the weak rule demands the tails be related again, the strong rule
 additionally accepts tails with equal keys.  `find_bisimulation` builds
 such witnesses for eventually-periodic lists.  Each list is one chain of
 states, which search and replay record as they read it (`_Chain`),
-observing each state once.  `bisimilarity_gfp` computes the largest
-bisimulation between two machines, the greatest fixedpoint of the
-one-step operator `llistd_fun` on the seed-pair lattice, by partition
-refinement of the two seed sets with prefix doubling.
+observing each state once and holding its key, up to `KEY_TEXT_BOUND`
+characters.  `bisimilarity_gfp` computes the largest bisimulation
+between two machines, the greatest fixedpoint of the one-step operator
+`llistd_fun` on the seed-pair lattice, by partition refinement of the
+two seed sets with prefix doubling.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .colist import CoList, StepFn, _machine_key, lasso, observe, state_key, unr
 from .errors import (
     CertificateError,
     RootMissing,
+    SizeExceeded,
     UnresolvableKey,
     Verdict,
     read_json,
@@ -137,22 +139,34 @@ class BoundExceeded:
 SearchOutcome = Union[Certificate, Counterexample, BoundExceeded]
 
 
+KEY_TEXT_BOUND = 10**8  # characters of state keys one `_Chain` may hold
+
+
 class _Chain(dict):
     """A list's states as read so far, state key -> step, from `root`, the
     list's key.  Keys are asked for in chain order, so a missing key is
-    the next state's, which `__missing__` observes and keys, once."""
+    the next state's, which `__missing__` observes and keys, once.  The
+    chain counts the characters of the keys it holds, the root's and each
+    tail's, and raises `SizeExceeded` once they pass `KEY_TEXT_BOUND`."""
 
     def __init__(self, l: CoList):
         super().__init__()
-        self.root, self._next = state_key(l), l
+        self._next, self._held = l, 0
+        self.root = self._hold(state_key(l))
 
     def __missing__(self, key: str) -> Step:
         obs = observe(self._next)
         if obs is not None:
             self._next = obs[1]
-            obs = obs[0], state_key(obs[1])
+            obs = obs[0], self._hold(state_key(obs[1]))
         self[key] = obs
         return obs
+
+    def _hold(self, key: str) -> str:
+        self._held += len(key)
+        if self._held > KEY_TEXT_BOUND:
+            raise SizeExceeded(f"state keys of one list hold more than {KEY_TEXT_BOUND} characters")
+        return key
 
 
 def _closes(s1: Step, s2: Step, keys: KeyPair, rel, kind: str) -> Verdict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 
 from . import bisim, colist, lattice
@@ -18,19 +17,8 @@ from .colist import Definitions
 # The CLI calls neither parse_expr nor elaborate (read_states by its earlier name);
 # both stay bound here because bench/tracing.py wraps them by name.
 from .dsl import elaborate, parse_expr, read_states  # noqa: F401
-from .errors import CoinductError, LatticeFileError, SizeExceeded, read_json
+from .errors import CoinductError, LatticeFileError, read_json
 from .trees import dump_tree
-
-# `bisim` and `cert` key the states they visit, and keying a state
-# memoizes a key on every cons cell inside it, each key no longer than
-# the text of its cell: O(n^2) text for an n-cell chain.  Cons cells
-# times text length bounds that, and past this many characters both
-# commands refuse the query.
-KEY_TEXT_BOUND = 10**8
-
-# A cons cell in a text that reads: the word `cons` opening a term.  The
-# word may also be a symbol or a name, but then a `,` or `)` follows it.
-_CONS_CELL = re.compile(r"(?<![A-Za-z0-9_])cons\s*\(")
 
 
 class _UsageError(Exception):
@@ -129,11 +117,6 @@ def run_command(argv) -> int:
         cert = bisim.Certificate.load(args.cert) if args.command == "cert" else None
         texts = [args.expr] if "expr" in args else [args.left, args.right]
         terms = [read_states(text, defs) for text in texts]
-        if args.command in ("bisim", "cert"):
-            bound = sum(len(_CONS_CELL.findall(text)) * len(text) for text in texts)
-            if bound > KEY_TEXT_BOUND:
-                raise SizeExceeded(
-                    f"too many cons cells to key: bound {bound} > {KEY_TEXT_BOUND} characters")
 
         if args.command == "eval":
             elems, ended = colist.take(args.depth, *terms)

@@ -223,8 +223,8 @@ class NilList(CoList):
 class ConsList(_Keyed):
     """A cons cell: its head symbol and its tail state."""
 
-    # _key memoizes state_key, filled on first use; threads that race
-    # to fill it store equal strings.
+    # _key memoizes state_key, filled when asked for or, as a slice, when
+    # the parent's is; threads that race to fill it store equal strings.
     __slots__ = ("head", "tail", "_key")
     __match_args__ = ("head", "tail")
 
@@ -507,23 +507,30 @@ def _map_head(m: _Frame, sym: str) -> str:
 def state_key(l: CoList) -> str:
     """Canonical, injective serialization of a state.
 
-    A cons cell memoizes its key on itself the first time it is asked
-    for, and `observe` hands back that very cell as the tail, so walking
-    down a shared cons chain of length n costs O(n) steps for the first
-    key and O(1) steps for each suffix after it.  A zipper's key is the
-    key of its live state inside the text of its frames, which the
-    innermost frame memoizes, so a tower's key costs O(1) string
-    operations per step after the first, plus copying its text.  Keys
-    are written with loops, never recursion, and name the nested state:
-    memoizing and zippers change no key.
+    A cons cell's first key costs O(n) for its n cells and the cell
+    memoizes it; asking for it gives its tail cell, if keyless, its key
+    as a slice, so walking a cons chain costs one slice per suffix asked
+    for.  A zipper's key is the key of its live state inside the text of
+    its frames, which the innermost frame memoizes, so a tower's key
+    costs O(1) string operations per step after the first, plus copying
+    its text.  Keys are written with loops, never recursion, and name
+    the nested state: memoizing and zippers change no key.
     """
+    pre = post = ""
     if isinstance(l, TowerList):
         f = l.frames
         if f.suffix is None:
-            pre, post = _frame_text(f)
-            f.prefix, f.suffix = "".join(pre), _join(post)
-        return f.prefix + _join([l.live]) + f.suffix
-    return _join([l])
+            text, rest = _frame_text(f)
+            f.prefix, f.suffix = "".join(text), _join(rest)
+        pre, post, l = f.prefix, f.suffix, l.live
+    if not isinstance(l, ConsList):
+        return pre + _join([l]) + post
+    key = l._key
+    if key is None:
+        key = l._key = _join([l])
+    if isinstance(l.tail, ConsList) and l.tail._key is None:
+        l.tail._key = key[len(l.head) + 6:-1]  # between CONS(head, and the last )
+    return pre + key + post
 
 
 def _machine_key(machine: StepFn, seed: str) -> str:
@@ -571,9 +578,8 @@ def _frame_text(f: _Frame) -> tuple[list[str], list]:
 
 
 def _join(items: list) -> str:
-    """The text of `items`, strings and states, in order.  States are
-    written with an explicit stack; each cons cell written without its
-    key memoizes it."""
+    """The text of `items`, strings and states, in order, written with an
+    explicit stack; a cell's memoized key is copied, and none is stored."""
     if len(items) == 1:
         key = _leaf_key(items[0])
         if key is not None:
@@ -602,13 +608,8 @@ def _join(items: list) -> str:
             todo += post[::-1]
             todo.append(x.live)
         elif isinstance(x, ConsList):
-            todo += ((x, len(parts)), ")", x.tail)
+            todo += (")", x.tail)
             parts.append(f"CONS({x.head},")
-        elif isinstance(x, tuple):  # a cons cell whose key starts at parts[start]
-            cell, start = x
-            key = "".join(parts[start:])
-            parts[start:] = [key]
-            cell._key = key
         else:
             raise TypeError(f"not a CoList state: {x!r}")
     return "".join(parts)

@@ -56,7 +56,7 @@ class IllFoundedCall(CoinductError):
 
 
 class SizeExceeded(CoinductError):
-    """An enumeration request is outside the configured size guard."""
+    """A request is outside a configured size guard."""
 
 
 class RootMissing(CoinductError):

@@ -43,7 +43,7 @@ from coinduct.colist import (
     observe,
     state_key,
 )
-from coinduct.errors import CertificateError, RootMissing, UnresolvableKey, Verdict
+from coinduct.errors import CertificateError, RootMissing, SizeExceeded, UnresolvableKey, Verdict
 from coinduct.trees import in0, leaf, numb, oplus, otimes, scons
 
 AB = Alphabet(("a", "b"))
@@ -291,6 +291,43 @@ def test_deep_chain_bisimulation_without_recursion():
     outcome = find_bisimulation(chain, const, 10_000, kind="weak")
     assert isinstance(outcome, Certificate) and len(outcome.pairs) == 2001
     assert verify_certificate(outcome, chain, const)
+
+
+def test_walks_refuse_key_text_past_the_bound(monkeypatch):
+    """Each list's walk counts the characters of the keys it holds, its
+    root's and each tail's, and raises `SizeExceeded` once they pass
+    `KEY_TEXT_BOUND`.  With the bound at exactly what the longer walk
+    holds, search and replay return what they return under 10^8; one
+    character less, each raises."""
+    assert bisim.KEY_TEXT_BOUND == 10**8
+    n = 40
+    l1 = nil()
+    for i in range(n):
+        l1 = cons("ab"[i % 2], l1, AB)
+    l2 = lmap(SWAP, lmap(SWAP, l1))  # the same list under longer keys
+    walks = [list(bisim.reachable_states(l, n + 1)) for l in (l1, l2)]
+    held = [sum(map(len, keys)) for keys in walks]
+    assert len(walks[0]) == len(walks[1]) == n + 1 and held[0] < held[1]
+    cert = find_bisimulation(l1, l2, kind="weak")
+    assert cert == Certificate("weak", frozenset(zip(*walks)), (walks[0][0], walks[1][0]))
+    assert verify_certificate(cert, l1, l2)
+
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held[1])
+    assert find_bisimulation(l1, l2, kind="weak") == cert
+    assert verify_certificate(cert, l1, l2)
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held[1] - 1)
+    message = f"state keys of one list hold more than {held[1] - 1} characters"
+    with pytest.raises(SizeExceeded, match=message):
+        find_bisimulation(l1, l2, kind="weak")
+    with pytest.raises(SizeExceeded, match=message):
+        verify_certificate(cert, l1, l2)
+    # each walk counts its own keys: two walks of l1 together hold more
+    assert 2 * held[0] > held[1] - 1
+    assert find_bisimulation(l1, l1, kind="weak") == Certificate(
+        "weak", frozenset(zip(walks[0], walks[0])), (walks[0][0], walks[0][0]))
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", len(walks[1][0]) - 1)
+    with pytest.raises(SizeExceeded):
+        closure_check((l1, l2), cert.pairs, "weak")
 
 
 def test_find_bisimulation_strong_closes_on_diag():

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import coinduct
-from coinduct.cli import KEY_TEXT_BOUND, _build_parser, run_command
+from coinduct.bisim import KEY_TEXT_BOUND
+from coinduct.cli import _build_parser, run_command
 from coinduct.syntax import NUMERAL_DIGITS
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -405,63 +406,70 @@ DEEP = {
 @pytest.mark.parametrize("kind", sorted(DEEP))
 def test_deep_expressions_run(capsys, kind, n):
     """Expressions nested far past the recursion limit are read, observed
-    and searched like shallow ones.  `bisim` keys the whole root, and a
-    cons chain keeps one key per cell, O(n^2) text, so past the key text
-    bound it refuses the query (ROADMAP item 6)."""
+    and searched like shallow ones: `bisim` keys each root once and each
+    tail it reads, so a refutation at pair 2 holds three keys a side."""
     make, shallow, prefix = DEEP[kind]
     deep = make(n)
     for argv in (["eval", "--depth", "7"], ["trunc", "--depth", "9"]):
         assert run(capsys, *argv, "--defs", DEFS, deep) == run(capsys, *argv, "--defs", DEFS, shallow)
-    code, out, err = run(capsys, "bisim", "--defs", DEFS, deep, prefix)
-    if kind == "cons" and n > 3000:
-        assert (code, out) == (2, "") and err.startswith("error: too many cons cells to key: ")
-    else:
-        assert (code, out, err) == (1, "FAIL nil/cons mismatch @ 2\n", "")
+    assert run(capsys, "bisim", "--defs", DEFS, deep, prefix) == (1, "FAIL nil/cons mismatch @ 2\n", "")
+
+
+KEY_TEXT_ERROR = f"error: state keys of one list hold more than {KEY_TEXT_BOUND} characters\n"
 
 
 def test_key_text_bound_at_the_argument_size_limit(capsys, tmp_path):
     """A cons chain as long as one command-line argument can be (128 KiB)
-    would memoize about 10^9 characters of keys: `bisim` and `cert`
-    refuse it at once, while a 3000-cell chain stays under the bound."""
+    is keyed in one pass, and a query that reads two of its states is
+    answered; a walk down the whole chain would hold about 10^9
+    characters of keys, and both `bisim` and `cert` refuse it once it
+    passes the bound."""
     n = 16000
     deep = "cons(a," * n + "nil" + ")" * n
+    key = "CONS(a," * n + "NIL" + ")" * n
     assert len(deep) < 128 * 1024
+    assert run(capsys, "bisim", "--defs", DEFS, deep, "nil") == (1, "FAIL nil/cons mismatch @ 0\n", "")
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"kind": "strong", "root": ["NIL", "NIL"], "pairs": [["NIL", "NIL"]]}))
-    bound = f"bound {n * len(deep)} > {KEY_TEXT_BOUND} characters"
-    for argv in (["bisim", "--defs", DEFS], ["cert", "verify", "--defs", DEFS, "--cert", str(cert)]):
-        assert run(capsys, *argv, deep, "nil") == (
-            2, "", f"error: too many cons cells to key: {bound}\n")
-    assert 3000 * len(DEEP["cons"][0](3000)) < KEY_TEXT_BOUND
+    cert.write_text(json.dumps({"kind": "strong", "root": [key, "NIL"], "pairs": [[key, "NIL"]]}))
+    code, out, err = run(capsys, "cert", "verify", "--defs", DEFS, "--cert", str(cert), deep, "nil")
+    assert (code, err) == (1, "") and out.startswith("FAIL nil/cons mismatch @ ")
+
+    deep = "cons(a," * n + "lconst(a)" + ")" * n
+    key = "CONS(a," * n + "CONST(a)" + ")" * n
+    assert run(capsys, "bisim", "--defs", DEFS, deep, "lconst(a)") == (2, "", KEY_TEXT_ERROR)
+    pairs = [[key, "CONST(a)"]] + [[f"x{i}", f"x{i}"] for i in range(n)]
+    cert.write_text(json.dumps({"kind": "strong", "root": pairs[0], "pairs": pairs}))
+    assert run(capsys, "cert", "verify", "--defs", DEFS, "--cert", str(cert), deep, "lconst(a)") == (
+        2, "", KEY_TEXT_ERROR)
 
 
-def test_key_text_bound_counts_cons_cells_only(capsys, tmp_path):
-    """Only a `cons` term is a cons cell.  A 3000-deep `append` tower of
-    `lconst(a)` (about 54 KB) has none, though `lconst` contains `cons`,
-    so `bisim` proves it equal to `lconst(a)` with one pair; nor do a
-    symbol or a name spelled `cons` count."""
+def test_key_text_bound_counts_characters_held(capsys, tmp_path):
+    """The bound counts the key text a walk holds, not the cells or the
+    length of the argument.  A 3000-deep `append` tower of `lconst(a)`
+    (about 54 KB) repeats its root key after one step, so `bisim` proves
+    it equal to `lconst(a)` with one pair.  A 5000-deep `append(nil,...)`
+    tower over a 100-seed ring holds 100 keys of about 45 KB and passes;
+    over a 10^4-seed ring it would hold about 4.5 * 10^8 characters, and
+    `bisim` refuses it."""
     n = 3000
     tower = "append(lconst(a)," * n + "lconst(a)" + ")" * n
-    assert tower.count("cons") * len(tower) > KEY_TEXT_BOUND
     code, out, err = run(capsys, "bisim", "--defs", DEFS, tower, "lconst(a)")
     assert (code, err) == (0, "")
     assert out.startswith("PASS\ncertificate: kind=strong pairs=1\n")
 
-    doc = json.loads(pathlib.Path(DEFS).read_text())
-    doc["alphabet"].append("cons")
-    doc["functions"] = {"cons": {s: s for s in doc["alphabet"]}}
-    defs = tmp_path / "defs.json"
-    defs.write_text(json.dumps(doc))
-    n = 2000  # cells x length: 2000 x 26 KB
-    chain = "map(cons," + "cons( cons ," * n + "lconst(cons)" + ")" * n + ")"
-    assert n * len(chain) < KEY_TEXT_BOUND < chain.count("cons") * len(chain)
-    code, out, err = run(capsys, "bisim", "--defs", str(defs), chain, "lconst(cons)")
+    def ring(k):
+        seeds = [f"s{i}" for i in range(k)]
+        return {"seeds": seeds, "step": {s: {"emit": ["a", seeds[(i + 1) % k]]} for i, s in enumerate(seeds)}}
+
+    defs = tmp_path / "rings.json"
+    defs.write_text(json.dumps({"alphabet": ["a"], "machines": {"small": ring(100), "big": ring(10**4)}}))
+    n = 5000
+    code, out, err = run(capsys, "bisim", "--defs", str(defs),
+                         "append(nil," * n + "corec(small,s0)" + ")" * n, "lconst(a)")
     assert (code, err) == (0, "")
-    assert out.startswith("PASS\n")
-    n = 2 * n
-    chain = "cons( cons ," * n + "lconst(cons)" + ")" * n
-    assert run(capsys, "bisim", "--defs", str(defs), chain, "lconst(cons)") == (
-        2, "", f"error: too many cons cells to key: bound {n * len(chain)} > {KEY_TEXT_BOUND} characters\n")
+    assert out.startswith("PASS\ncertificate: kind=strong pairs=100\n")
+    assert run(capsys, "bisim", "--defs", str(defs),
+               "append(nil," * n + "corec(big,s0)" + ")" * n, "lconst(a)") == (2, "", KEY_TEXT_ERROR)
 
 
 def test_bisim_implies_eq(capsys):

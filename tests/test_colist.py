@@ -10,7 +10,7 @@ import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -55,6 +55,7 @@ from coinduct.colist import (
 )
 from coinduct.errors import (
     DefsError,
+    SizeExceeded,
     UnknownAtom,
     UnknownSeed,
     Verdict,
@@ -431,6 +432,10 @@ def _unzip(state):
 
 SWAP = AtomFun("swap", {"a": "b", "b": "a"})
 LOWER = AtomFun("lower", {"a": "a", "b": "a"})  # does not commute with swap
+# cons heads of a recipe: a symbol several characters long, too, and a
+# swap that maps it to itself for the recipes that carry it
+HEADS = Alphabet(("a", "b", "q00"))
+SWAP_Q00 = AtomFun("swap", {"a": "b", "b": "a", "q00": "q00"})
 TWO = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
 STOPS = machine("stops", {"u0": ("a", "u1"), "u1": ("b", "u2"), "u2": None})
 RHO = machine("rho", {"r0": ("b", "r1"), "r1": ("a", "r2"), "r2": ("a", "r3"), "r3": ("b", "r2")})
@@ -445,13 +450,13 @@ _LEAF_OPS = st.one_of(
 
 
 @functools.lru_cache(maxsize=None)
-def _recipe_step(count, towers):
+def _recipe_step(count, towers, heads):
     """The strategy for the step after `count` steps: built once per
     count, as Hypothesis spends most of a recipe building strategies."""
     earlier = st.integers(min_value=0, max_value=count - 1)
     steps = [
-        st.tuples(st.just("cons"), st.sampled_from("ab"), earlier),
-        st.tuples(st.just("cons"), st.sampled_from("ab"), st.just(count - 1)),
+        st.tuples(st.just("cons"), st.sampled_from(heads), earlier),
+        st.tuples(st.just("cons"), st.sampled_from(heads), st.just(count - 1)),
         st.tuples(st.just("map"), earlier),
         st.tuples(st.just("append"), earlier, earlier),
         _LEAF_OPS,
@@ -463,14 +468,15 @@ def _recipe_step(count, towers):
 
 
 @st.composite
-def state_recipes(draw, max_ops=14, towers=False):
+def state_recipes(draw, max_ops=14, towers=False, heads=("a", "b")):
     """Build steps; each step's operands index earlier steps, so states
-    share tails.  With `towers`, a step may also map a function that does
-    not commute with swap, or observe an earlier state up to six times
-    and build on the tail it reaches."""
+    share tails.  Cons cells take their heads from `heads`.  With
+    `towers`, a step may also map a function that does not commute with
+    swap, or observe an earlier state up to six times and build on the
+    tail it reaches."""
     ops = [draw(_LEAF_OPS)]
     for _ in range(draw(st.integers(min_value=0, max_value=max_ops))):
-        ops.append(draw(_recipe_step(len(ops), towers)))
+        ops.append(draw(_recipe_step(len(ops), towers, heads)))
     return ops
 
 
@@ -492,7 +498,7 @@ def build_states(ops, step=observe, fns=None):
             m = MACHINES[args[0]]
             built.append(corec(args[0], fns.get(m, m)))
         elif kind == "cons":
-            built.append(cons(args[0], built[args[1]], AB))
+            built.append(cons(args[0], built[args[1]], HEADS))
         elif kind == "map":
             fn = args[1] if len(args) > 1 else SWAP
             built.append(lmap(fns.get(fn, fn), built[args[0]]))
@@ -509,10 +515,21 @@ def build_states(ops, step=observe, fns=None):
     return built
 
 
+# one cons cell, CONS(a,NIL), is the tail of two cells whose heads
+# differ in length, under an append that walks through both
+_SHARED_TAIL = [("nil",), ("cons", "a", 0), ("cons", "q00", 1), ("cons", "b", 1), ("append", 2, 3),
+                ("map", 4)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(state_recipes(), st.integers(min_value=0, max_value=20), st.booleans())
+@given(state_recipes(heads=tuple(HEADS)), st.integers(min_value=0, max_value=20), st.booleans())
+@example(_SHARED_TAIL, 8, True)
+@example(_SHARED_TAIL, 8, False)
 def test_state_key_matches_reference(ops, steps, root_first):
-    built = build_states(ops)
+    """Keys of built and walked states, asked for root first or suffix
+    first, match the recursive serializer; a cons cell's key may be a
+    slice of its parent's, and each is checked when asked for."""
+    built = build_states(ops, fns={SWAP: SWAP_Q00})
     walk = [(built[-1], built[-1])]  # (state, the oracle's state)
     for _ in range(steps):
         obs = observe(walk[-1][0])
@@ -520,8 +537,9 @@ def test_state_key_matches_reference(ops, steps, root_first):
             break
         walk.append((obs[1], _reference_observe(walk[-1][1])[1]))
     # root-first keys the outermost states before their tails, so each
-    # cons chain is walked whole; suffix-first keys tails first, so each
-    # walk stops at a cell that already holds its key
+    # cons chain is written once and its cells below take slices of it;
+    # suffix-first keys tails first, so each write stops at a cell that
+    # already holds its key
     pairs = [(b, b) for b in built]
     order = walk + pairs[::-1] if root_first else pairs + walk[::-1]
     for state, ref in order:
@@ -529,7 +547,7 @@ def test_state_key_matches_reference(ops, steps, root_first):
         assert key == _reference_key(ref)
         assert state_key(state) == key
 
-    fresh = build_states(ops)[-1]
+    fresh = build_states(ops, fns={SWAP: SWAP_Q00})[-1]
     keyed = built[-1]
     assert fresh == keyed and keyed == fresh
     assert hash(fresh) == hash(keyed)
@@ -818,13 +836,31 @@ def test_alphabet_membership():
     assert repr(alpha) == "Alphabet(symbols=('b', 'a'))"
 
 
-def test_deep_cons_chain_keys_without_recursion():
-    n = 10_000
+def _cons_chain(n):
+    """n cells of `a` around `lconst(a)`."""
     chain = lconst("a", AB)
     for _ in range(n):
         chain = cons("a", chain, AB)
+    return chain
+
+
+def test_deep_cons_chain_keys_without_recursion():
+    """A 10^4-cell chain is keyed at the default recursion limit, and its
+    tail cell takes its key as a slice.  Walking all of it would hold
+    about 4 * 10^8 characters of keys, past the bound, so the walk
+    refuses; a 3000-cell chain, about 3.6 * 10^7, is walked and compiled
+    whole."""
+    assert sys.getrecursionlimit() <= 10**4
+    n = 10_000
+    chain = _cons_chain(n)
     key = state_key(chain)
     assert key == "CONS(a," * n + "CONST(a)" + ")" * n
+    assert chain.tail._key == key[len("CONS(a,"):-1]
+    with pytest.raises(SizeExceeded, match="more than 100000000 characters"):
+        reachable_states(chain, n + 1)
+    n = 3000
+    chain = _cons_chain(n)
+    key = state_key(chain)
     steps = reachable_states(chain, n + 1)
     assert len(steps) == n + 1 and steps[key] == ("a", key[len("CONS(a,"):-1])
     m, seed = compile_machine(chain, n + 1)
@@ -880,15 +916,18 @@ def test_reachable_states_observes_to_the_first_repeat(succ):
 
 
 def test_reachable_states_past_the_former_bound():
-    """A 12000-cell cons chain and a 12000-seed ring, both past the
-    former 10^4 bound, are walked whole at the default recursion limit."""
+    """A 12000-seed ring, past the former 10^4 bound, is walked whole at
+    the default recursion limit.  A 12000-cell cons chain is walked for
+    1000 steps, about 9 * 10^7 characters of keys; walked whole it would
+    hold about 5.8 * 10^8, past the bound, and the walk refuses."""
     assert sys.getrecursionlimit() <= 10**4
     n = 12_000
-    chain = lconst("a", AB)
-    for _ in range(n):
-        chain = cons("a", chain, AB)
-    walk = reachable_states(chain, 10**5)
-    assert len(walk) == n + 1 and list(walk)[-1] == "CONST(a)"
+    chain = _cons_chain(n)
+    walk = reachable_states(chain, 1000)
+    m = n - 1000
+    assert len(walk) == 1001 and list(walk)[-1] == "CONS(a," * m + "CONST(a)" + ")" * m
+    with pytest.raises(SizeExceeded):
+        reachable_states(chain, 10**5)
     walk = reachable_states(corec("s0", ring_machine(12_000)), 10**5)
     assert list(walk) == [f"M(big,s{i})" for i in range(12_000)]
 
