@@ -10,13 +10,14 @@ observing each state once and holding its key, up to `KEY_TEXT_BOUND`
 characters.  `bisimilarity_gfp` computes the largest bisimulation
 between two machines, the greatest fixedpoint of the one-step operator
 `llistd_fun` on the seed-pair lattice, by partition refinement of the
-two seed sets with prefix doubling.
+two seed sets with prefix doubling, and returns it as a read-only view
+of the blocks (`wf.PairView`), never as the n1 * n2 seed pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 from typing import Optional, Union
 
@@ -31,6 +32,7 @@ from .errors import (
     read_json,
 )
 from .trees import in0, in1, scons
+from .wf import PairView
 
 KeyPair = tuple[str, str]
 Step = Optional[tuple[str, str]]  # None at the end of the list, else (head, tail key)
@@ -78,7 +80,7 @@ class Certificate:
         if not _is_key_pair(self.root):
             raise CertificateError("root: must be a pair of keys")
         root = tuple(self.root)
-        if not isinstance(self.pairs, (list, tuple, set, frozenset)):
+        if not isinstance(self.pairs, (list, tuple, AbstractSet)):
             raise CertificateError("pairs: must be an array of key pairs")
         if not all(map(_is_key_pair, self.pairs)):
             i = next(i for i, p in enumerate(self.pairs) if not _is_key_pair(p))
@@ -334,13 +336,16 @@ def _lassos_differ(seen1: list[str], c1: int, seen2: list[str], c2: int,
     return next(i for i in range(start, n) if a[i] != b[i])
 
 
-def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> Relation:
+def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> AbstractSet:
     """The largest bisimulation between two machines: the gfp of `llistd_fun`.
 
     `llistd_fun` is the one-step closure operator on seed pairs: it keeps
     a pair when both seeds stop, or when they emit the same symbol into a
     pair still in the subset.  Its gfp is computed by partition
-    refinement of the two seed sets (`_refine`), not by iteration.
+    refinement of the two seed sets (`_refine`), not by iteration, and
+    returned as a read-only set of key pairs (a `wf.PairView`) in which
+    each key of `m1` maps to the frozenset of `m2`'s keys in its block:
+    memory linear in the seeds, however many pairs are related.
     """
     keys: list[str] = []
     outputs: list[Optional[str]] = []
@@ -353,11 +358,13 @@ def bisimilarity_gfp(m1: StepFn, m2: StepFn) -> Relation:
             outputs.append(None if act is None else act[0])
             succ.append(None if act is None else state[act[1]])
     n1 = len(m1.seeds)
-    related: set[KeyPair] = set()
+    groups = []
     for block in _refine(outputs, succ):
         left = [keys[i] for i in block if i < n1]
-        related.update(product(left, [keys[j] for j in block if j >= n1]))
-    return frozenset(related)
+        right = frozenset(keys[j] for j in block if j >= n1)
+        if left and right:
+            groups.append((left, right))
+    return PairView(groups)
 
 
 def _refine(outputs: list, succ: list) -> list[set[int]]:

@@ -1,12 +1,20 @@
 """The well-founded side: finite-list encodings, symbolic-expression
 spaces, transitive closure, and recursion along a well-founded relation.
+
+Relations that follow from a structure are returned as views of it
+(`PairView`), not as materialised pair sets: the transitive closure as
+one reach bitset per strongly connected component, and, in `bisim`, the
+gfp of `llistd_fun` as one set of right keys per block of bisimilar
+seeds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable
+from itertools import compress, repeat
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps wf.lattice
 from .colist import Alphabet
@@ -63,28 +71,138 @@ def list_decode(t: FiniteTree) -> list[str]:
         elems.append(label.symbol)
 
 
-def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> frozenset:
-    """Least transitive relation containing `pairs`.
+class PairView(AbstractSet):
+    """A read-only set of pairs (x, y), kept as one row of ys per x.
+
+    `groups` lists (xs, row) once for the xs that share a row; a row is a
+    frozenset of ys, or, when `index` is given, an int bitset with bit j
+    for the y at position j of `index`.  `in` is one row lookup and one
+    membership test, `len` is arithmetic on the rows, and iteration
+    yields (x, y) tuples row by row, decoding each bitset once.  It
+    answers `in`, `len`, iteration and comparisons as the frozenset of
+    the same pairs does, and `&`, `|`, `-` and `^` return frozensets;
+    unlike a frozenset it cannot be hashed.
+    """
+
+    __slots__ = ("_groups", "_rows", "_index", "_cols", "_len")
+
+    def __init__(self, groups: list, index: Optional[dict] = None):
+        self._groups = groups
+        self._rows = {x: row for xs, row in groups for x in xs}
+        self._index = index
+        self._cols = None if index is None else tuple(index)
+        size = len if index is None else int.bit_count
+        self._len = sum(len(xs) * size(row) for xs, row in groups)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __contains__(self, pair) -> bool:
+        hash(pair)  # an unhashable pair raises TypeError, as with a frozenset
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        x, y = pair
+        row = self._rows.get(x)
+        if row is None:
+            return False
+        if self._index is None:
+            return y in row
+        j = self._index.get(y)
+        return j is not None and row >> j & 1 == 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple]:
+        for xs, row in self._groups:
+            if self._cols is not None:
+                row = list(compress(self._cols, format(row, "b")[::-1].encode().translate(_BITS)))
+            for x in xs:
+                yield from zip(repeat(x), row)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress selectors
+
+
+def _bits(positions: list[int]) -> int:
+    """The int whose bit j is set for each j in `positions`, in time linear
+    in the largest one."""
+    digits = bytearray(b"0") * (max(positions) + 1)
+    for j in positions:
+        digits[j] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
+def transitive_closure(pairs: Iterable[tuple[Hashable, Hashable]]) -> AbstractSet:
+    """Least transitive relation containing `pairs`, as a read-only set
+    of (x, y) tuples (a `PairView`).
 
     The paper defines it as a least fixedpoint; here (x, y) is in it when
-    y is reachable from x by one edge or more, found by one graph search
-    from each source: O(V * E) time, and no carrier of all pairs.  A
-    cycle through x yields (x, x).
+    y is reachable from x by one edge or more.  Tarjan's algorithm
+    (1972), run from an explicit stack, finds the strongly connected
+    components successors first, so one pass gives each component its
+    reach as an int bitset over the mentioned elements: for each edge
+    leaving the component, the target and the target's reach, and the
+    members themselves when the component is cyclic (several members or
+    a self-loop), as in Purdom (1970) and Nuutila (1995).  All members
+    share that bitset.  O(V + E) for the components plus one bitset OR
+    per edge leaving one, O(E * V / 64) word operations at worst; no pair
+    is built until the result is iterated.  A cycle through x yields
+    (x, x).
     """
-    succ: dict = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    closure = set()
-    for src, direct in succ.items():
-        seen = set()
-        stack = list(direct)
-        while stack:
-            y = stack.pop()
-            if y not in seen:
-                seen.add(y)
-                stack.extend(succ.get(y, ()))
-        closure.update((src, y) for y in seen)
-    return frozenset(closure)
+    index: dict = {}  # element -> position, in order of first mention
+    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in pairs]
+    elems = tuple(index)
+    succ: list[list[int]] = [[] for _ in elems]
+    for i, j in edges:
+        succ[i].append(j)
+    num = [0] * len(elems)  # visiting order from 1; 0 while unvisited
+    low = [0] * len(elems)  # least num reachable through the search and one more edge
+    comp = [-1] * len(elems)  # component number; -1 until assigned
+    reach: list[int] = []  # component number -> bitset of the positions it reaches
+    stack: list[int] = []  # visited positions not yet in a component
+    groups: list = []  # (members, reach) of each component that reaches some element
+    visited = 0
+    for root in range(len(elems)):
+        if num[root]:
+            continue
+        work = [(root, iter(succ[root]))]  # the search path, with each step's unread edges
+        while work:
+            v, out = work[-1]
+            if not num[v]:
+                visited += 1
+                num[v] = low[v] = visited
+                stack.append(v)
+            for w in out:
+                if not num[w]:
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and num[w] < low[v]:  # w is on the stack
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == num[v]:  # v roots a component: the stack down to v
+                    c, members, w = len(reach), [], -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = c
+                        members.append(w)
+                    row, cyclic = 0, len(members) > 1
+                    for w in members:
+                        for u in succ[w]:
+                            if comp[u] == c:
+                                cyclic = True
+                            else:
+                                row |= reach[comp[u]] | 1 << u
+                    if cyclic:
+                        row |= _bits(members)
+                    reach.append(row)
+                    if row:
+                        groups.append(([elems[w] for w in members], row))
+    return PairView(groups, index)
 
 
 @dataclass(frozen=True)
@@ -143,8 +261,9 @@ class WFRelation:
         object.__setattr__(self, "_below", {})  # i -> positions below elems[i]
 
     @cached_property
-    def closure(self) -> frozenset:
-        """The transitive closure of `pairs`."""
+    def closure(self) -> AbstractSet:
+        """The transitive closure of `pairs`, a read-only set of pairs
+        built by `transitive_closure` when first read."""
         return transitive_closure(self.pairs)
 
     def below(self, y, x) -> bool:

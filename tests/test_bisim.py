@@ -629,6 +629,10 @@ def test_bisimilarity_gfp_examples():
     assert rel == _kleene_gfp(m1, m2) == frozenset(
         {("M(one,s)", "M(cyc,t0)"), ("M(one,s)", "M(cyc,t1)")}
     )
+    # the gfp is a bisimulation, so it serves as a certificate's pairs
+    cert = Certificate("weak", rel, ("M(one,s)", "M(cyc,t1)"))
+    assert type(cert.pairs) is frozenset and cert.pairs == rel
+    assert verify_certificate(cert, corec("s", m1), corec("t1", m2))
 
     m3 = StepFn("bee", ("t",), {"t": ("b", "t")})
     assert bisimilarity_gfp(m1, m3) == frozenset()
@@ -731,10 +735,10 @@ def test_bisimilarity_gfp_matches_kleene_oracle():
 
 
 def test_bisimilarity_gfp_at_scale(monkeypatch):
-    """The blocks are checked before the relation is built from them, so a
-    wrong `_refine` fails here at once instead of pairing up to 10^8 keys:
-    chain and ring seeds never share a block, and each lasso seed shares
-    its block with its renamed copy alone."""
+    """The blocks are checked as `_refine` returns them, so a wrong
+    `_refine` fails here at once, at the block that is wrong: chain and
+    ring seeds never share a block, and each lasso seed shares its block
+    with its renamed copy alone."""
     refine, paired = bisim._refine, False
 
     def checked(outputs, succ):

@@ -1,11 +1,12 @@
 """Well-founded side: list encodings, closure, recursion, sexp spaces."""
 
+import operator
 import random
 
 import pytest
 
-from coinduct.bisim import eq_upto
-from coinduct.colist import Alphabet, cons, lconst
+from coinduct.bisim import bisimilarity_gfp, eq_upto
+from coinduct.colist import Alphabet, StepFn, cons, lconst
 from coinduct.errors import CoinductError, IllFoundedCall, Malformed, NotAList, SizeExceeded, UnknownAtom
 from coinduct.lattice import Carrier, Subset, SubsetOperator, lfp
 from coinduct.trees import (
@@ -74,35 +75,123 @@ def test_transitive_closure_examples():
         WFRelation(("x", "y"), {("x", "y"), ("y", "x")})
 
 
-def paths_oracle(pairs, carrier):
-    """Brute-force reachability by DFS, one edge or more."""
-    out = set()
-    adj = {}
+def search_closure(pairs):
+    """The per-source `transitive_closure` that the component pass
+    replaced, kept as the oracle: one graph search from each source."""
+    succ: dict = {}
     for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-    for start in carrier:
+        succ.setdefault(a, set()).add(b)
+    closure = set()
+    for src, direct in succ.items():
         seen = set()
-        stack = list(adj.get(start, ()))
+        stack = list(direct)
         while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj.get(x, ()))
-        out |= {(start, x) for x in seen}
-    return frozenset(out)
+            y = stack.pop()
+            if y not in seen:
+                seen.add(y)
+                stack.extend(succ.get(y, ()))
+        closure.update((src, y) for y in seen)
+    return frozenset(closure)
+
+
+def random_digraph(rng, n):
+    """Pairs on n labels: forward edges along a hidden ranking, and cycles
+    closed over short runs of it (one label: a self-loop), so the graph
+    has several cyclic components, some reaching others; a few pairs
+    repeat, and the pairs come in random order."""
+    rank = rng.sample(range(10 * n), n)
+    pairs = [(rank[i], rank[j]) for i, j in
+             (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n)) if n > 1)]
+    for _ in range(rng.randint(0, 8)):
+        i = rng.randrange(n)
+        j = min(n - 1, i + rng.randint(0, max(1, n // 10)))
+        pairs += [(rank[k], rank[k + 1]) for k in range(i, j)] + [(rank[j], rank[i])]
+    pairs += rng.sample(pairs, min(len(pairs), 5))
+    rng.shuffle(pairs)
+    return pairs
 
 
 def test_transitive_closure_vs_path_oracle():
+    """Random graphs of up to 200 labels (ints or trees, as a set, a list
+    with repeats or an iterator) against the per-source search: equal
+    both ways, `len` and membership alike, every pair iterated once.
+    Then a 10^5-cycle and a 10^4-chain at the default recursion limit."""
+    import sys
+
     rng = random.Random(19)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        carrier = [f"v{i}" for i in range(n)]
-        pairs = {
-            (rng.choice(carrier), rng.choice(carrier))
-            for _ in range(rng.randint(0, 10))
-        }
-        assert transitive_closure(pairs) == paths_oracle(pairs, carrier)
+    nested = 0  # cases where one cyclic component reaches another
+    for case in range(120):
+        pairs = random_digraph(rng, rng.choice((1, 2, 7, 30, 200)))
+        if case % 3 == 1:
+            pairs = [(numb(a), numb(b)) for a, b in pairs]
+        expected = search_closure(pairs)
+        given = (set(pairs), pairs, iter(pairs))[case % 3]
+        closure = transitive_closure(given)
+        assert closure == expected and expected == closure, case
+        listed = list(closure)
+        assert len(listed) == len(set(listed)) == len(closure) == len(expected), case
+        labels = list({x for p in pairs for x in p}) or [0]
+        for _ in range(50):
+            pair = rng.choice(labels), rng.choice(labels)
+            assert (pair in closure) == (pair in expected), (case, pair)
+        loops = {x for x, y in expected if x == y}
+        nested += any((x, y) in expected and (y, x) not in expected for x in loops for y in loops)
+    assert nested > 10
+
+    assert sys.getrecursionlimit() <= 10**4
+    n = 10**5
+    cycle = transitive_closure((i, (i + 1) % n) for i in range(n))
+    assert len(cycle) == n * n
+    assert (n - 1, 0) in cycle and (7, 7) in cycle and (0, n) not in cycle
+    n = 10**4
+    chain = transitive_closure((i, i + 1) for i in range(n))
+    assert len(chain) == n * (n + 1) // 2
+    assert (0, n) in chain and (n - 1, n) in chain and (n, 0) not in chain and (7, 7) not in chain
+
+
+def _view(kind):
+    """A closure view or a gfp view, with the frozenset it stands for.
+    The closure holds ("a", "b"), so a view that unpacked any iterable of
+    two would find "ab" in it."""
+    if kind == "closure":
+        pairs = {("a", "b"), ("b", "c"), ("c", "b"), (1, 2), (2, 2)}
+        return transitive_closure(pairs), search_closure(pairs)
+    one = StepFn("one", ("s",), {"s": ("a", "s")})
+    cyc = StepFn("cyc", ("t0", "t1", "u"), {"t0": ("a", "t1"), "t1": ("a", "t0"), "u": None})
+    return bisimilarity_gfp(one, cyc), frozenset({("M(one,s)", "M(cyc,t0)"), ("M(one,s)", "M(cyc,t1)")})
+
+
+@pytest.mark.parametrize("kind", ["closure", "gfp"])
+def test_pair_views_answer_as_frozensets(kind):
+    """`in`, `len`, iteration, comparisons and set operations agree with
+    the frozenset of the same pairs; the view is not hashable."""
+    view, expected = _view(kind)
+    labels = [x for p in sorted(expected, key=repr) for x in p] + ["zz", 9]
+    for x in labels:
+        for y in labels:
+            assert ((x, y) in view) == ((x, y) in expected), (x, y)
+    x, y = min(expected, key=repr)
+    for item in ("ab", (x, y, x), (x,), ((x, y),), 5, None):
+        assert item not in view and item not in expected, item
+    for item in ([x, y], (x, [y]), {x: y}):
+        for rel in (view, expected):
+            with pytest.raises(TypeError):
+                item in rel
+    listed = list(view)
+    assert len(listed) == len(set(listed)) == len(view) == len(expected)
+    assert view == expected and expected == view and view == set(expected)
+    assert not view != expected and not expected != view
+    for other in (expected | {("zz", 9)}, expected - {(x, y)}, frozenset()):
+        assert view != other and other != view and not view == other
+    other = frozenset({(x, y), ("zz", 9)})
+    for op in (operator.and_, operator.or_, operator.sub, operator.xor):
+        for a, b in ((view, other), (other, view)):
+            result = op(a, b)
+            assert type(result) is frozenset, op
+            assert result == op(frozenset(a), frozenset(b)), op
+    assert view <= expected <= view and view.isdisjoint({("zz", 9)})
+    with pytest.raises(TypeError):
+        hash(view)
 
 
 def lfp_closure(pairs):
@@ -414,7 +503,7 @@ class ClosureWFRelation:
         for a, b in rel:
             if a not in index or b not in index:
                 raise ValueError(f"pair ({a!r}, {b!r}) leaves the carrier")
-        self.closure = transitive_closure(rel)
+        self.closure = search_closure(rel)
         for x in index:
             if (x, x) in self.closure:
                 raise ValueError(f"relation is cyclic at {x!r}")
