@@ -7,21 +7,24 @@ declared step function; the derived combinators (cons, const, iterates,
 map, append) are states in their own right, each unfolding by its own
 one-step equation.  A map/append tower is observed as a zipper
 (`TowerList`): its live state inside a shared stack of frames, so one
-step touches the live state alone.  Loops that read only heads
-(`take`, `check_llist_upto`, `bisim.eq_upto`) read them with `lasso`,
-which keeps the live state in locals, builds no tail states, and stops
-once the list's cycle closes: a list built from finitely many symbols,
-seeds and constants ends, or is a finite prefix and then one cycle,
-repeated.  Everything is immutable and pure, apart from key and map
-memos.
+step touches the live state alone.  A frame stands for a whole run of
+maps or of `append(nil, .)` layers, so a tower's descent builds, its
+key text writes and a head's mapping walks O(runs) frames; within a
+run, a tight loop gathers the layers and the text is one join.  Loops
+that read only heads (`take`, `check_llist_upto`, `bisim.eq_upto`) read
+them with `lasso`, which keeps the live state in locals, builds no tail
+states, and stops once the list's cycle closes: a list built from
+finitely many symbols, seeds and constants ends, or is a finite prefix
+and then one cycle, repeated.  Everything is immutable and pure, apart
+from key and map memos.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
@@ -185,6 +188,52 @@ class CoList:
     __slots__ = ()
 
 
+class _Frozen:
+    """Immutable slot fields, as a frozen dataclass has: the constructor
+    writes them through the slots' member descriptors (`_setters`), and
+    copies and pickles are built by the constructor from the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+def _setters(cls) -> list:
+    """The `__set__` of each slot of `cls`, in slot order."""
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
+class _Plain(_Frozen, CoList):
+    """A state that holds no other state, compared, hashed and shown by
+    its fields as the frozen dataclass it replaces: equal when the
+    classes match and the field tuples are equal, hashed as that tuple,
+    shown as e.g. `ConstList(sym='a')`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+
 class _Keyed(CoList):
     """A state that holds other states: a cons cell or a tower.  It is
     compared, hashed and shown by its key, which `state_key` writes with
@@ -215,9 +264,8 @@ class _Tower(_Keyed):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NilList(CoList):
-    pass
+class NilList(_Plain):
+    __slots__ = __match_args__ = ()
 
 
 class ConsList(_Keyed):
@@ -232,60 +280,84 @@ class ConsList(_Keyed):
         self.head, self.tail, self._key = head, tail, None
 
 
-@dataclass(frozen=True)
-class ConstList(CoList):
-    sym: str
+class ConstList(_Plain):
+    __slots__ = __match_args__ = ("sym",)
+
+    def __init__(self, sym: str):
+        _const_sym(self, sym)
 
 
-@dataclass(frozen=True)
-class IterList(CoList):
-    fn: AtomFun
-    sym: str
+class IterList(_Plain):
+    __slots__ = __match_args__ = ("fn", "sym")
+
+    def __init__(self, fn: AtomFun, sym: str):
+        _iter_fn(self, fn)
+        _iter_sym(self, sym)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class MapList(_Tower):
-    fn: AtomFun
-    source: CoList
+class MachineList(_Plain):
+    __slots__ = __match_args__ = ("machine", "seed")
+
+    def __init__(self, machine: StepFn, seed: str):
+        _machine_machine(self, machine)
+        _machine_seed(self, seed)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class AppendList(_Tower):
-    left: CoList
-    right: CoList
+class MapList(_Frozen, _Tower):
+    __slots__ = __match_args__ = ("fn", "source")
+
+    def __init__(self, fn: AtomFun, source: CoList):
+        _map_fn(self, fn)
+        _map_source(self, source)
 
 
-@dataclass(frozen=True)
-class MachineList(CoList):
-    machine: StepFn
-    seed: str
+class AppendList(_Frozen, _Tower):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: CoList, right: CoList):
+        _append_left(self, left)
+        _append_right(self, right)
+
+
+(_const_sym,) = _setters(ConstList)
+_iter_fn, _iter_sym = _setters(IterList)
+_machine_machine, _machine_seed = _setters(MachineList)
+_map_fn, _map_source = _setters(MapList)
+_append_left, _append_right = _setters(AppendList)
+_NIL = NilList()
 
 
 class _Frame:
-    """One layer of a tower around its hole, linked toward the root.
+    """One run of same-shaped layers of a tower around its hole, linked
+    toward the root.
 
-    MAP(fn,[]) sets `fn`, APP([],right) sets `right`, and APP(NIL,[])
-    sets neither.  `maps` is the innermost map frame at or above this
-    one: it maps the heads that come out of the hole.  A map frame under
-    another map keeps in `table` the image of each head that has come
-    through it under its function composed with every map above it,
-    filled on demand by `_map_head`.  `prefix` and `suffix` memoize the
-    key text around the hole, filled by the first key asked for with
+    A run of maps, MAP(f1,MAP(f2,...[]...)), sets `fns` to its functions,
+    outermost first; a run of APP(NIL,[]) layers sets `nils` to their
+    number; APP([],right) is one layer and sets `right`.  Descent pushes
+    one frame per maximal run, so a frame stands for any number of
+    layers.  `maps` is the innermost map frame at or above this one: it
+    maps the heads that come out of the hole.  A map frame with more than
+    one function at or above it keeps in `table` the image of each head
+    that has come through it under the composition of those functions,
+    filled on demand by `_map_head` from `tables`, the functions' own
+    tables, innermost first, listed once.  `prefix` and `suffix` memoize
+    the key text around the hole, filled by the first key asked for with
     this frame innermost; `suffix` is stored last, so a frame that has
     one has both.
     """
 
-    __slots__ = ("fn", "right", "up", "maps", "table", "prefix", "suffix")
+    __slots__ = ("fns", "nils", "right", "up", "maps", "table", "tables", "prefix", "suffix")
 
-    def __init__(self, fn: Optional[AtomFun], right: Optional[CoList], up: Optional["_Frame"]):
-        self.fn, self.right, self.up = fn, right, up
-        self.table = self.prefix = self.suffix = None
+    def __init__(self, fns: Optional[list], nils: int, right: Optional[CoList],
+                 up: Optional["_Frame"]):
+        self.fns, self.nils, self.right, self.up = fns, nils, right, up
+        self.table = self.tables = self.prefix = self.suffix = None
         outer = None if up is None else up.maps
-        if fn is None:
+        if fns is None:
             self.maps = outer
             return
         self.maps = self
-        if outer is not None:
+        if outer is not None or len(fns) > 1:
             self.table = {}
 
 
@@ -305,7 +377,8 @@ Observation = Optional[tuple[str, CoList]]
 
 
 def nil() -> CoList:
-    return NilList()
+    """The empty list: one shared state."""
+    return _NIL
 
 
 def cons(sym: str, tail: CoList, alphabet: Alphabet) -> CoList:
@@ -350,11 +423,12 @@ def observe(l: CoList) -> Observation:
 
     A map or append state is observed through its innermost live state
     alone.  Its nesting is descended once, with a loop, into frames
-    (`_Frame`); the tail is a `TowerList` that shares those frames and
-    replaces only the live state, so each later step costs O(1) after one
-    O(nesting) descent.  When the live state ends, the frames pop
-    (`_pop`).  The heads and tails are those of the one-step equations of
-    map and append, applied layer by layer.
+    (`_Frame`), one per run of maps or of `append(nil, .)` layers and one
+    per other append; the tail is a `TowerList` that shares those frames
+    and replaces only the live state, so each later step costs O(1) after
+    one descent of O(runs) frames.  When the live state ends, the frames
+    pop (`_pop`).  The heads and tails are those of the one-step
+    equations of map and append, applied layer by layer.
     """
     frames = None
     if isinstance(l, TowerList):
@@ -458,17 +532,25 @@ def _pop(frames: _Frame) -> Optional[tuple[CoList, _Frame]]:
         frames = frames.up
     if frames is None:
         return None
-    return frames.right, _Frame(None, None, frames.up)
+    return frames.right, _Frame(None, 1, None, frames.up)
 
 
 def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
     """Push the layers of `live` onto `frames` until a non-tower state is
-    live; a zipper met on the way has its frames copied onto `frames`."""
+    live, one frame per run of maps or of `append(nil, .)` layers; a
+    zipper met on the way has its frames copied onto `frames`, run for
+    run.  `append(nil, X)` observes as X does inside APP(NIL,[]), so the
+    APP([],X) frame and the pop of the nil are skipped."""
     while isinstance(live, _Tower):
         if isinstance(live, MapList):
-            frames, live = _Frame(live.fn, None, frames), live.source
+            fns, live = _map_run(live)
+            frames = _Frame(fns, 0, None, frames)
         elif isinstance(live, AppendList):
-            frames, live = _Frame(None, live.right, frames), live.left
+            if isinstance(live.left, NilList):
+                k, live = _nil_run(live)
+                frames = _Frame(None, k, None, frames)
+            else:
+                frames, live = _Frame(None, 0, live.right, frames), live.left
         else:
             outer, frames, live = frames, live.frames, live.live
             if outer is not None:
@@ -478,30 +560,66 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
                     frames = frames.up
                 frames = outer
                 for f in reversed(chain):
-                    frames = _Frame(f.fn, f.right, frames)
+                    frames = _Frame(f.fns, f.nils, f.right, frames)
     return live, frames
+
+
+def _map_run(l: MapList) -> tuple[list[AtomFun], CoList]:
+    """The functions of the maps that `l` starts with, outermost first,
+    and the state inside them."""
+    fns = []
+    while isinstance(l, MapList):
+        fns.append(l.fn)
+        l = l.source
+    return fns, l
+
+
+def _nil_run(l: AppendList) -> tuple[int, CoList]:
+    """The number of `append(nil, .)` layers that `l` starts with, and
+    the state inside them."""
+    k = 0
+    while isinstance(l, AppendList) and isinstance(l.left, NilList):
+        k += 1
+        l = l.right
+    return k, l
 
 
 def _map_head(m: _Frame, sym: str) -> str:
     """Map a head through the map frame `m` and every map above it.
 
-    A lone map calls its `AtomFun` once per element.  A stacked map
-    applies the functions one by one, innermost first, the first time a
-    head arrives, and memoizes the image in its `table`; a missing entry
-    raises the `UnknownAtom` of the first function without one and
-    memoizes nothing.
+    A lone map calls its `AtomFun` once per element.  Otherwise the
+    first time a head arrives it is looked up in the functions' tables
+    in one loop, innermost first, and `m.table` memoizes the image; a
+    missing entry maps the head again one call at a time, so it raises
+    the `UnknownAtom` of the first function without one, and memoizes
+    nothing.
     """
     table = m.table
     if table is None:
-        return m.fn(sym)
+        return m.fns[0](sym)
     out = table.get(sym)
     if out is None:
-        out, f = sym, m
-        while f is not None:
-            out = f.fn(out)
-            f = None if f.up is None else f.up.maps
+        tables = m.tables
+        if tables is None:
+            tables = m.tables = [fn.table for fn in _map_fns(m)]
+        out = sym
+        try:
+            for t in tables:
+                out = t[out]
+        except KeyError:
+            for fn in _map_fns(m):
+                sym = fn(sym)
+            return sym
         table[sym] = out
     return out
+
+
+def _map_fns(m: _Frame) -> Iterator[AtomFun]:
+    """The functions that map the heads coming out of map frame `m`,
+    innermost first."""
+    while m is not None:
+        yield from reversed(m.fns)
+        m = None if m.up is None else m.up.maps
 
 
 def state_key(l: CoList) -> str:
@@ -513,8 +631,11 @@ def state_key(l: CoList) -> str:
     for.  A zipper's key is the key of its live state inside the text of
     its frames, which the innermost frame memoizes, so a tower's key
     costs O(1) string operations per step after the first, plus copying
-    its text.  Keys are written with loops, never recursion, and name
-    the nested state: memoizing and zippers change no key.
+    its text.  The first pushes O(runs) items on an explicit stack, as
+    a run of maps, of `append(nil, .)` layers or of keyless cons cells
+    is written with one join or multiplication.  Keys are written with
+    loops, never recursion, and name the nested state: memoizing and
+    zippers change no key.
     """
     pre = post = ""
     if isinstance(l, TowerList):
@@ -560,15 +681,15 @@ def _frame_text(f: _Frame) -> tuple[list[str], list]:
     frames, gathered up to the first frame that memoizes its text."""
     pre, post = [], []
     while f is not None and f.suffix is None:
-        if f.fn is not None:
-            pre.append(f"MAP({f.fn.name},")
-            post.append(")")
+        if f.fns is not None:
+            pre.append(_maps_text(f.fns))
+            post.append(")" * len(f.fns))
         elif f.right is not None:
             pre.append("APP(")
             post += (",", f.right, ")")
         else:
-            pre.append("APP(NIL,")
-            post.append(")")
+            pre.append("APP(NIL," * f.nils)
+            post.append(")" * f.nils)
         f = f.up
     if f is not None:
         pre.append(f.prefix)
@@ -577,9 +698,19 @@ def _frame_text(f: _Frame) -> tuple[list[str], list]:
     return pre, post
 
 
+def _maps_text(fns: list[AtomFun]) -> str:
+    """The key text that opens a run of maps: MAP(f1,MAP(f2,...,"""
+    return "MAP(" + ",MAP(".join(map(_name, fns)) + ","
+
+
+_name = attrgetter("name")
+
+
 def _join(items: list) -> str:
     """The text of `items`, strings and states, in order, written with an
-    explicit stack; a cell's memoized key is copied, and none is stored."""
+    explicit stack, one push per run of maps, of `append(nil, .)` layers
+    or of keyless cons cells; a cell's memoized key is copied, and none
+    is stored."""
     if len(items) == 1:
         key = _leaf_key(items[0])
         if key is not None:
@@ -592,12 +723,18 @@ def _join(items: list) -> str:
             parts.append(x)
             continue
         if isinstance(x, MapList):
-            parts.append(f"MAP({x.fn.name},")
-            todo += (")", x.source)
+            fns, x = _map_run(x)
+            parts.append(_maps_text(fns))
+            todo += (")" * len(fns), x)
             continue
         if isinstance(x, AppendList):
-            parts.append("APP(")
-            todo += (")", x.right, ",", x.left)
+            if isinstance(x.left, NilList):
+                k, x = _nil_run(x)
+                parts.append("APP(NIL," * k)
+                todo += (")" * k, x)
+            else:
+                parts.append("APP(")
+                todo += (")", x.right, ",", x.left)
             continue
         key = _leaf_key(x)
         if key is not None:
@@ -608,8 +745,12 @@ def _join(items: list) -> str:
             todo += post[::-1]
             todo.append(x.live)
         elif isinstance(x, ConsList):
-            todo += (")", x.tail)
-            parts.append(f"CONS({x.head},")
+            heads = []
+            while isinstance(x, ConsList) and x._key is None:
+                heads.append(x.head)
+                x = x.tail
+            parts.append("CONS(" + ",CONS(".join(heads) + ",")
+            todo += (")" * len(heads), x)
         else:
             raise TypeError(f"not a CoList state: {x!r}")
     return "".join(parts)

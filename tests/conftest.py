@@ -39,9 +39,10 @@ def succ_mod4() -> AtomFun:
 
 class CountingFun(AtomFun):
     """An AtomFun that counts its applications: a lone map counts one
-    call per element it yields.  A stack of maps applies each function
-    only the first time a head reaches its innermost map frame, which
-    then keeps the composed image."""
+    call per element it yields.  A stack of maps reads the functions'
+    tables the first time a head reaches its innermost map frame, which
+    then keeps the composed image, so it counts a call only when a table
+    lacks the head."""
 
     def __init__(self, fn: AtomFun):
         super().__init__(fn.name, fn.table)

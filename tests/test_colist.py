@@ -1,7 +1,9 @@
 """Corecursive lists: one-step unfolding laws, approximants, truncation."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import functools
 import random
 import re
@@ -417,15 +419,18 @@ def _reference_term(l):
 
 
 def _unzip(state):
-    """The nested state a zipper names, rebuilt frame by frame."""
+    """The nested state a zipper names, rebuilt frame by frame and, in a
+    frame that stands for a run, layer by layer."""
     l, frame = state.live, state.frames
     while frame is not None:
-        if frame.fn is not None:
-            l = MapList(frame.fn, l)
+        if frame.fns is not None:
+            for fn in reversed(frame.fns):
+                l = MapList(fn, l)
         elif frame.right is not None:
             l = AppendList(l, frame.right)
         else:
-            l = AppendList(NilList(), l)
+            for _ in range(frame.nils):
+                l = AppendList(NilList(), l)
         frame = frame.up
     return l
 
@@ -454,12 +459,19 @@ def _recipe_step(count, towers, heads):
     """The strategy for the step after `count` steps: built once per
     count, as Hypothesis spends most of a recipe building strategies."""
     earlier = st.integers(min_value=0, max_value=count - 1)
+    run = st.integers(min_value=2, max_value=8)
+    fns = st.sampled_from((SWAP, LOWER) if towers else (SWAP,))
     steps = [
         st.tuples(st.just("cons"), st.sampled_from(heads), earlier),
         st.tuples(st.just("cons"), st.sampled_from(heads), st.just(count - 1)),
         st.tuples(st.just("map"), earlier),
         st.tuples(st.just("append"), earlier, earlier),
         _LEAF_OPS,
+        # runs: k maps, k append(nil, .) layers, k cons cells
+        st.tuples(st.just("maps"), earlier, st.lists(fns, min_size=2, max_size=8).map(tuple)),
+        st.tuples(st.just("nils"), earlier, run),
+        st.tuples(st.just("conses"), st.lists(st.sampled_from(heads), min_size=2, max_size=8)
+                  .map(tuple), earlier),
     ]
     if towers:
         steps.append(st.tuples(st.just("map"), earlier, st.just(LOWER)))
@@ -470,10 +482,11 @@ def _recipe_step(count, towers, heads):
 @st.composite
 def state_recipes(draw, max_ops=14, towers=False, heads=("a", "b")):
     """Build steps; each step's operands index earlier steps, so states
-    share tails.  Cons cells take their heads from `heads`.  With
-    `towers`, a step may also map a function that does not commute with
-    swap, or observe an earlier state up to six times and build on the
-    tail it reaches."""
+    share tails.  Cons cells take their heads from `heads`.  A step may
+    build a run of 2 to 8 maps, `append(nil, .)` layers or cons cells at
+    once.  With `towers`, a step may also map a function that does not
+    commute with swap, alone or inside a run, or observe an earlier state
+    up to six times and build on the tail it reaches."""
     ops = [draw(_LEAF_OPS)]
     for _ in range(draw(st.integers(min_value=0, max_value=max_ops))):
         ops.append(draw(_recipe_step(len(ops), towers, heads)))
@@ -504,6 +517,21 @@ def build_states(ops, step=observe, fns=None):
             built.append(lmap(fns.get(fn, fn), built[args[0]]))
         elif kind == "append":
             built.append(lappend(built[args[0]], built[args[1]]))
+        elif kind == "maps":
+            state = built[args[0]]
+            for fn in args[1]:
+                state = lmap(fns.get(fn, fn), state)
+            built.append(state)
+        elif kind == "nils":
+            state = built[args[0]]
+            for _ in range(args[1]):
+                state = lappend(nil(), state)
+            built.append(state)
+        elif kind == "conses":
+            state = built[args[1]]
+            for head in reversed(args[0]):
+                state = cons(head, state, HEADS)
+            built.append(state)
         else:
             state = built[args[0]]
             for _ in range(args[1]):
@@ -554,12 +582,26 @@ def test_state_key_matches_reference(ops, steps, root_first):
     assert repr(fresh) == repr(keyed)
 
 
+# a run of maps over the tail of another run, observed inside it, under
+# a run of append(nil, .) layers
+_RUN_OVER_ZIPPER = [("iter", "a"), ("maps", 0, (SWAP, LOWER, SWAP)), ("tail", 1, 3),
+                    ("maps", 2, (LOWER, SWAP)), ("nils", 3, 3)]
+# a cons cell inside three append(nil, .) layers, appended to a constant
+# inside two more, under a run of maps: its end pops across the inner
+# nil run and keeps the outer one
+_POP_ACROSS_NILS = [("nil",), ("cons", "a", 0), ("nils", 1, 3), ("const", "b"), ("append", 2, 3),
+                    ("nils", 4, 2), ("maps", 5, (SWAP, LOWER)), ("tail", 6, 1), ("nils", 7, 2)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(state_recipes(max_ops=20, towers=True), st.integers(min_value=0, max_value=50))
+@example(_RUN_OVER_ZIPPER, 8)
+@example(_POP_ACROSS_NILS, 4)
 def test_towers_match_the_recursive_oracle(ops, steps):
-    """Random mixed map/append/cons/corec towers, some built on observed
-    tails, walked up to 50 steps beside the oracle's nested states: equal
-    heads and ends, keys, `==` and `hash`."""
+    """Random mixed map/append/cons/corec towers, with runs of layers and
+    some built on observed tails, walked up to 50 steps beside the
+    oracle's nested states: equal heads and ends, keys, `==` and
+    `hash`."""
     states = build_states(ops)
     refs = build_states(ops, _reference_observe)
     walk = [(states[-1], refs[-1])]
@@ -612,18 +654,13 @@ def _oracle_eq_upto(k, l1, l2):
 
 
 class _Holed(CountingFun):
-    """A CountingFun that, once `hole` is set, has no entry for it when
-    applied.  Its table keeps the entry, so `iterates` accepts every
-    start symbol and a recipe builds the same states with or without a
-    hole."""
+    """A CountingFun whose table can lose one entry after the states are
+    built, so `iterates` accepts every start symbol and a recipe builds
+    the same states with or without a hole.  Applying it to the hole
+    raises, whether a layer calls it or reads its table."""
 
-    hole = None
-
-    def __call__(self, sym):
-        if sym == self.hole:
-            self.calls += 1
-            raise UnknownAtom(f"{self.name}: no entry for {sym!r}")
-        return super().__call__(sym)
+    def open_hole(self, sym):
+        del self.table[sym]
 
 
 class _CountingMachine(StepFn):
@@ -665,7 +702,7 @@ def test_head_streams_match_the_observe_oracle(ops, depth, hole, other):
         fns.update({m: _CountingMachine(m) for m in set(MACHINES.values())})
         states = build_states(ops, fns=fns)
         if hole is not None:
-            fns[hole[0]].hole = hole[1]
+            fns[hole[0]].open_hole(hole[1])
         for f in fns.values():
             f.calls = 0
         try:
@@ -764,6 +801,11 @@ def test_partial_tables_fail_where_layers_fail():
         (lmap(total, lmap(f, source)), ["b"], "f: no entry for 'b'"),
         (lmap(short, lmap(f, source)), [], "h: no entry for 'b'"),
         (lmap(f, lmap(total, source)), ["b"], "f: no entry for 'b'"),
+        # runs of maps, one frame each, whose middle function lacks the head
+        (lmap(total, lmap(short, lmap(total, source))), ["a"], "h: no entry for 'b'"),
+        (lmap(total, lmap(total, lmap(short, lmap(f, lmap(total, source))))), [],
+         "h: no entry for 'b'"),
+        (lmap(total, lmap(f, lmap(total, lmap(total, source)))), ["b"], "f: no entry for 'b'"),
     ]
     for l, expected, message in cases:
         seen = []
@@ -775,6 +817,38 @@ def test_partial_tables_fail_where_layers_fail():
                     heads.append(head)
             seen.append((heads, str(exc.value)))
         assert seen == [(expected, message)] * 2
+
+
+def test_one_frame_per_run(monkeypatch):
+    """Observing map^k(iterates(...)) or append(nil, .)^k(lconst a)
+    pushes one frame for the whole run, and walking on pushes none; an
+    alternating map(f, append(nil, ...)) tower pushes one per layer."""
+    built = []
+
+    class Counted(colist._Frame):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(colist, "_Frame", Counted)
+    k = 1000
+    maps = apps = alternating = iterates(SWAP, "a")
+    for _ in range(k):
+        maps, apps = lmap(SWAP, maps), lappend(nil(), apps)
+        alternating = lmap(SWAP, lappend(nil(), alternating))
+    heads = ["a", "b"] * 3
+    for l, frames, layer in ((maps, 1, "MAP(swap,"), (apps, 1, "APP(NIL,"),
+                             (alternating, 2 * k, "MAP(swap,APP(NIL,")):
+        built.clear()
+        state = l
+        for head in heads:
+            got, state = observe(state)
+            assert got == head
+        assert take(6, l) == (heads, False)
+        assert len(built) == 2 * frames  # one descent each for observe and take
+        assert state_key(state) == state_key(l) == layer * k + "ITER(swap,a)" + ")" * layer.count("(") * k
 
 
 DEEP = 10**5
@@ -824,6 +898,32 @@ def test_deep_states_compare_hash_and_show_by_key():
     tail = observe(apps)[1]
     assert repr(tail) == f"TowerList({state_key(tail)})"
     assert repr(cons("a", nil(), AB)) == "ConsList(CONS(a,NIL))"
+
+
+def test_plain_states_behave_as_frozen_dataclasses(succ):
+    """The states that hold no other state compare, hash and print by
+    their field tuples, as the frozen dataclasses they replace did, stay
+    immutable, and survive `copy` and `pickle`."""
+    two = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
+    cases = [
+        (nil(), (), "NilList()"),
+        (lconst("a", AB), ("a",), "ConstList(sym='a')"),
+        (iterates(succ, "x1"), (succ, "x1"), "IterList(fn=AtomFun(succ), sym='x1')"),
+        (corec("s1", two), (two, "s1"), "MachineList(machine=StepFn(two, 2 seeds), seed='s1')"),
+    ]
+    for state, fields, text in cases:
+        twin = type(state)(*fields)
+        assert state == twin and twin is not state and hash(state) == hash(fields)
+        assert repr(state) == text
+        assert copy.deepcopy(state) == pickle.loads(pickle.dumps(state)) == state
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.extra = 1
+    assert nil() is nil() and NilList() == nil() and nil() != ConstList("a")
+    assert ConstList("a") != ConstList("b") and ConstList("a") != lmap(succ, ConstList("a"))
+    tower = lmap(succ, lappend(nil(), iterates(succ, "x0")))
+    assert pickle.loads(pickle.dumps(tower)) == copy.copy(tower) == tower
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tower.fn = succ
 
 
 def test_alphabet_membership():
