@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Exit codes: 0 on pass/equal, 1 on fail/counterexample, 2 on usage or
+Exit codes: 0 on pass/equal or after help, 1 on fail/counterexample, 2 on usage or
 validation errors or when memory runs out (reported on stderr), 3 when
 a search exhausts its pair budget.  Each expression is read straight into engine states
 (`dsl.read_states`), in one loop at any depth.
@@ -21,13 +21,16 @@ from .errors import CoinductError, LatticeFileError, read_json
 from .trees import dump_tree
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """argparse's way out, a usage error or help: (status, stderr text)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _Exit(2, f"error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status, message or "")
 
 
 def _count(minimum: int):
@@ -101,9 +104,10 @@ def run_command(argv) -> int:
     """Dispatch one command; prints the report and returns the exit status."""
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _Exit as exc:
+        status, message = exc.args
+        sys.stderr.write(message)
+        return status
 
     try:
         if args.command == "lattice":

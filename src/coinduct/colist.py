@@ -24,7 +24,7 @@ from __future__ import annotations
 import string
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
@@ -95,8 +95,9 @@ class StepFn:
 
     Seeds are distinct strings.  Each seed steps to None (stop) or to a
     pair of strings (emitted symbol, next seed).  The table must step
-    exactly the declared seeds into declared seeds; errors name the
-    offending key as a definitions-file path.
+    exactly the declared seeds into declared seeds; one ordered pass
+    (`_check_steps`) checks it and builds the stored table, and errors
+    name the offending key as a definitions-file path.
     """
 
     def __init__(
@@ -107,21 +108,7 @@ class StepFn:
     ):
         self.name = name
         self.seeds = tuple(seeds)
-        acts = [act for act in table.values() if act is not None]
-        kinds = set(map(type, acts))
-        try:
-            declared = frozenset(self.seeds)
-            fine = (set(map(type, declared)) <= {str} and len(declared) == len(self.seeds)
-                    and table.keys() == declared
-                    and kinds <= {tuple, list} and set(map(len, acts)) <= {2}
-                    and declared.issuperset(map(itemgetter(1), acts))
-                    and set(map(type, set(map(itemgetter(0), acts)))) <= {str})
-        except TypeError:  # an unhashable seed or emit
-            fine = False
-        if not fine:
-            _check_steps(name, self.seeds, table)  # raises the first fault
-        self.table = dict(table) if kinds <= {tuple} else {
-            s: act if act is None else (act[0], act[1]) for s, act in table.items()}
+        self.table = _check_steps(name, self.seeds, table)
 
     def step(self, seed: str) -> Optional[tuple[str, str]]:
         if seed not in self.table:
@@ -143,16 +130,18 @@ class StepFn:
         return f"StepFn({self.name}, {len(self.seeds)} seeds)"
 
 
-def _check_steps(name: str, seeds: tuple, table: dict) -> None:
-    """Raise the DefsError of the first fault in `StepFn`'s seeds and
-    table, walking them in order: a seed that is no string, a duplicate
-    seed, then the table's entries, then a seed with no entry."""
+def _check_steps(name: str, seeds: tuple, table: dict) -> dict:
+    """`StepFn`'s table, with its acts as tuples, checked and built in
+    one pass in order.  Raises the DefsError of the first fault: a seed
+    that is no string, a duplicate seed, then the table's entries, then
+    a seed with no entry."""
     for s in seeds:
         if not isinstance(s, str):
             raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")
     declared = frozenset(seeds)
     if len(declared) != len(seeds):
         raise DefsError(f"machines.{name}.seeds: duplicate seed")
+    steps = {}
     for s, act in table.items():
         if s not in declared:
             raise DefsError(f"machines.{name}.step.{s}: undeclared seed")
@@ -168,9 +157,12 @@ def _check_steps(name: str, seeds: tuple, table: dict) -> None:
                 )
             if act[1] not in declared:
                 raise DefsError(f"machines.{name}.step.{s}: emit seed {act[1]!r} undeclared")
-    for s in seeds:
-        if s not in table:
-            raise DefsError(f"machines.{name}.step: missing entry for {s!r}")
+            act = tuple(act)
+        steps[s] = act
+    if len(steps) != len(seeds):  # every entry is a declared seed, so one has none
+        missing = next(s for s in seeds if s not in steps)
+        raise DefsError(f"machines.{name}.step: missing entry for {missing!r}")
+    return steps
 
 
 def _all_words(strings) -> bool:
@@ -479,8 +471,6 @@ def lasso(l: CoList, period: list[int]) -> Iterator[str]:
     `period[0]` heads repeated.  A list that ends leaves `period` empty.
     """
     frames = None
-    if isinstance(l, TowerList):
-        l, frames = l.live, l.frames
     while True:
         if isinstance(l, _Tower):
             l, frames = _descend(l, frames)
@@ -539,8 +529,9 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
     """Push the layers of `live` onto `frames` until a non-tower state is
     live, one frame per run of maps or of `append(nil, .)` layers; a
     zipper met on the way has its frames copied onto `frames`, run for
-    run.  `append(nil, X)` observes as X does inside APP(NIL,[]), so the
-    APP([],X) frame and the pop of the nil are skipped."""
+    run, or taken as they are when `frames` is empty.  `append(nil, X)`
+    observes as X does inside APP(NIL,[]), so the APP([],X) frame and
+    the pop of the nil are skipped."""
     while isinstance(live, _Tower):
         if isinstance(live, MapList):
             fns, live = _map_run(live)
@@ -884,12 +875,11 @@ class Definitions:
                 table[seed] = emit
             machine = machines[name] = StepFn(name, seeds, table)
             # StepFn checked the table, so its entries are None or pairs
-            if not members.issuperset(map(itemgetter(0), filter(None, machine.table.values()))):
-                for seed, act in machine.table.items():
-                    if act is not None and act[0] not in alphabet:
-                        raise DefsError(
-                            f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet"
-                        )
+            for seed, act in machine.table.items():
+                if act is not None and act[0] not in members:
+                    raise DefsError(
+                        f"machines.{name}.step.{seed}: emit symbol {act[0]!r} not in alphabet"
+                    )
 
         return cls(alphabet, functions, machines)
 

@@ -348,12 +348,19 @@ def test_map_composition_example(defs):
     assert verify_certificate(outcome, left, right)
 
 
-def test_eq_upto():
+def test_eq_upto(monkeypatch):
     assert eq_upto(0, lconst("a", AB), lconst("b", AB))
     const = lconst("a", AB)
     assert eq_upto(5, const, cons("a", const, AB))
     verdict = eq_upto(1, cons("a", nil(), AB), nil())
     assert not verdict and verdict.witness == 0
+    # all-`a` rings of 2 and 3 seeds: both lassos close, and the windows
+    # unrolled to max(2, 0) + 2 + 3 - 1 = 6 heads agree
+    unrolled = []
+    monkeypatch.setattr(bisim, "unroll", lambda seen, c, n: unrolled.append(n) or colist.unroll(seen, c, n))
+    p, q = ring_machine(2), ring_machine(3)
+    assert eq_upto(50, cons("a", cons("a", corec("s0", p), AB), AB), corec("s0", q)) == Verdict(True)
+    assert unrolled == [6, 6]
 
 
 def test_synchronized_observation_counts():

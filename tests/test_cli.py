@@ -103,6 +103,16 @@ def test_module_entry_runs_a_command():
     assert run_fresh(*argv, entry=("-m", "coinduct")) == (0, "[a,a,a,...]\n", "")
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["eval", "--help"]])
+def test_help_returns_0(capsys, monkeypatch, argv):
+    """Help prints usage on stdout and returns 0 from `run_command`, as
+    the fresh process exits 0 with the same text."""
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: coinduct")
+    assert run_fresh(*argv) == (code, out, err)
+
+
 def test_bisim_bound(capsys):
     code, out, _ = run(
         capsys,

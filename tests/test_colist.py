@@ -1303,16 +1303,35 @@ JUNK = [None, 1, 1.5, "", "a", "zz", "s0", "s 0", "stop", "go", [], ["a"], ["zz"
 
 def mutated_definitions(rng, doc):
     """`doc` with one to three random faults (or none) in its alphabet,
-    functions, seeds or step tables."""
+    functions, seeds or step tables, or in the shape of the document, a
+    function table, or a machine's `seeds` or `step`."""
     doc = json.loads(json.dumps(doc))
     for _ in range(rng.choice((0, 1, 1, 2, 3))):
-        where = rng.choice(("alphabet", "function", "function", "seeds", "step", "step", "step", "names"))
+        where = rng.choice(("alphabet", "function", "function", "seeds", "step", "step", "step", "names",
+                            "shape"))
         junk = rng.choice(JUNK)
-        if where == "alphabet":
+        tables = [t for t in doc["functions"].values() if isinstance(t, dict) and t]
+        specs = [spec for spec in doc["machines"].values()
+                 if isinstance(spec, dict) and isinstance(spec.get("seeds"), list)
+                 and isinstance(spec.get("step"), dict) and spec["step"]]
+        if where == "shape":
+            part = rng.choice(("top", "function", "machine", "seeds", "step"))
+            shape_junk = rng.choice([None, 1, "stop", [], ["s0"], {}])
+            if part == "top":
+                return rng.choice([[doc], "defs", None, 1])
+            if part == "function":
+                doc["functions"][rng.choice(list(doc["functions"]))] = shape_junk
+            elif part == "machine":
+                doc["machines"][rng.choice(list(doc["machines"]))] = shape_junk
+            else:
+                spec = rng.choice(list(doc["machines"].values()))
+                if isinstance(spec, dict):
+                    spec[part] = shape_junk
+        elif where == "alphabet":
             syms = doc["alphabet"]
             syms.insert(rng.randrange(len(syms) + 1), rng.choice([syms[0], "b-c", "", 3, ["x"]]))
-        elif where == "function":
-            table = rng.choice(list(doc["functions"].values()))
+        elif where == "function" and tables:
+            table = rng.choice(tables)
             key = rng.choice(list(table))
             action = rng.randrange(3)
             if action == 0:
@@ -1325,8 +1344,8 @@ def mutated_definitions(rng, doc):
             section = rng.choice(("functions", "machines"))
             name = rng.choice(list(doc[section]))
             doc[section][rng.choice(["bad-name", "", name + "_2"])] = doc[section].pop(name)
-        else:
-            spec = rng.choice(list(doc["machines"].values()))
+        elif where in ("seeds", "step") and specs:
+            spec = rng.choice(specs)
             seeds, step = spec["seeds"], spec["step"]
             if where == "seeds":
                 seeds.insert(rng.randrange(len(seeds) + 1),
@@ -1383,3 +1402,5 @@ def test_loader_agrees_with_entry_by_entry_checks():
         else:
             loaded += 1
     assert loaded > 1000 and len(errors) > 30, errors
+    # the shape faults: top level, a function table, a machine's seeds or step
+    assert {" top level must be an object", " must be an object", " must be a nonempty array"} <= errors

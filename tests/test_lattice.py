@@ -264,6 +264,19 @@ def test_load_demo_validation():
                 "mode": "lfp",
             }
         )
+    with pytest.raises(LatticeFileError, match=r"^demo: top level must be an object$"):
+        load_demo([{"carrier": ["x"], "operator": "identity", "mode": "lfp"}])
+    with pytest.raises(LatticeFileError, match=r"^carrier: must be an array of strings$"):
+        load_demo({"carrier": "x", "operator": "identity", "mode": "lfp"})
+    for name, param in (("fin", "base"), ("list_fun", "atoms")):
+        with pytest.raises(LatticeFileError, match=rf"^operator\.{param}: must be an array of strings$"):
+            load_demo({"carrier": ["x"], "operator": {"name": name, param: "a"}, "mode": "lfp"})
+    with pytest.raises(LatticeFileError, match=r"^operator\.map: must be an object$"):
+        load_demo({"carrier": ["x"], "operator": {"name": "table", "map": [["", []]]}, "mode": "lfp"})
+    for table, key in (({"zz": []}, "zz"), ({"": ["zz"], "x": []}, "")):
+        with pytest.raises(LatticeFileError,
+                           match=rf"^operator\.map\.'{key}': \"'zz' not in carrier\"$"):
+            load_demo({"carrier": ["x"], "operator": {"name": "table", "map": table}, "mode": "lfp"})
 
 
 @pytest.mark.parametrize("key, canonical", [("{b,a}", "{a,b}"), ("{a,a}", "{a}"), ("{,a}", "{a}")])
