@@ -34,13 +34,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _count(minimum: int):
-    """An argparse type for whole numbers of at least `minimum` (0 or 1)."""
+    """An argparse type for whole numbers of at least `minimum` (0 or 1),
+    written in ASCII decimal digits alone: no sign, space, `_` or other
+    script's digits, which `int` would take."""
     what = "a positive integer" if minimum else "a non-negative integer"
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
+            value = int(text) if text.isascii() and text.isdigit() else minimum - 1
+        except ValueError:  # more digits than `int` reads
             value = minimum - 1
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")

@@ -5,18 +5,28 @@ an observation is either None (the list ends here) or a pair
 (head symbol, tail state).  Primitive machine states pair a seed with a
 declared step function; the derived combinators (cons, const, iterates,
 map, append) are states in their own right, each unfolding by its own
-one-step equation.  A map/append tower is observed as a zipper
-(`TowerList`): its live state inside a shared stack of frames, so one
-step touches the live state alone.  A frame stands for a whole run of
-maps or of `append(nil, .)` layers, so a tower's descent builds, its
+one-step equation.
+
+A cons, map or append state stands for a run of nested layers of its
+kind: a cons state holds a tuple of heads and an offset into it, a map
+state a tuple of functions, an `append(nil, .)` state its number of
+layers.  The expression reader (`dsl.read_states`) builds one state per
+run; the library constructors (`cons`, `lmap`, `lappend`) build a run
+of one.  Observing a cons run at offset i gives head i and the run at
+offset i + 1, and its key there is a slice of its key at i.
+
+A map/append tower is observed as a zipper (`TowerList`): its live state
+inside a shared stack of frames, so one step touches the live state
+alone.  A frame stands for a whole run of maps or of `append(nil, .)`
+layers, however many states built it, so a tower's descent builds, its
 key text writes and a head's mapping walks O(runs) frames; within a
-run, a tight loop gathers the layers and the text is one join.  Loops
-that read only heads (`take`, `check_llist_upto`, `bisim.eq_upto`) read
-them with `lasso`, which keeps the live state in locals, builds no tail
-states, and stops once the list's cycle closes: a list built from
-finitely many symbols, seeds and constants ends, or is a finite prefix
-and then one cycle, repeated.  Everything is immutable and pure, apart
-from key and map memos.
+run, the text is one join.  Loops that read only heads (`take`,
+`check_llist_upto`, `bisim.eq_upto`) read them with `lasso`, which
+keeps the live state in locals, reads a cons run's heads from its
+tuple, builds no tail states, and stops once the list's cycle closes: a
+list built from finitely many symbols, seeds and constants ends, or is
+a finite prefix and then one cycle, repeated.  Everything is immutable
+and pure, apart from key and map memos.
 """
 
 from __future__ import annotations
@@ -261,15 +271,34 @@ class NilList(_Plain):
 
 
 class ConsList(_Keyed):
-    """A cons cell: its head symbol and its tail state."""
+    """A run of cons cells as one state: the symbols `heads[at:]`, in
+    order, then `rest`.  Its head is `heads[at]` and its tail the same
+    run at `at + 1`, or `rest` after the last symbol; `cons` builds a run
+    of one."""
 
     # _key memoizes state_key, filled when asked for or, as a slice, when
-    # the parent's is; threads that race to fill it store equal strings.
-    __slots__ = ("head", "tail", "_key")
+    # the state's tail is taken from a keyed parent; threads that race to
+    # fill it store equal strings.
+    __slots__ = ("heads", "at", "rest", "_key")
     __match_args__ = ("head", "tail")
 
-    def __init__(self, head: str, tail: CoList):
-        self.head, self.tail, self._key = head, tail, None
+    def __init__(self, heads: tuple[str, ...], at: int, rest: CoList):
+        self.heads, self.at, self.rest, self._key = heads, at, rest, None
+
+    @property
+    def head(self) -> str:
+        return self.heads[self.at]
+
+    @property
+    def tail(self) -> CoList:
+        """The state after the head; it takes its key as a slice of this
+        state's key, when this one has its key and it has none."""
+        at = self.at + 1
+        tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
+        key = self._key
+        if key is not None and isinstance(tail, ConsList) and tail._key is None:
+            tail._key = key[len(self.heads[at - 1]) + 6:-1]  # between CONS(head, and the last )
+        return tail
 
 
 class ConstList(_Plain):
@@ -296,26 +325,34 @@ class MachineList(_Plain):
 
 
 class MapList(_Frozen, _Tower):
-    __slots__ = __match_args__ = ("fn", "source")
+    """A run of maps as one state: the functions `fns`, outermost first,
+    applied to `source`; `lmap` builds a run of one."""
 
-    def __init__(self, fn: AtomFun, source: CoList):
-        _map_fn(self, fn)
+    __slots__ = __match_args__ = ("fns", "source")
+
+    def __init__(self, fns: tuple[AtomFun, ...], source: CoList):
+        _map_fns(self, fns)
         _map_source(self, source)
 
 
 class AppendList(_Frozen, _Tower):
-    __slots__ = __match_args__ = ("left", "right")
+    """`layers` appends as one state: append(nil, .) taken `layers` - 1
+    times around append(left, right).  `lappend` builds one layer; more
+    than one has nil on the left, a run of `append(nil, .)` layers."""
 
-    def __init__(self, left: CoList, right: CoList):
+    __slots__ = __match_args__ = ("left", "right", "layers")
+
+    def __init__(self, left: CoList, right: CoList, layers: int):
         _append_left(self, left)
         _append_right(self, right)
+        _append_layers(self, layers)
 
 
 (_const_sym,) = _setters(ConstList)
 _iter_fn, _iter_sym = _setters(IterList)
 _machine_machine, _machine_seed = _setters(MachineList)
-_map_fn, _map_source = _setters(MapList)
-_append_left, _append_right = _setters(AppendList)
+_map_fns, _map_source = _setters(MapList)
+_append_left, _append_right, _append_layers = _setters(AppendList)
 _NIL = NilList()
 
 
@@ -376,7 +413,7 @@ def nil() -> CoList:
 def cons(sym: str, tail: CoList, alphabet: Alphabet) -> CoList:
     if sym not in alphabet:
         raise UnknownAtom(f"symbol {sym!r} not in alphabet")
-    return ConsList(sym, tail)
+    return ConsList((sym,), 0, tail)
 
 
 def lconst(sym: str, alphabet: Alphabet) -> CoList:
@@ -395,12 +432,12 @@ def iterates(fn: AtomFun, sym: str) -> CoList:
 
 def lmap(fn: AtomFun, source: CoList) -> CoList:
     """Apply fn to every element, lazily."""
-    return MapList(fn, source)
+    return MapList((fn,), source)
 
 
 def lappend(left: CoList, right: CoList) -> CoList:
     """Concatenation; copies the right list once the left one ends."""
-    return AppendList(left, right)
+    return AppendList(left, right, 1)
 
 
 def corec(seed: str, machine: StepFn) -> CoList:
@@ -477,8 +514,9 @@ def lasso(l: CoList, period: list[int]) -> Iterator[str]:
         m = None if frames is None else frames.maps
         if isinstance(l, ConsList):
             while isinstance(l, ConsList):
-                yield l.head if m is None else _map_head(m, l.head)
-                l = l.tail
+                heads = l.heads[l.at:]
+                yield from heads if m is None else map(_map_head, repeat(m), heads)
+                l = l.rest
             continue
         if isinstance(l, ConstList):
             yield l.sym if m is None else _map_head(m, l.sym)
@@ -527,11 +565,13 @@ def _pop(frames: _Frame) -> Optional[tuple[CoList, _Frame]]:
 
 def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
     """Push the layers of `live` onto `frames` until a non-tower state is
-    live, one frame per run of maps or of `append(nil, .)` layers; a
-    zipper met on the way has its frames copied onto `frames`, run for
-    run, or taken as they are when `frames` is empty.  `append(nil, X)`
-    observes as X does inside APP(NIL,[]), so the APP([],X) frame and
-    the pop of the nil are skipped."""
+    live, one frame per run of maps or of `append(nil, .)` layers: a
+    run state's frame takes in the adjacent run states, as `lmap` and
+    `lappend` build one per layer.  A zipper met on the way has its
+    frames copied onto `frames`, run for run, or taken as they are when
+    `frames` is empty.  `append(nil, X)` observes as X does inside
+    APP(NIL,[]), so the APP([],X) frame and the pop of the nil are
+    skipped."""
     while isinstance(live, _Tower):
         if isinstance(live, MapList):
             fns, live = _map_run(live)
@@ -557,20 +597,20 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
 
 def _map_run(l: MapList) -> tuple[list[AtomFun], CoList]:
     """The functions of the maps that `l` starts with, outermost first,
-    and the state inside them."""
+    and the state inside them: one step per map state."""
     fns = []
     while isinstance(l, MapList):
-        fns.append(l.fn)
+        fns += l.fns
         l = l.source
     return fns, l
 
 
 def _nil_run(l: AppendList) -> tuple[int, CoList]:
     """The number of `append(nil, .)` layers that `l` starts with, and
-    the state inside them."""
+    the state inside them: one step per append state."""
     k = 0
     while isinstance(l, AppendList) and isinstance(l.left, NilList):
-        k += 1
+        k += l.layers
         l = l.right
     return k, l
 
@@ -592,20 +632,20 @@ def _map_head(m: _Frame, sym: str) -> str:
     if out is None:
         tables = m.tables
         if tables is None:
-            tables = m.tables = [fn.table for fn in _map_fns(m)]
+            tables = m.tables = [fn.table for fn in _frame_fns(m)]
         out = sym
         try:
             for t in tables:
                 out = t[out]
         except KeyError:
-            for fn in _map_fns(m):
+            for fn in _frame_fns(m):
                 sym = fn(sym)
             return sym
         table[sym] = out
     return out
 
 
-def _map_fns(m: _Frame) -> Iterator[AtomFun]:
+def _frame_fns(m: _Frame) -> Iterator[AtomFun]:
     """The functions that map the heads coming out of map frame `m`,
     innermost first."""
     while m is not None:
@@ -616,13 +656,14 @@ def _map_fns(m: _Frame) -> Iterator[AtomFun]:
 def state_key(l: CoList) -> str:
     """Canonical, injective serialization of a state.
 
-    A cons cell's first key costs O(n) for its n cells and the cell
-    memoizes it; asking for it gives its tail cell, if keyless, its key
-    as a slice, so walking a cons chain costs one slice per suffix asked
-    for.  A zipper's key is the key of its live state inside the text of
-    its frames, which the innermost frame memoizes, so a tower's key
-    costs O(1) string operations per step after the first, plus copying
-    its text.  The first pushes O(runs) items on an explicit stack, as
+    A cons state's first key costs O(n) for its n cells and the state
+    memoizes it; taking its tail (`ConsList.tail`, as `observe` does)
+    gives the tail, if keyless, its key as a slice, so walking a cons
+    chain, or a run one offset at a time, costs one slice per suffix.
+    A zipper's key is the key of its live state inside the text of its
+    frames, which the innermost frame memoizes, so a tower's key costs
+    O(1) string operations per step after the first, plus copying its
+    text.  The first pushes O(runs) items on an explicit stack, as
     a run of maps, of `append(nil, .)` layers or of keyless cons cells
     is written with one join or multiplication.  Keys are written with
     loops, never recursion, and name the nested state: memoizing and
@@ -640,8 +681,6 @@ def state_key(l: CoList) -> str:
     key = l._key
     if key is None:
         key = l._key = _join([l])
-    if isinstance(l.tail, ConsList) and l.tail._key is None:
-        l.tail._key = key[len(l.head) + 6:-1]  # between CONS(head, and the last )
     return pre + key + post
 
 
@@ -700,8 +739,8 @@ _name = attrgetter("name")
 def _join(items: list) -> str:
     """The text of `items`, strings and states, in order, written with an
     explicit stack, one push per run of maps, of `append(nil, .)` layers
-    or of keyless cons cells; a cell's memoized key is copied, and none
-    is stored."""
+    or of keyless cons cells, each gathered one state at a time; a cons
+    state's memoized key is copied, and none is stored."""
     if len(items) == 1:
         key = _leaf_key(items[0])
         if key is not None:
@@ -723,7 +762,7 @@ def _join(items: list) -> str:
                 k, x = _nil_run(x)
                 parts.append("APP(NIL," * k)
                 todo += (")" * k, x)
-            else:
+            else:  # one layer: only nil on the left makes more
                 parts.append("APP(")
                 todo += (")", x.right, ",", x.left)
             continue
@@ -738,8 +777,8 @@ def _join(items: list) -> str:
         elif isinstance(x, ConsList):
             heads = []
             while isinstance(x, ConsList) and x._key is None:
-                heads.append(x.head)
-                x = x.tail
+                heads += x.heads[x.at:]
+                x = x.rest
             parts.append("CONS(" + ",CONS(".join(heads) + ",")
             todo += (")" * len(heads), x)
         else:

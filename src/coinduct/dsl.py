@@ -16,15 +16,21 @@ its canonical text: its tokens joined without whitespace, which
 read by `syntax.Grammar`, which raises ParseError with the offset at
 which the expected token would start.
 
-`read_states` reads the grammar with the colist constructors, so it
-builds engine states in one pass.  Reading is a loop, so any nesting
-depth works at the default recursion limit.
+`read_states` reads the grammar with the colist states, so it builds
+engine states in one pass.  It builds one state per run of nested
+`cons`, `map` or `append(nil, .)` layers (`colist.ConsList`, `MapList`,
+`AppendList`), which the grammar reads with one match: `append(nil,`
+is a fixed opening of its own.  A run's function names are resolved as
+they are read, outermost first; its symbols are checked against the
+alphabet with one set operation once the term inside the run is built,
+and the innermost symbol outside it is the one reported.  Reading is a
+loop, so any nesting depth works at the default recursion limit.
 """
 
 from __future__ import annotations
 
 from . import colist
-from .colist import AtomFun, CoList, ConsList, ConstList, Definitions, StepFn
+from .colist import AppendList, AtomFun, CoList, ConsList, ConstList, Definitions, MapList, StepFn
 from .errors import UnknownAtom, UnknownFunction, UnknownMachine
 from .syntax import TERM, Grammar
 
@@ -35,6 +41,7 @@ _EXPR = Grammar("expression", {
     "lconst": (None, ("symbol",)),
     "iterates": (None, ("name", "symbol")),
     "map": (None, ("name", TERM)),
+    "append(nil,": (None, (TERM,)),
     "append": (None, (TERM, TERM)),
     "corec": (None, ("name", "seed")),
 })
@@ -46,14 +53,14 @@ def parse_expr(text: str) -> str:
     return _EXPR.canonical(text)
 
 
-def _elaborating(defs: Definitions) -> dict:
+def _elaborating(defs: Definitions) -> list:
     """The expression grammar with the colist constructors, so reading
-    text with it builds engine states.
+    text with it builds engine states, one per run of layers.
 
-    It resolves function and machine names as they are read; the colist
-    constructors check symbols and seeds when their term closes.  So a
-    map's function is resolved before its argument is built, and a cons
-    cell's symbol is checked after its tail is built.
+    It resolves function and machine names as they are read; symbols
+    and seeds are checked when their term closes.  So a map's function
+    is resolved before its argument is built, and a cons run's symbols
+    are checked after its tail is built, the innermost first.
     """
     alphabet, functions, machines = defs.alphabet, defs.functions, defs.machines
     members = alphabet._members
@@ -70,12 +77,13 @@ def _elaborating(defs: Definitions) -> dict:
         except KeyError:
             raise UnknownMachine(f"machine {name!r} not defined") from None
 
-    # colist.cons and colist.lconst, checking the symbol against the
-    # alphabet's frozenset as each cell's term closes
-    def cons(sym: str, tail: CoList) -> CoList:
-        if sym not in members:
+    # colist.cons for a whole run and colist.lconst, checking symbols
+    # against the alphabet's frozenset as the term closes
+    def cons(heads: list[str], tail: CoList) -> CoList:
+        if not members.issuperset(heads):
+            sym = next(sym for sym in reversed(heads) if sym not in members)
             raise UnknownAtom(f"symbol {sym!r} not in alphabet")
-        return ConsList(sym, tail)
+        return ConsList(tuple(heads), 0, tail)
 
     def lconst(sym: str) -> CoList:
         if sym not in members:
@@ -90,13 +98,28 @@ def _elaborating(defs: Definitions) -> dict:
 
     return _EXPR.table({
         "nil": (colist.nil, ()),
-        "cons": (cons, ("symbol", TERM)),
+        "cons": (None, ("symbol", TERM), cons),
         "lconst": (lconst, ("symbol",)),
         "iterates": (iterates, (("name", function), "symbol")),
-        "map": (colist.lmap, (("name", function), TERM)),
+        "map": (None, (("name", function), TERM), _maps),
+        "append(nil,": (None, (TERM,), _nils),
         "append": (colist.lappend, (TERM, TERM)),
-        "corec": (lambda m, seed: colist.corec(seed, m), (("name", machine), "seed")),
+        "corec": (_corec, (("name", machine), "seed")),
     })
+
+
+def _maps(fns: list[AtomFun], source: CoList) -> CoList:
+    """A run of maps, its functions outermost first."""
+    return MapList(tuple(fns), source)
+
+
+def _nils(k: int, right: CoList) -> CoList:
+    """A run of k `append(nil, .)` layers."""
+    return AppendList(colist.nil(), right, k)
+
+
+def _corec(m: StepFn, seed: str) -> CoList:
+    return colist.corec(seed, m)
 
 
 def read_states(text: str, defs: Definitions) -> CoList:

@@ -367,7 +367,7 @@ def load_demo(doc: dict) -> tuple[Carrier, SubsetOperator, str]:
             try:
                 table[Subset.of(carrier, names).bits] = Subset.of(carrier, members).bits
             except KeyError as exc:
-                raise LatticeFileError(f"operator.map.{key!r}: {exc}") from None
+                raise LatticeFileError(f"operator.map.{key!r}: {exc.args[0]}") from None
         op = SubsetOperator.from_table(carrier, table)
     else:
         raise LatticeFileError("operator: unknown operator specification")

@@ -26,14 +26,22 @@ word slots up to its first TERM slot (`cons(a,`, `map(f,`, `append(`),
 or the whole term when it has none (`corec(m,s)`, `leaf(a)`, `nil`) --
 and its TERM slots follow, separated by `,` and closed by `)`.  The
 openings are one regex, so one match opens a term and reads its words;
-a `,` is matched together with the opening after it.  A head with one
-TERM slot and at most one word (`cons`, `map`, `in0`) reads a run of
-nested openings of itself with one match, splits the run's words with
-one `findall`, and closes the run with one `startswith` of its `)`s.
-Reading is a loop over an explicit stack of open terms and runs, so any
-nesting depth works at the default recursion limit.  A word slot is
-resolved when it is read, outer terms first, also inside a run; a term
-is built when it closes, inner terms first.
+a `,` is matched together with the opening after it.  A rule keyed by
+a text that is no word is a fixed opening: that text, then one TERM
+slot, then `)`.  It is tried before the heads, so `append(nil,` reads
+as one opening, not as `append(` and a `nil` term.
+
+A fixed opening, and a head with one TERM slot and at most one word
+(`cons`, `map`, `in0`), reads a run of nested openings of itself with
+one match; the run's words are the matched text split at its
+openings, and one `startswith` of its `)`s closes it.  The run is built
+by one call of the rule's run constructor, if it gives one, with the
+run's words, outermost first, or its number of layers when it has no
+word, and the term inside the run; else one layer at a time, inner
+layers first.  Reading is a loop over an explicit stack of open terms
+and runs, so any nesting depth works at the default recursion limit.  A
+word slot is resolved when it is read, outer terms first, also inside a
+run; a term is built when it closes, inner terms first.
 
 A text that does not read is read again one token at a time with the
 grammar's slots alone (`Grammar._parse_error`).  That loop only names
@@ -79,42 +87,55 @@ def _resolve(label: str):
     return int if label == "numeral" else None
 
 
-def _word(label: str) -> str:
-    """The regex group of a word slot labelled `label`."""
-    return f"([0-9]{{1,{NUMERAL_DIGITS}}})" if label == "numeral" else f"([{_WORD_CHARS}]+)"
+def _word(label: str, capture: bool = True) -> str:
+    """The regex of a word slot labelled `label`, a group if `capture`."""
+    word = f"[0-9]{{1,{NUMERAL_DIGITS}}}" if label == "numeral" else f"[{_WORD_CHARS}]+"
+    return f"({word})" if capture else word
 
 
 class Grammar:
     """A head table read in the term syntax.
 
-    `what` names a term in errors; `rules` maps a head to its
-    constructor and slots, its word slots (labels) before its TERM
-    slots.  A grammar whose constructors are None is only read with
+    `what` names a term in errors; `rules` maps a head, or a fixed
+    opening, to its constructor and slots, its word slots (labels)
+    before its TERM slots, and may add a run constructor as a third
+    item.  A grammar whose constructors are None is only read with
     `canonical` or with a `table` of its own.
     """
 
     def __init__(self, what: str, rules: dict):
         self.what = what
-        self._slots = {head: tuple(slots) for head, (_, slots) in rules.items()}
-        # head -> its table entry less its constructor: (group of its opening,
+        self._slots = {head: tuple(rule[1]) for head, rule in rules.items()}
+        # head -> its table entry less its constructors: (group of its opening,
         # (group, resolve) of each word slot, number of TERM slots, run)
         self._layout = {}
         openings = []
         group = 1
-        for head, slots in self._slots.items():
+        # fixed openings first, so the regex tries them before the heads
+        # they start with
+        fixed_first = sorted(self._slots.items(), key=lambda rule: bool(WORD.fullmatch(rule[0])))
+        for head, slots in fixed_first:
             terms = slots.count(TERM)
             labels = slots[:len(slots) - terms]
             if TERM in labels:
                 raise ValueError(f"{what} {head!r}: a word slot follows a TERM slot")
-            if slots:
+            start = head + "("
+            if not WORD.fullmatch(head):
+                if slots != (TERM,):
+                    raise ValueError(f"{what} {head!r}: a fixed opening has one TERM slot alone")
+                start, opening = head, re.escape(head)
+            elif slots:
                 opening = (re.escape(head) + r"\(" + ",".join(map(_word, labels))
                            + (r"\)" if not terms else "," if labels else ""))
             else:
                 opening = re.escape(head) + f"(?![{_WORD_CHARS}])"
             words = tuple((group + 1 + j, _resolve(label)) for j, label in enumerate(labels))
-            # a run head: its terms close by `)` and need no `,`
-            run = ((head + "(", re.compile(f"(?:{opening})+"), re.compile(opening))
-                   if terms == 1 and len(words) <= 1 else None)
+            # a run head: its terms close by `)` and need no `,`; a run is
+            # (the text each further layer starts with, the regex of them all)
+            run = None
+            if terms == 1 and len(words) <= 1:
+                layer = re.escape(start) + "".join(_word(label, False) + "," for label in labels)
+                run = (start, re.compile(f"(?:{layer})+"))
             self._layout[head] = (group, words, terms, run)
             openings.append(opening)
             group += 1 + len(words)
@@ -124,8 +145,9 @@ class Grammar:
         self._then_open = re.compile(f",(?:{self._opening.pattern})")
         self.rules = self.table(rules)
         # the same syntax with no constructors, to check a text
+        nothing = lambda *args: None  # noqa: E731
         self._syntax = self.table({
-            head: (lambda *args: None, tuple(s if s is TERM else (s, None) for s in slots))
+            head: (nothing, tuple(s if s is TERM else (s, None) for s in slots), nothing)
             for head, slots in self._slots.items()})
 
     def table(self, rules: dict) -> list:
@@ -134,19 +156,27 @@ class Grammar:
         `rules` has this grammar's heads and slots, each head with its
         own constructor.  A word slot may be given as (label, resolve):
         the constructor then receives resolve(word) in place of the
-        word, called as soon as the word is read.
+        word, called as soon as the word is read.  A run head may add a
+        run constructor; it is called once per run with the run's words,
+        outermost first, or its number of layers when it has no word,
+        and the term inside the run.
 
         The table is indexed by the group of a head's opening in the
         opening regex; its entry is (make, words, TERM slots, run), as
         in `_layout`, with the resolves `rules` gives.  A run is
-        (`head(`, the regex of a run of openings, the regex of one).
+        (the text each further layer starts with, the regex of a run of
+        them, its run constructor).
         """
         entries = [None] * self._groups
-        for head, (make, slots) in rules.items():
-            group, words, terms, run = self._layout[head]
-            if tuple in map(type, slots):  # some word is resolved as it is read
+        layout = self._layout
+        for head, rule in rules.items():
+            group, words, terms, run = layout[head]
+            make, slots = rule[0], rule[1]
+            if words and tuple in map(type, slots):  # some word is resolved as it is read
                 words = tuple([(g, slot[1] if isinstance(slot, tuple) else r)
                                for (g, r), slot in zip(words, slots)])
+            if run is not None:
+                run = (*run, rule[2] if len(rule) > 2 else _layers(make, words))
             entries[group] = (make, words, terms, run)
         return entries
 
@@ -194,7 +224,7 @@ class Grammar:
             raise self._parse_error(text)
         opening, then_open = self._opening.match, self._then_open.match
         # open terms: (make, args, TERM slots after the one being read),
-        # or a run's (make, words, its `)`s)
+        # or a run's (run constructor, its words or layers, its `)`s)
         stack = []
         m = opening(canon)
         while True:  # m opens a term, if the text reads
@@ -206,20 +236,19 @@ class Grammar:
             for g, resolve in words:
                 args.append(m[g] if resolve is None else resolve(m[g]))
             if run is not None:
-                start, more, one = run
-                count = 1
-                if canon.startswith(start, pos):
-                    r = more.match(canon, pos)
-                    if r is not None:
-                        if words:
-                            found = one.findall(canon, pos, r.end())
-                            resolve = words[0][1]
-                            args += found if resolve is None else map(resolve, found)
-                            count = len(args)
-                        else:
-                            count += (r.end() - pos) // len(start)
-                        pos = r.end()
-                stack.append((make, args, ")" * count))
+                start, more, build = run
+                r = more.match(canon, pos) if canon.startswith(start, pos) else None
+                end = pos if r is None else r.end()
+                if words:
+                    if r is not None:  # `start` and a word, then `,`, per further layer
+                        found = canon[pos + len(start):end - 1].split("," + start)
+                        resolve = words[0][1]
+                        args += found if resolve is None else map(resolve, found)
+                    layers = len(args)
+                else:
+                    args = layers = 1 + (end - pos) // len(start)
+                stack.append((build, args, ")" * layers))
+                pos = end
                 m = opening(canon, pos)
                 continue
             if terms:
@@ -233,12 +262,7 @@ class Grammar:
                     if not canon.startswith(left, pos):
                         raise self._parse_error(text)
                     pos += len(left)
-                    if args:
-                        for word in reversed(args):
-                            value = make(word, value)
-                    else:
-                        for _ in range(len(left)):
-                            value = make(value)
+                    value = make(args, value)
                     continue
                 args.append(value)
                 if left:
@@ -294,6 +318,22 @@ class Grammar:
                         return _error(text, i, "end of input")
                     raise AssertionError(f"{self.what} {text!r} reads one token at a time only")
                 slots, k = stack.pop()
+
+
+def _layers(make, words: tuple):
+    """A run constructor that builds the run one layer at a time with
+    `make`, inner layers first."""
+    if words:
+        def build(args: list, value):
+            for word in reversed(args):
+                value = make(word, value)
+            return value
+    else:
+        def build(count: int, value):
+            for _ in range(count):
+                value = make(value)
+            return value
+    return build
 
 
 def _error(text: str, i: int, expected: str) -> ParseError:

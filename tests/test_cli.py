@@ -147,6 +147,28 @@ def test_depth_below_zero_is_a_usage_error(capsys, command, value):
     assert err == f"error: argument --depth: must be a non-negative integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("option, what", [("--depth", "a non-negative integer"),
+                                          ("--max-pairs", "a positive integer")])
+@pytest.mark.parametrize("value", [" 3_0 ", "3_0", " 3", "+3", "٣", "３", "3.0", ""])
+def test_counts_take_ascii_digits_alone(capsys, option, what, value):
+    """A count is ASCII decimal digits and nothing else: no space, sign,
+    `_` or other script's digits, though `int` reads each of these."""
+    command = "bisim" if option == "--max-pairs" else "eval"
+    exprs = ["lconst(a)", "lconst(a)"] if command == "bisim" else ["lconst(a)"]
+    code, out, err = run(capsys, command, "--defs", DEFS, option, value, *exprs)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {option}: must be {what}, got {value!r}\n"
+
+
+def test_counts_read_leading_zeros(capsys):
+    assert run(capsys, "eval", "--defs", DEFS, "--depth", "003", "lconst(a)") == (
+        0, "[a,a,a,...]\n", ""
+    )
+    bisim = ("bisim", "--defs", DEFS, "--kind", "weak", "--max-pairs")
+    exprs = ("lconst(a)", "cons(a,lconst(a))")
+    assert run(capsys, *bisim, "01", *exprs) == run(capsys, *bisim, "1", *exprs)
+
+
 def test_depth_zero_is_valid(capsys):
     assert run(capsys, "eq", "--defs", DEFS, "--depth", "0", "lconst(a)", "lconst(b)") == (
         0, "EQUAL to depth 0\n", ""

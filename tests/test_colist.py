@@ -27,6 +27,7 @@ from conftest import (
     walk_states,
 )
 from coinduct import colist
+from coinduct.dsl import read_states
 from coinduct.colist import (
     Alphabet,
     AppendList,
@@ -349,20 +350,44 @@ def test_state_keys():
     )
 
 
+def _cons_layer(l):
+    """The head and tail of a cons state, a run read as its outermost
+    cell; no key memo is read or written."""
+    at = l.at + 1
+    return l.heads[l.at], l.rest if at == len(l.heads) else ConsList(l.heads, at, l.rest)
+
+
+def _map_layer(l):
+    """The function and source of a map state's outermost map."""
+    fn, *inner = l.fns
+    return fn, MapList(tuple(inner), l.source) if inner else l.source
+
+
+def _append_layer(l):
+    """The left and right states of an append state's outermost append."""
+    if l.layers == 1:
+        return l.left, l.right
+    return NilList(), AppendList(l.left, l.right, l.layers - 1)
+
+
 def _reference_key(l):
-    """The plain recursive serializer: the oracle for `state_key`."""
+    """The plain recursive serializer, one layer of a run at a time: the
+    oracle for `state_key`."""
     if isinstance(l, NilList):
         return "NIL"
     if isinstance(l, ConsList):
-        return f"CONS({l.head},{_reference_key(l.tail)})"
+        head, tail = _cons_layer(l)
+        return f"CONS({head},{_reference_key(tail)})"
     if isinstance(l, ConstList):
         return f"CONST({l.sym})"
     if isinstance(l, IterList):
         return f"ITER({l.fn.name},{l.sym})"
     if isinstance(l, MapList):
-        return f"MAP({l.fn.name},{_reference_key(l.source)})"
+        fn, source = _map_layer(l)
+        return f"MAP({fn.name},{_reference_key(source)})"
     if isinstance(l, AppendList):
-        return f"APP({_reference_key(l.left)},{_reference_key(l.right)})"
+        left, right = _append_layer(l)
+        return f"APP({_reference_key(left)},{_reference_key(right)})"
     if isinstance(l, MachineList):
         return f"M({l.machine.name},{l.seed})"
     raise TypeError(l)
@@ -370,32 +395,35 @@ def _reference_key(l):
 
 def _reference_observe(l):
     """The plain recursive one-step equations, rebuilding every layer of a
-    map/append tower: the oracle for `observe`.  Its tails are nested
-    states, which `_reference_key` reads."""
+    map/append tower, one layer of a run at a time: the oracle for
+    `observe`.  Its tails are nested states of one layer each, which
+    `_reference_key` reads."""
     if isinstance(l, NilList):
         return None
     if isinstance(l, ConsList):
-        return l.head, l.tail
+        return _cons_layer(l)
     if isinstance(l, ConstList):
         return l.sym, l
     if isinstance(l, IterList):
         return l.sym, IterList(l.fn, l.fn(l.sym))
     if isinstance(l, MapList):
-        obs = _reference_observe(l.source)
+        fn, source = _map_layer(l)
+        obs = _reference_observe(source)
         if obs is None:
             return None
         head, tail = obs
-        return l.fn(head), MapList(l.fn, tail)
+        return fn(head), MapList((fn,), tail)
     if isinstance(l, AppendList):
-        obs = _reference_observe(l.left)
+        left, right = _append_layer(l)
+        obs = _reference_observe(left)
         if obs is not None:
             head, tail = obs
-            return head, AppendList(tail, l.right)
-        obs = _reference_observe(l.right)
+            return head, AppendList(tail, right, 1)
+        obs = _reference_observe(right)
         if obs is None:
             return None
         head, tail = obs
-        return head, AppendList(NilList(), tail)
+        return head, AppendList(NilList(), tail, 1)
     if isinstance(l, MachineList):
         act = l.machine.step(l.seed)
         if act is None:
@@ -406,31 +434,33 @@ def _reference_observe(l):
 
 
 def _reference_term(l):
-    """Nested states as tuples, compared field by field as the frozen
-    dataclasses compared them: the oracle for `==` and `hash`."""
+    """Nested states as tuples, one per layer of a run, compared field
+    by field as the frozen dataclasses compared them: the oracle for
+    `==` and `hash`."""
     if isinstance(l, ConsList):
-        return ("cons", l.head, _reference_term(l.tail))
+        head, tail = _cons_layer(l)
+        return ("cons", head, _reference_term(tail))
     if isinstance(l, MapList):
-        return ("map", l.fn, _reference_term(l.source))
+        fn, source = _map_layer(l)
+        return ("map", fn, _reference_term(source))
     if isinstance(l, AppendList):
-        return ("app", _reference_term(l.left), _reference_term(l.right))
+        left, right = _append_layer(l)
+        return ("app", _reference_term(left), _reference_term(right))
     assert isinstance(l, (NilList, ConstList, IterList, MachineList)), l
     return l
 
 
 def _unzip(state):
-    """The nested state a zipper names, rebuilt frame by frame and, in a
-    frame that stands for a run, layer by layer."""
+    """The nested state a zipper names, rebuilt frame by frame, one run
+    state per frame."""
     l, frame = state.live, state.frames
     while frame is not None:
         if frame.fns is not None:
-            for fn in reversed(frame.fns):
-                l = MapList(fn, l)
+            l = MapList(tuple(frame.fns), l)
         elif frame.right is not None:
-            l = AppendList(l, frame.right)
+            l = AppendList(l, frame.right, 1)
         else:
-            for _ in range(frame.nils):
-                l = AppendList(NilList(), l)
+            l = AppendList(NilList(), l, frame.nils)
         frame = frame.up
     return l
 
@@ -493,10 +523,11 @@ def state_recipes(draw, max_ops=14, towers=False, heads=("a", "b")):
     return ops
 
 
-def build_states(ops, step=observe, fns=None):
+def build_states(ops, step=observe, fns=None, runs=False):
     """The states a recipe builds; a "tail" step observes with `step`.
     `fns` maps SWAP, LOWER and the machines to what is built in their
-    place."""
+    place.  With `runs`, a run step builds one state, as the reader
+    does; else one state per layer, with the library constructors."""
     fns = fns or {}
     built = []
     for op in ops:
@@ -517,6 +548,13 @@ def build_states(ops, step=observe, fns=None):
             built.append(lmap(fns.get(fn, fn), built[args[0]]))
         elif kind == "append":
             built.append(lappend(built[args[0]], built[args[1]]))
+        elif runs and kind == "maps":  # the last function is the outermost map
+            run = tuple(fns.get(fn, fn) for fn in reversed(args[1]))
+            built.append(MapList(run, built[args[0]]))
+        elif runs and kind == "nils":
+            built.append(AppendList(nil(), built[args[0]], args[1]))
+        elif runs and kind == "conses":
+            built.append(ConsList(args[0], 0, built[args[1]]))
         elif kind == "maps":
             state = built[args[0]]
             for fn in args[1]:
@@ -621,6 +659,90 @@ def test_towers_match_the_recursive_oracle(ops, steps):
             assert (a == b) == (ta == tb)
             if ta == tb:
                 assert hash(a) == hash(b)
+
+
+LOWER_Q00 = AtomFun("lower", {"a": "a", "b": "a", "q00": "q00"})
+# the functions and machines of a recipe over HEADS, and the same by name
+# for the texts that spell a recipe's states
+RUN_FNS = {SWAP: SWAP_Q00, LOWER: LOWER_Q00}
+RUN_DEFS = Definitions(HEADS, {"swap": SWAP_Q00, "lower": LOWER_Q00},
+                       {m.name: m for m in MACHINES.values()})
+
+
+def recipe_texts(ops, longest=2000):
+    """The expression that spells each state a recipe builds, or None for
+    a state built on an observed tail or longer than `longest`, as a
+    text repeats each tail it shares."""
+    texts = []
+    for op in ops:
+        kind, args = op[0], op[1:]
+        text = inner = None
+        if kind == "nil":
+            text = "nil"
+        elif kind == "const":
+            text = f"lconst({args[0]})"
+        elif kind == "iter":
+            text = f"iterates(swap,{args[0]})"
+        elif kind == "machine":
+            text = f"corec({MACHINES[args[0]].name},{args[0]})"
+        elif kind == "append":
+            left, right = texts[args[0]], texts[args[1]]
+            text = None if left is None or right is None else f"append({left},{right})"
+        elif kind in ("cons", "conses"):
+            heads = args[0] if kind == "conses" else [args[0]]
+            inner, opens = texts[args[1]], [f"cons({head}," for head in heads]
+        elif kind == "nils":
+            inner, opens = texts[args[0]], ["append(nil,"] * args[1]
+        elif kind != "tail":  # map or maps, the last function outermost
+            named = args[1] if kind == "maps" else args[1:] or (SWAP,)
+            inner, opens = texts[args[0]], [f"map({fn.name}," for fn in reversed(named)]
+        if inner is not None:
+            text = "".join(opens) + inner + ")" * len(opens)
+        texts.append(text if text is None or len(text) <= longest else None)
+    return texts
+
+
+# runs built on observed run states: a cons run over a cons run's tail at
+# offset 2, a map run over that, observed into, under append(nil, .)
+# layers that share the first run on the right
+_RUNS_ON_TAILS = [("iter", "a"), ("conses", ("a", "q00", "b"), 0), ("tail", 1, 2),
+                  ("conses", ("b", "a"), 2), ("maps", 3, (SWAP, LOWER)), ("tail", 4, 3),
+                  ("nils", 5, 3), ("append", 6, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_recipes(max_ops=20, towers=True, heads=tuple(HEADS)),
+       st.integers(min_value=0, max_value=30))
+@example(_RUNS_ON_TAILS, 12)
+def test_run_states_match_layer_states(ops, steps):
+    """Each state of a random recipe, built as run states -- read from
+    its text, or one state per run with the run constructors where it is
+    built on an observed tail -- against the same list built one layer
+    at a time with the library constructors and against the recursive
+    oracle: the same `take`, the same observations, and at each step the
+    same key, `==` and `hash`.  Runs share tails, and each state is keyed
+    before it is observed, so tails take their keys as slices."""
+    layers = build_states(ops, fns=RUN_FNS)
+    refs = build_states(ops, _reference_observe, fns=RUN_FNS)
+    runs = build_states(ops, fns=RUN_FNS, runs=True)
+    texts = recipe_texts(ops)
+    read = [None if text is None else read_states(text, RUN_DEFS) for text in texts]
+    assert texts[0] is not None
+    for layered, nested, *built in zip(layers, refs, runs, read):
+        for state in built:
+            if state is None:
+                continue
+            assert take(steps, state) == take(steps, layered)
+            twin, ref = layered, nested
+            for _ in range(steps):
+                assert state_key(state) == state_key(twin) == _reference_key(ref)
+                assert state == twin and hash(state) == hash(twin)
+                obs, obs_twin, obs_ref = observe(state), observe(twin), _reference_observe(ref)
+                assert (obs is None) == (obs_twin is None) == (obs_ref is None)
+                if obs is None:
+                    break
+                assert obs[0] == obs_twin[0] == obs_ref[0]
+                state, twin, ref = obs[1], obs_twin[1], obs_ref[1]
 
 
 def _oracle_take(k, l):
@@ -1095,19 +1217,21 @@ def test_combinator_equations_on_every_reachable_state(defs):
             elif isinstance(state, IterList):
                 assert obs == (state.sym, IterList(state.fn, state.fn(state.sym)))
             elif isinstance(state, MapList):
-                inner = observe(state.source)
+                fn, source = _map_layer(state)
+                inner = observe(source)
                 if inner is None:
                     assert obs is None
                 else:
-                    assert obs == (state.fn(inner[0]), MapList(state.fn, inner[1]))
+                    assert obs == (fn(inner[0]), MapList((fn,), inner[1]))
             elif isinstance(state, AppendList):
-                left, right = observe(state.left), observe(state.right)
-                if left is not None:
-                    assert obs == (left[0], AppendList(left[1], state.right))
-                elif right is None:
+                left, right = _append_layer(state)
+                first, then = observe(left), observe(right)
+                if first is not None:
+                    assert obs == (first[0], AppendList(first[1], right, 1))
+                elif then is None:
                     assert obs is None
                 else:
-                    assert obs == (right[0], AppendList(NilList(), right[1]))
+                    assert obs == (then[0], AppendList(NilList(), then[1], 1))
             elif isinstance(state, MachineList):
                 act = state.machine.step(state.seed)
                 if act is None:

@@ -299,7 +299,7 @@ def test_deep_expressions_round_trip_at_the_default_recursion_limit(defs):
     assert same
     l = elaborate(e, defs)
     assert take(6, l) == take(6, read_states(text, defs)) == (["a"] * 6, False)
-    # a cons chain is not keyed here: each cell memoizes its own key
+    # towers alone are keyed here; `test_a_run_reads_into_one_state` keys a cons run
     towers = "append(nil," * 20000 + "map(h," * 20000 + "lconst(a)" + ")" * 40000
     key = state_key(elaborate(parse_expr(towers), defs))
     same = key == state_key(read_states(towers, defs))
@@ -369,8 +369,37 @@ def test_word_space_word_faults(defs, text, offset, expected):
     ("cons(zz,cons(qq,nil))", "symbol 'qq' not in alphabet"),
     ("cons(a,cons(zz,cons(qq,lconst(yy))))", "symbol 'yy' not in alphabet"),
     ("cons(zz,map(succ,cons(qq,nil)))", "symbol 'qq' not in alphabet"),
+    # two symbols outside the alphabet in one run, above an unknown
+    # function: the function, read first, is reported first; with the
+    # tail built, the run's innermost bad symbol is
+    ("cons(zz,cons(a,cons(yy,map(qq,nil))))", "function 'qq' not defined"),
+    ("cons(zz,cons(a,cons(yy,map(succ,nil))))", "symbol 'yy' not in alphabet"),
+    ("cons(zz,cons(yy,append(nil,append(nil,lconst(a)))))", "symbol 'yy' not in alphabet"),
 ])
 def test_resolution_order_inside_runs(defs, text, message):
     expected = outcome(lambda t: reference_elaborate(reference_parse(t), defs), text)
     assert expected[1] == message
     assert outcome(lambda t: read_states(t, defs), text) == expected
+
+
+@pytest.mark.parametrize("layer, kind", [("cons(a,", "ConsList"), ("map(succ,", "MapList"),
+                                         ("append(nil,", "AppendList")])
+def test_a_run_reads_into_one_state(defs, monkeypatch, layer, kind):
+    """A text of 10^4 nested `cons`, `map` or `append(nil, .)` layers
+    builds one state for the run, counted as each state's `__init__` is
+    called, and reads, keys and observes as the nested layers do."""
+    built = []
+    for cls in (colist.ConsList, colist.MapList, colist.AppendList):
+        def counted(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    k = 10**4
+    text = layer * k + "iterates(succ,x0)" + ")" * k
+    l = read_states(text, defs)
+    assert built == [kind]
+    head = {"cons(a,": "CONS(a,", "map(succ,": "MAP(succ,", "append(nil,": "APP(NIL,"}[layer]
+    same = state_key(l) == head * k + "ITER(succ,x0)" + ")" * k
+    assert same
+    first = ["a"] * 4 if kind == "ConsList" else ["x0", "x1", "x2", "x3"]
+    assert take(4, l) == (first, False)

@@ -275,7 +275,7 @@ def test_load_demo_validation():
         load_demo({"carrier": ["x"], "operator": {"name": "table", "map": [["", []]]}, "mode": "lfp"})
     for table, key in (({"zz": []}, "zz"), ({"": ["zz"], "x": []}, "")):
         with pytest.raises(LatticeFileError,
-                           match=rf"^operator\.map\.'{key}': \"'zz' not in carrier\"$"):
+                           match=rf"^operator\.map\.'{key}': 'zz' not in carrier$"):
             load_demo({"carrier": ["x"], "operator": {"name": "table", "map": table}, "mode": "lfp"})
 
 
