@@ -9,10 +9,11 @@ one-step equation.
 
 A cons, map or append state stands for a run of nested layers of its
 kind: a cons state holds a tuple of heads and an offset into it, a map
-state a tuple of functions, an `append(nil, .)` state its number of
-layers.  The expression reader (`dsl.read_states`) builds one state per
-run; the library constructors (`cons`, `lmap`, `lappend`) build a run
-of one.  Observing a cons run at offset i gives head i and the run at
+state a nonempty tuple of functions, an `append(nil, .)` state its
+number of layers (a run that names no list is refused with ValueError).
+The expression reader (`dsl.read_states`) builds one state per run;
+the library constructors (`cons`, `lmap`, `lappend`) build a run of
+one.  Observing a cons run at offset i gives head i and the run at
 offset i + 1, and its key there is a slice of its key at i.
 
 A map/append tower is observed as a zipper (`TowerList`): its live state
@@ -20,13 +21,15 @@ inside a shared stack of frames, so one step touches the live state
 alone.  A frame stands for a whole run of maps or of `append(nil, .)`
 layers, however many states built it, so a tower's descent builds, its
 key text writes and a head's mapping walks O(runs) frames; within a
-run, the text is one join.  Loops that read only heads (`take`,
-`check_llist_upto`, `bisim.eq_upto`) read them with `lasso`, which
-keeps the live state in locals, reads a cons run's heads from its
-tuple, builds no tail states, and stops once the list's cycle closes: a
-list built from finitely many symbols, seeds and constants ends, or is
-a finite prefix and then one cycle, repeated.  Everything is immutable
-and pure, apart from key and map memos.
+run, the text is one join.  One descent (`_descend`) reads a tower's
+nesting, for observations and keys alike, and one writer
+(`_frame_text`) writes its frames' key text.  Loops that read only
+heads (`take`, `check_llist_upto`, `bisim.eq_upto`) read them with
+`lasso`, which keeps the live state in locals, reads a cons run's heads
+from its tuple, builds no tail states, and stops once the list's cycle
+closes: a list built from finitely many symbols, seeds and constants
+ends, or is a finite prefix and then one cycle, repeated.  Everything
+is immutable and pure, apart from key and map memos.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import string
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice, repeat
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
@@ -57,7 +59,7 @@ class Alphabet:
             raise DefsError("alphabet: duplicate symbol")
         if not _all_words(syms):
             for s in syms:
-                if not WORD.fullmatch(s):
+                if not isinstance(s, str) or not WORD.fullmatch(s):
                     raise DefsError(f"alphabet: bad symbol {s!r}")
         object.__setattr__(self, "symbols", syms)
         # not a field, so == and repr read `symbols` alone
@@ -326,11 +328,14 @@ class MachineList(_Plain):
 
 class MapList(_Frozen, _Tower):
     """A run of maps as one state: the functions `fns`, outermost first,
-    applied to `source`; `lmap` builds a run of one."""
+    applied to `source`; `lmap` builds a run of one.  No function is a
+    ValueError."""
 
     __slots__ = __match_args__ = ("fns", "source")
 
     def __init__(self, fns: tuple[AtomFun, ...], source: CoList):
+        if not fns:
+            raise ValueError("a map run needs at least one function")
         _map_fns(self, fns)
         _map_source(self, source)
 
@@ -338,11 +343,16 @@ class MapList(_Frozen, _Tower):
 class AppendList(_Frozen, _Tower):
     """`layers` appends as one state: append(nil, .) taken `layers` - 1
     times around append(left, right).  `lappend` builds one layer; more
-    than one has nil on the left, a run of `append(nil, .)` layers."""
+    than one has nil on the left, a run of `append(nil, .)` layers, and
+    any other count is a ValueError."""
 
     __slots__ = __match_args__ = ("left", "right", "layers")
 
     def __init__(self, left: CoList, right: CoList, layers: int):
+        if layers < 1:
+            raise ValueError(f"an append run needs at least one layer, got {layers}")
+        if layers > 1 and not isinstance(left, NilList):
+            raise ValueError(f"an append run of {layers} layers needs nil on the left")
         _append_left(self, left)
         _append_right(self, right)
         _append_layers(self, layers)
@@ -451,17 +461,15 @@ def observe(l: CoList) -> Observation:
     """Unfold one step: None for the end of the list, else (head, tail).
 
     A map or append state is observed through its innermost live state
-    alone.  Its nesting is descended once, with a loop, into frames
-    (`_Frame`), one per run of maps or of `append(nil, .)` layers and one
-    per other append; the tail is a `TowerList` that shares those frames
-    and replaces only the live state, so each later step costs O(1) after
-    one descent of O(runs) frames.  When the live state ends, the frames
-    pop (`_pop`).  The heads and tails are those of the one-step
+    alone.  Its nesting is descended once, with a loop (`_descend`), into
+    frames (`_Frame`), one per run of maps or of `append(nil, .)` layers
+    and one per other append, or a zipper's frames taken as they are; the
+    tail is a `TowerList` that shares those frames and replaces only the
+    live state, so each later step costs O(1) after one descent of
+    O(runs) frames.  When the live state ends, the frames pop (`_pop`).  The heads and tails are those of the one-step
     equations of map and append, applied layer by layer.
     """
     frames = None
-    if isinstance(l, TowerList):
-        l, frames = l.live, l.frames
     while True:
         if isinstance(l, _Tower):
             l, frames = _descend(l, frames)
@@ -574,11 +582,17 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
     skipped."""
     while isinstance(live, _Tower):
         if isinstance(live, MapList):
-            fns, live = _map_run(live)
+            fns = []
+            while isinstance(live, MapList):
+                fns += live.fns
+                live = live.source
             frames = _Frame(fns, 0, None, frames)
         elif isinstance(live, AppendList):
             if isinstance(live.left, NilList):
-                k, live = _nil_run(live)
+                k = 0
+                while isinstance(live, AppendList) and isinstance(live.left, NilList):
+                    k += live.layers
+                    live = live.right
                 frames = _Frame(None, k, None, frames)
             else:
                 frames, live = _Frame(None, 0, live.right, frames), live.left
@@ -593,26 +607,6 @@ def _descend(live: _Tower, frames: Optional[_Frame]) -> tuple[CoList, _Frame]:
                 for f in reversed(chain):
                     frames = _Frame(f.fns, f.nils, f.right, frames)
     return live, frames
-
-
-def _map_run(l: MapList) -> tuple[list[AtomFun], CoList]:
-    """The functions of the maps that `l` starts with, outermost first,
-    and the state inside them: one step per map state."""
-    fns = []
-    while isinstance(l, MapList):
-        fns += l.fns
-        l = l.source
-    return fns, l
-
-
-def _nil_run(l: AppendList) -> tuple[int, CoList]:
-    """The number of `append(nil, .)` layers that `l` starts with, and
-    the state inside them: one step per append state."""
-    k = 0
-    while isinstance(l, AppendList) and isinstance(l.left, NilList):
-        k += l.layers
-        l = l.right
-    return k, l
 
 
 def _map_head(m: _Frame, sym: str) -> str:
@@ -660,22 +654,24 @@ def state_key(l: CoList) -> str:
     memoizes it; taking its tail (`ConsList.tail`, as `observe` does)
     gives the tail, if keyless, its key as a slice, so walking a cons
     chain, or a run one offset at a time, costs one slice per suffix.
-    A zipper's key is the key of its live state inside the text of its
-    frames, which the innermost frame memoizes, so a tower's key costs
-    O(1) string operations per step after the first, plus copying its
-    text.  The first pushes O(runs) items on an explicit stack, as
-    a run of maps, of `append(nil, .)` layers or of keyless cons cells
-    is written with one join or multiplication.  Keys are written with
+    A tower is keyed as `observe` reads it, by `_descend`: the key of
+    its live state inside the text of its frames (`_frame_text`), which
+    the innermost frame memoizes.  A zipper keeps its frames, so its key
+    costs O(1) string operations per step after the first, plus copying
+    its text; a tower as built is descended afresh, one frame per run.
+    The first text pushes O(runs) items on an explicit stack, as a run
+    of maps, of `append(nil, .)` layers or of keyless cons cells is
+    written with one join or multiplication.  Keys are written with
     loops, never recursion, and name the nested state: memoizing and
     zippers change no key.
     """
     pre = post = ""
-    if isinstance(l, TowerList):
-        f = l.frames
+    if isinstance(l, _Tower):
+        l, f = _descend(l, None)
         if f.suffix is None:
             text, rest = _frame_text(f)
             f.prefix, f.suffix = "".join(text), _join(rest)
-        pre, post, l = f.prefix, f.suffix, l.live
+        pre, post = f.prefix, f.suffix
     if not isinstance(l, ConsList):
         return pre + _join([l]) + post
     key = l._key
@@ -708,11 +704,12 @@ def _leaf_key(l: CoList) -> Optional[str]:
 def _frame_text(f: _Frame) -> tuple[list[str], list]:
     """The key text before and after the hole of `f`: the prefix as
     strings, the suffix as strings and the states of APP([],right)
-    frames, gathered up to the first frame that memoizes its text."""
+    frames, gathered up to the first frame that memoizes its text; the
+    one writer of a tower's MAP( and APP( key text."""
     pre, post = [], []
     while f is not None and f.suffix is None:
         if f.fns is not None:
-            pre.append(_maps_text(f.fns))
+            pre.append("MAP(" + ",MAP(".join([fn.name for fn in f.fns]) + ",")
             post.append(")" * len(f.fns))
         elif f.right is not None:
             pre.append("APP(")
@@ -728,19 +725,12 @@ def _frame_text(f: _Frame) -> tuple[list[str], list]:
     return pre, post
 
 
-def _maps_text(fns: list[AtomFun]) -> str:
-    """The key text that opens a run of maps: MAP(f1,MAP(f2,...,"""
-    return "MAP(" + ",MAP(".join(map(_name, fns)) + ","
-
-
-_name = attrgetter("name")
-
-
 def _join(items: list) -> str:
     """The text of `items`, strings and states, in order, written with an
-    explicit stack, one push per run of maps, of `append(nil, .)` layers
-    or of keyless cons cells, each gathered one state at a time; a cons
-    state's memoized key is copied, and none is stored."""
+    explicit stack: a tower pushes its frames' text (`_frame_text`) once
+    `_descend` has read it, and a run of keyless cons cells is gathered
+    one state at a time and pushed once; a cons state's memoized key is
+    copied, and none is stored."""
     if len(items) == 1:
         key = _leaf_key(items[0])
         if key is not None:
@@ -752,28 +742,16 @@ def _join(items: list) -> str:
         if isinstance(x, str):
             parts.append(x)
             continue
-        if isinstance(x, MapList):
-            fns, x = _map_run(x)
-            parts.append(_maps_text(fns))
-            todo += (")" * len(fns), x)
-            continue
-        if isinstance(x, AppendList):
-            if isinstance(x.left, NilList):
-                k, x = _nil_run(x)
-                parts.append("APP(NIL," * k)
-                todo += (")" * k, x)
-            else:  # one layer: only nil on the left makes more
-                parts.append("APP(")
-                todo += (")", x.right, ",", x.left)
+        if isinstance(x, _Tower):
+            x, f = _descend(x, None)
+            pre, post = _frame_text(f)
+            parts += pre
+            todo += post[::-1]
+            todo.append(x)
             continue
         key = _leaf_key(x)
         if key is not None:
             parts.append(key)
-        elif isinstance(x, TowerList):
-            pre, post = _frame_text(x.frames)
-            parts += pre
-            todo += post[::-1]
-            todo.append(x.live)
         elif isinstance(x, ConsList):
             heads = []
             while isinstance(x, ConsList) and x._key is None:

@@ -31,17 +31,18 @@ a text that is no word is a fixed opening: that text, then one TERM
 slot, then `)`.  It is tried before the heads, so `append(nil,` reads
 as one opening, not as `append(` and a `nil` term.
 
-A fixed opening, and a head with one TERM slot and at most one word
-(`cons`, `map`, `in0`), reads a run of nested openings of itself with
-one match; the run's words are the matched text split at its
-openings, and one `startswith` of its `)`s closes it.  The run is built
-by one call of the rule's run constructor, if it gives one, with the
-run's words, outermost first, or its number of layers when it has no
-word, and the term inside the run; else one layer at a time, inner
-layers first.  Reading is a loop over an explicit stack of open terms
-and runs, so any nesting depth works at the default recursion limit.  A
-word slot is resolved when it is read, outer terms first, also inside a
-run; a term is built when it closes, inner terms first.
+A fixed opening, or a head with one TERM slot and at most one word,
+whose rule gives a run constructor (`cons`, `map`, `append(nil,`)
+reads a run of nested openings of itself with one match; the run's
+words are the matched text split at its openings, one `startswith` of
+its `)`s closes it, and one call of the run constructor builds it from
+the run's words, outermost first, or its number of layers when it has
+no word, and the term inside.  Other heads (the tree terms' `in0` and
+`in1`) are read one term at a time.  Reading is a loop over an explicit stack
+of open terms and runs, so any nesting depth works at the default
+recursion limit.  A word slot is resolved when it is read, outer terms
+first, also inside a run; a term is built when it closes, inner terms
+first.
 
 A text that does not read is read again one token at a time with the
 grammar's slots alone (`Grammar._parse_error`).  That loop only names
@@ -159,7 +160,8 @@ class Grammar:
         word, called as soon as the word is read.  A run head may add a
         run constructor; it is called once per run with the run's words,
         outermost first, or its number of layers when it has no word,
-        and the term inside the run.
+        and the term inside the run; without one, it is read one term
+        at a time.
 
         The table is indexed by the group of a head's opening in the
         opening regex; its entry is (make, words, TERM slots, run), as
@@ -175,8 +177,7 @@ class Grammar:
             if words and tuple in map(type, slots):  # some word is resolved as it is read
                 words = tuple([(g, slot[1] if isinstance(slot, tuple) else r)
                                for (g, r), slot in zip(words, slots)])
-            if run is not None:
-                run = (*run, rule[2] if len(rule) > 2 else _layers(make, words))
+            run = (*run, rule[2]) if run is not None and len(rule) > 2 else None
             entries[group] = (make, words, terms, run)
         return entries
 
@@ -318,22 +319,6 @@ class Grammar:
                         return _error(text, i, "end of input")
                     raise AssertionError(f"{self.what} {text!r} reads one token at a time only")
                 slots, k = stack.pop()
-
-
-def _layers(make, words: tuple):
-    """A run constructor that builds the run one layer at a time with
-    `make`, inner layers first."""
-    if words:
-        def build(args: list, value):
-            for word in reversed(args):
-                value = make(word, value)
-            return value
-    else:
-        def build(count: int, value):
-            for _ in range(count):
-                value = make(value)
-            return value
-    return build
 
 
 def _error(text: str, i: int, expected: str) -> ParseError:

@@ -942,9 +942,11 @@ def test_partial_tables_fail_where_layers_fail():
 
 
 def test_one_frame_per_run(monkeypatch):
-    """Observing map^k(iterates(...)) or append(nil, .)^k(lconst a)
-    pushes one frame for the whole run, and walking on pushes none; an
-    alternating map(f, append(nil, ...)) tower pushes one per layer."""
+    """Observing or keying map^k(iterates(...)) or
+    append(nil, .)^k(iterates(...)) pushes one frame for the whole run,
+    and walking on pushes none; an alternating map(f, append(nil, ...))
+    tower pushes one per layer.  Keying an observed zipper again, once
+    its key is memoized, pushes none."""
     built = []
 
     class Counted(colist._Frame):
@@ -970,7 +972,12 @@ def test_one_frame_per_run(monkeypatch):
             assert got == head
         assert take(6, l) == (heads, False)
         assert len(built) == 2 * frames  # one descent each for observe and take
-        assert state_key(state) == state_key(l) == layer * k + "ITER(swap,a)" + ")" * layer.count("(") * k
+        key = layer * k + "ITER(swap,a)" + ")" * layer.count("(") * k
+        built.clear()
+        assert state_key(l) == key and len(built) == frames  # keys descend as observe does
+        assert state_key(state) == key  # the zipper's innermost frame memoizes its text
+        built.clear()
+        assert state_key(state) == key and not built
 
 
 DEEP = 10**5
@@ -1056,6 +1063,28 @@ def test_alphabet_membership():
     assert alpha == Alphabet(("b", "a")) and alpha != Alphabet(("a", "b"))
     assert hash(alpha) == hash(Alphabet("ba"))
     assert repr(alpha) == "Alphabet(symbols=('b', 'a'))"
+
+
+def test_alphabet_refuses_a_symbol_that_is_no_string():
+    with pytest.raises(DefsError) as exc:
+        Alphabet([1])
+    assert str(exc.value) == "alphabet: bad symbol 1"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MapList((), lconst("a", AB)), "a map run needs at least one function"),
+    (lambda: AppendList(nil(), lconst("a", AB), 0), "an append run needs at least one layer, got 0"),
+    (lambda: AppendList(cons("b", nil(), AB), lconst("a", AB), 2),
+     "an append run of 2 layers needs nil on the left"),
+])
+def test_run_states_refuse_what_they_cannot_stand_for(build, message):
+    """A map run of no functions, an append run of no layers, and more
+    than one append layer around a left that is not nil name no list: no
+    observation reads them and no key names them alone, so each is
+    refused as it is built."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def _cons_chain(n):

@@ -177,8 +177,9 @@ def test_no_function_calls_itself():
 
 
 def test_deep_tree_terms():
-    """Two runs, 10^5 terms deep in all, each read with one match and
-    closed with one `startswith`."""
+    """Two runs of `in1` and `in0`, 10^5 terms deep in all: their rules
+    give no run constructor, so they are read one term at a time on the
+    explicit stack of open terms."""
     h = 5 * 10**4
     tree = numb(3)
     for _ in range(h):
