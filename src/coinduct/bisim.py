@@ -6,8 +6,14 @@ pair; the weak rule demands the tails be related again, the strong rule
 additionally accepts tails with equal keys.  `find_bisimulation` builds
 such witnesses for eventually-periodic lists.  Each list is one chain of
 states, which search and replay record as they read it (`_Chain`),
-observing each state once and holding its key, up to `KEY_TEXT_BOUND`
-characters.  `bisimilarity_gfp` computes the largest bisimulation
+stepping each state once and holding its key, up to `KEY_TEXT_BOUND`
+characters.  A bare cons run is stepped from a cursor into its tuple of
+heads, each tail keyed by a slice of the state's key, its rest's too,
+so the run's states are never built, observed or keyed one by one; any
+other state is observed and its tail keyed.  Search, replay and `closure_check`
+check each pair by one closure rule (`_closes`), which names the fault
+or none, and build a `Verdict` or `Counterexample` only for the outcome
+they return.  `bisimilarity_gfp` computes the largest bisimulation
 between two machines, the greatest fixedpoint of the one-step operator
 `llistd_fun` on the seed-pair lattice, by partition refinement of the
 two seed sets with prefix doubling, and returns it as a read-only view
@@ -22,7 +28,17 @@ from math import gcd
 from typing import Optional, Union
 
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
-from .colist import CoList, StepFn, _machine_key, lasso, observe, state_key, unroll
+from .colist import (
+    CoList,
+    ConsList,
+    StepFn,
+    _cons_tail_key,
+    _machine_key,
+    lasso,
+    observe,
+    state_key,
+    unroll,
+)
 from .errors import (
     CertificateError,
     RootMissing,
@@ -147,20 +163,43 @@ KEY_TEXT_BOUND = 10**8  # characters of state keys one `_Chain` may hold
 class _Chain(dict):
     """A list's states as read so far, state key -> step, from `root`, the
     list's key.  Keys are asked for in chain order, so a missing key is
-    the next state's, which `__missing__` observes and keys, once.  The
-    chain counts the characters of the keys it holds, the root's and each
-    tail's, and raises `SizeExceeded` once they pass `KEY_TEXT_BOUND`."""
+    the next state's, which `__missing__` steps, once.  A bare cons run
+    is stepped from a cursor, its tuple of heads and an offset into it:
+    the head is read from the tuple and the tail's key is a slice of the
+    missing key (`_cons_tail_key`), so no state is built, observed or
+    keyed inside the run; its last tail, the run's `rest`, is keyed by
+    that slice too.  Any other state is observed and its tail keyed.
+    The chain counts the characters of the keys it holds, the root's and
+    each tail's, and raises `SizeExceeded` once they pass
+    `KEY_TEXT_BOUND`."""
 
     def __init__(self, l: CoList):
         super().__init__()
-        self._next, self._held = l, 0
+        self._held = 0
+        self._enter(l)
         self.root = self._hold(state_key(l))
 
+    def _enter(self, l: CoList) -> None:
+        """Make `l` the next state to step: a cursor on it if it is a cons
+        run, with `_next` the run's rest, else `l` itself as `_next`."""
+        if isinstance(l, ConsList):
+            self._heads, self._at, self._next = l.heads, l.at, l.rest
+        else:
+            self._heads, self._next = None, l
+
     def __missing__(self, key: str) -> Step:
-        obs = observe(self._next)
-        if obs is not None:
-            self._next = obs[1]
-            obs = obs[0], self._hold(state_key(obs[1]))
+        heads = self._heads
+        if heads is None:
+            obs = observe(self._next)
+            if obs is not None:
+                self._next = obs[1]
+                obs = obs[0], self._hold(state_key(obs[1]))
+        else:
+            head = heads[self._at]
+            self._at += 1
+            if self._at == len(heads):
+                self._enter(self._next)
+            obs = head, self._hold(_cons_tail_key(key, head))
         self[key] = obs
         return obs
 
@@ -171,16 +210,24 @@ class _Chain(dict):
         return key
 
 
-def _closes(s1: Step, s2: Step, keys: KeyPair, rel, kind: str) -> Verdict:
-    """`closure_check` for the pair `keys`, whose states step to `s1`, `s2`."""
+def _closes(s1: Step, s2: Step, rel, kind: str) -> Optional[str]:
+    """Why a pair whose states step to `s1`, `s2` fails `closure_check`
+    against `rel`, or None when it closes."""
     if s1 is None or s2 is None:
-        return Verdict(True) if s1 is s2 else Verdict(False, "nil/cons mismatch", keys)
+        return None if s1 is s2 else "nil/cons mismatch"
     if s1[0] != s2[0]:
-        return Verdict(False, "heads differ", keys)
-    tails = s1[1], s2[1]
-    if tails in rel or kind == "strong" and tails[0] == tails[1]:
+        return "heads differ"
+    if (s1[1], s2[1]) in rel or kind == "strong" and s1[1] == s2[1]:
+        return None
+    return _ESCAPES
+
+
+def _verdict(reason: Optional[str], s1: Step, s2: Step, keys: KeyPair) -> Verdict:
+    """The verdict on the pair `keys` that `_closes` gave `reason`: the
+    escaping tail pair is the witness of an escape, else the pair."""
+    if reason is None:
         return Verdict(True)
-    return Verdict(False, _ESCAPES, tails)
+    return Verdict(False, reason, (s1[1], s2[1]) if reason is _ESCAPES else keys)
 
 
 def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verdict:
@@ -191,7 +238,8 @@ def closure_check(pair: tuple[CoList, CoList], rel: Relation, kind: str) -> Verd
     accepted as well.
     """
     left, right = _Chain(pair[0]), _Chain(pair[1])
-    return _closes(left[left.root], right[right.root], (left.root, right.root), rel, kind)
+    s1, s2 = left[left.root], right[right.root]
+    return _verdict(_closes(s1, s2, rel, kind), s1, s2, (left.root, right.root))
 
 
 def reachable_states(l: CoList, limit: int) -> dict[str, Step]:
@@ -229,11 +277,13 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
         key = next(k for k in min(unresolved) if k not in steps)
         raise UnresolvableKey(f"key {key} names no reachable state")
 
-    def replay(pair: KeyPair) -> Verdict:
-        return _closes(steps[pair[0]], steps[pair[1]], pair, cert.pairs, cert.kind)
-
-    failed = [p for p in cert.pairs if not replay(p)]
-    return replay(min(failed)) if failed else Verdict(True)
+    rel, kind = cert.pairs, cert.kind
+    failed = [p for p in rel if _closes(steps[p[0]], steps[p[1]], rel, kind) is not None]
+    if not failed:
+        return Verdict(True)
+    pair = min(failed)
+    s1, s2 = steps[pair[0]], steps[pair[1]]
+    return _verdict(_closes(s1, s2, rel, kind), s1, s2, pair)
 
 
 def find_bisimulation(
@@ -257,12 +307,13 @@ def find_bisimulation(
     seen: set[KeyPair] = set()
     while len(seen) < max_pairs:
         seen.add(keys)
-        verdict = _closes(left[keys[0]], right[keys[1]], keys, seen, kind)
-        if verdict:
+        s1, s2 = left[keys[0]], right[keys[1]]
+        reason = _closes(s1, s2, seen, kind)
+        if reason is None:
             return Certificate(kind, frozenset(seen), root)
-        if verdict.reason != _ESCAPES:
-            return Counterexample(len(seen) - 1, verdict.reason, keys)
-        keys = verdict.witness
+        if reason is not _ESCAPES:
+            return Counterexample(len(seen) - 1, reason, keys)
+        keys = s1[1], s2[1]
     return BoundExceeded(max_pairs)
 
 

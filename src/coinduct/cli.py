@@ -3,7 +3,7 @@
 Exit codes: 0 on pass/equal or after help, 1 on fail/counterexample, 2 on usage or
 validation errors or when memory runs out (reported on stderr), 3 when
 a search exhausts its pair budget.  Each expression is read straight into engine states
-(`dsl.read_states`), in one loop at any depth.
+(`dsl.reader`, one grammar table per command), in one loop at any depth.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import bisim, colist, lattice
 from .colist import Definitions
 # The CLI calls neither parse_expr nor elaborate (read_states by its earlier name);
 # both stay bound here because bench/tracing.py wraps them by name.
-from .dsl import elaborate, parse_expr, read_states  # noqa: F401
+from .dsl import elaborate, parse_expr, reader  # noqa: F401
 from .errors import CoinductError, LatticeFileError, read_json
 from .trees import dump_tree
 
@@ -122,7 +122,8 @@ def run_command(argv) -> int:
         defs = Definitions.load(args.defs)
         cert = bisim.Certificate.load(args.cert) if args.command == "cert" else None
         texts = [args.expr] if "expr" in args else [args.left, args.right]
-        terms = [read_states(text, defs) for text in texts]
+        read = reader(defs)
+        terms = [read(text) for text in texts]
 
         if args.command == "eval":
             elems, ended = colist.take(args.depth, *terms)
@@ -141,10 +142,8 @@ def run_command(argv) -> int:
             if isinstance(outcome, bisim.Counterexample):
                 print(f"FAIL {outcome.reason} @ {outcome.index}")
                 return 1
-            print("PASS")
-            print(f"certificate: kind={outcome.kind} pairs={len(outcome.pairs)}")
-            for ka, kb in outcome.to_dict()["pairs"]:
-                print(f"  {ka} ~ {kb}")
+            sys.stdout.write(f"PASS\ncertificate: kind={outcome.kind} pairs={len(outcome.pairs)}\n")
+            sys.stdout.writelines(f"  {ka} ~ {kb}\n" for ka, kb in outcome.to_dict()["pairs"])
             return 0
 
         if args.command == "eq":

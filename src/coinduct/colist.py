@@ -14,7 +14,9 @@ number of layers (a run that names no list is refused with ValueError).
 The expression reader (`dsl.read_states`) builds one state per run;
 the library constructors (`cons`, `lmap`, `lappend`) build a run of
 one.  Observing a cons run at offset i gives head i and the run at
-offset i + 1, and its key there is a slice of its key at i.
+offset i + 1, and its key there is a slice of its key at i; search and
+replay (`bisim._Chain`) step a bare run from its tuple and an offset
+instead, with the same key slices and no state per offset.
 
 A map/append tower is observed as a zipper (`TowerList`): its live state
 inside a shared stack of frames, so one step touches the live state
@@ -52,12 +54,15 @@ class Alphabet:
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
-        members = frozenset(syms)
+        try:
+            members = frozenset(syms)
+        except TypeError:  # an unhashable symbol, which the loop below names
+            members = None
         if not syms:
             raise DefsError("alphabet: must be nonempty")
-        if len(members) != len(syms):
+        if members is not None and len(members) != len(syms):
             raise DefsError("alphabet: duplicate symbol")
-        if not _all_words(syms):
+        if members is None or not _all_words(syms):
             for s in syms:
                 if not isinstance(s, str) or not WORD.fullmatch(s):
                     raise DefsError(f"alphabet: bad symbol {s!r}")
@@ -299,8 +304,14 @@ class ConsList(_Keyed):
         tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
         key = self._key
         if key is not None and isinstance(tail, ConsList) and tail._key is None:
-            tail._key = key[len(self.heads[at - 1]) + 6:-1]  # between CONS(head, and the last )
+            tail._key = _cons_tail_key(key, self.heads[at - 1])
         return tail
+
+
+def _cons_tail_key(key: str, head: str) -> str:
+    """The key of a cons state's tail, from the state's key and head: the
+    text between `CONS(head,` and the last `)`, as `_join` writes it."""
+    return key[len(head) + 6:-1]
 
 
 class ConstList(_Plain):

@@ -17,17 +17,22 @@ read by `syntax.Grammar`, which raises ParseError with the offset at
 which the expected token would start.
 
 `read_states` reads the grammar with the colist states, so it builds
-engine states in one pass.  It builds one state per run of nested
-`cons`, `map` or `append(nil, .)` layers (`colist.ConsList`, `MapList`,
-`AppendList`), which the grammar reads with one match: `append(nil,`
-is a fixed opening of its own.  A run's function names are resolved as
-they are read, outermost first; its symbols are checked against the
-alphabet with one set operation once the term inside the run is built,
-and the innermost symbol outside it is the one reported.  Reading is a
-loop, so any nesting depth works at the default recursion limit.
+engine states in one pass; `reader` reads any number of texts over one
+definitions file with that grammar table, built once.  It builds one
+state per run of nested `cons`, `map` or `append(nil, .)` layers
+(`colist.ConsList`, `MapList`, `AppendList`), which the grammar reads
+with one match: `append(nil,` is a fixed opening of its own.  A run's
+function names are resolved as they are read, outermost first; its
+symbols are checked against the alphabet with one set operation once
+the term inside the run is built, and the innermost symbol outside it
+is the one reported.  Reading is a loop, so any nesting depth works at
+the default recursion limit.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 from . import colist
 from .colist import AppendList, AtomFun, CoList, ConsList, ConstList, Definitions, MapList, StepFn
@@ -122,11 +127,17 @@ def _corec(m: StepFn, seed: str) -> CoList:
     return colist.corec(seed, m)
 
 
+def reader(defs: Definitions) -> Callable[[str], CoList]:
+    """`read_states` over `defs` for any number of texts, with the
+    grammar table built once."""
+    return partial(_EXPR.read, table=_elaborating(defs))
+
+
 def read_states(text: str, defs: Definitions) -> CoList:
     """The engine state that an expression's text denotes, built in one
     pass with each state built once.  A parse error anywhere in the text
     comes before any resolution error."""
-    return _EXPR.read(text, _elaborating(defs))
+    return reader(defs)(text)
 
 
 def elaborate(e: str, defs: Definitions) -> CoList:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import accumulate, islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
     rename_seeds,
     ring_machine,
     step_pair,
+    unfold,
     walk_states,
 )
 from coinduct import bisim, colist, lattice
@@ -33,6 +35,8 @@ from coinduct.bisim import (
 from coinduct.colist import (
     Alphabet,
     AtomFun,
+    ConsList,
+    Definitions,
     StepFn,
     cons,
     corec,
@@ -43,11 +47,13 @@ from coinduct.colist import (
     observe,
     state_key,
 )
+from coinduct.dsl import read_states
 from coinduct.errors import CertificateError, RootMissing, SizeExceeded, UnresolvableKey, Verdict
 from coinduct.trees import in0, leaf, numb, oplus, otimes, scons
 
 AB = Alphabet(("a", "b"))
 SWAP = AtomFun("swap", {"a": "b", "b": "a"})
+RUN_DEFS = Definitions(AB, {"swap": SWAP}, {})  # for reader-built runs
 
 
 def test_diag_rel():
@@ -247,6 +253,12 @@ def test_certificate_normalises_pairs():
     assert cert.pairs == {("a", "b"), ("c", "d")}
     assert cert == Certificate("weak", frozenset({("a", "b"), ("c", "d")}), ("a", "b"))
     assert hash(cert) == hash(Certificate("weak", {("c", "d"), ("a", "b")}, ("a", "b")))
+    # the order and duplicates of the given pairs change nothing `to_dict` writes
+    orders = ([("c", "d"), ["a", "b"], ("e", "f"), ("c", "d")], [("e", "f"), ("a", "b"), ("c", "d")],
+              {("a", "b"), ("c", "d"), ("e", "f")})
+    docs = [Certificate("weak", pairs, ("c", "d")).to_dict() for pairs in orders]
+    assert docs == [{"kind": "weak", "root": ["c", "d"],
+                     "pairs": [["c", "d"], ["a", "b"], ["e", "f"]]}] * 3
 
 
 def test_find_bisimulation_outcomes():
@@ -330,6 +342,42 @@ def test_walks_refuse_key_text_past_the_bound(monkeypatch):
         closure_check((l1, l2), cert.pairs, "weak")
 
 
+def test_key_text_bound_is_met_at_the_same_pair(monkeypatch):
+    """With `KEY_TEXT_BOUND` set low, search through a reader-built run
+    raises `SizeExceeded` at the pair at which the keys its chain holds,
+    the root's and each stepped state's tail's, first pass the bound, as
+    when every state of the run was observed and keyed: the pairs before
+    it have been checked, and it has not.  Replay raises exactly when its
+    walk's keys pass the bound."""
+    text = "cons(a,cons(b," * 4 + "map(swap,lconst(a))" + "))" * 4
+    machine = StepFn("w", [f"s{i}" for i in range(9)],
+                     {**{f"s{i}": ("ab"[i % 2], f"s{i + 1}") for i in range(8)}, "s8": ("b", "s8")})
+    run = read_states(text, RUN_DEFS)
+    # the root's key, then the key of each stepped state's tail
+    keys = [state_key(run)] + [state_key(tail) for _, tail in islice(unfold(run), 9)]
+    held = list(accumulate(map(len, keys)))
+    assert keys[-1] == keys[-2] == "MAP(swap,CONST(a))" and held[0] > 10 * len("M(w,s0)")
+    cert = find_bisimulation(run, corec("s0", machine))
+    assert len(cert.pairs) == 9
+    closed = []
+    real = bisim._closes
+    monkeypatch.setattr(bisim, "_closes", lambda *args: closed.append(args) or real(*args))
+    for j, bound in enumerate(held):
+        monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", bound - 1)
+        closed.clear()
+        with pytest.raises(SizeExceeded, match=f"more than {bound - 1} characters"):
+            find_bisimulation(read_states(text, RUN_DEFS), corec("s0", machine))
+        assert len(closed) == max(j - 1, 0), j
+        monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", bound)
+        closed.clear()
+        outcome = _outcome(find_bisimulation, read_states(text, RUN_DEFS), corec("s0", machine))
+        assert outcome == cert if j == len(held) - 1 else outcome[0] is SizeExceeded, j
+        assert len(closed) == (len(cert.pairs) if j == len(held) - 1 else j), j
+        replayed = _outcome(verify_certificate, cert, read_states(text, RUN_DEFS),
+                            corec("s0", machine))
+        assert replayed == Verdict(True) if j == len(held) - 1 else replayed[0] is SizeExceeded
+
+
 def test_find_bisimulation_strong_closes_on_diag():
     const = lconst("a", AB)
     wrapped = cons("a", const, AB)
@@ -386,26 +434,37 @@ def test_synchronized_observation_counts():
 
 
 def test_search_keys_each_pair_once(monkeypatch):
-    """The search keys each list's root once and the tail of each state
-    it observes once, however many pairs hold the state: the pair keys
-    are read from the recorded chains."""
+    """The search keys each list's root once and, once each, the tail of
+    each state it observes, however many pairs hold the state: the pair
+    keys are read from the recorded chains.  A bare cons run's states
+    are not observed: each tail's key, the run's `rest`'s included, is a
+    slice of the state's key."""
     keyed = []
     real = bisim.state_key
     monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or real(l))
     const = lconst("a", AB)
     cert = find_bisimulation(const, cons("a", const, AB))
     assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
-    assert len(keyed) == 2 + 1 + 2
+    # the roots; const's tail, twice (once per chain)
+    assert keyed == [const, cons("a", const, AB), const, const]
     keyed.clear()
     two, three = ring_machine(2), rename_seeds(ring_machine(3), "r_")
     cert = find_bisimulation(corec("s0", two), corec("r_s0", three))
     assert len(cert.pairs) == 6 and len(keyed) == 2 + 2 + 3
+    keyed.clear()
+    run = read_states("cons(a,cons(a,cons(a,cons(a,lconst(a)))))", RUN_DEFS)
+    cert = find_bisimulation(run, cons("a", cons("a", const, AB), AB), kind="weak")
+    assert len(cert.pairs) == 5
+    # the roots and the tails of the two CONST(a) states: no key inside
+    # either run or for either run's rest
+    assert len(keyed) == 2 + 2
 
 
 def test_replay_walks_each_list_once(monkeypatch):
     """Replay walks each queried list once through `reachable_states`,
-    as far as the certificate has pairs, keys each root once, and
-    observes each walked state once."""
+    as far as the certificate has pairs, keys each root once, observes
+    each walked state outside a bare cons run once and steps a run's
+    states from its tuple of heads."""
     walks, keyed, observed = [], [], []
     real_walk, real_key = bisim.reachable_states, colist.state_key
 
@@ -429,8 +488,35 @@ def test_replay_walks_each_list_once(monkeypatch):
     assert [limit for _, limit in walks] == [len(cert.pairs)] * 2
     assert walks[0][0] is l1 and walks[1][0] is l2
     assert sum(x is l1 for x in keyed) == sum(x is l2 for x in keyed) == 1
-    # l1 repeats its key after one step, l2 after two
-    assert len(observed) == 1 + 2
+    # l1 repeats its key after one step; l2's cons cell is stepped from
+    # its heads, then its rest observed once
+    assert len(observed) == 1 + 1 and observed[0] is l1 and observed[1] == lconst("a", AB)
+    run = read_states("cons(a,cons(a,cons(a,lconst(a))))", RUN_DEFS)
+    cert = find_bisimulation(run, l1)
+    keyed.clear()
+    observed.clear()
+    assert verify_certificate(cert, run, l1) and len(cert.pairs) == 4
+    # a key for each root and for the tails of CONST(a) and of l1; one
+    # observation of each of those two states
+    assert len(keyed) == 2 + 1 + 1 and len(observed) == 1 + 1
+
+
+def _calls(l, states):
+    """The `observe` and `state_key` calls a chain makes to step the first
+    `states` states of `l`'s chain: one observation per state outside a
+    bare cons run (a `ConsList` state), one key for the root and one for
+    the tail of each observed state that does not end the list."""
+    walked = [x for x in list(walk_states(l, 10_000).values())[:states] if not isinstance(x, ConsList)]
+    return len(walked), 1 + sum(observe(x) is not None for x in walked)
+
+
+def _positions(outcome) -> int:
+    """The chain positions a search stepped to reach `outcome`."""
+    if isinstance(outcome, Certificate):
+        return len(outcome.pairs)
+    if isinstance(outcome, Counterexample):
+        return outcome.index + 1
+    return outcome.limit
 
 
 def _oracle_search(l1, l2, max_pairs, kind):
@@ -554,38 +640,152 @@ def _mutants(rng, cert, l1, l2):
     return out
 
 
+def _counting(monkeypatch) -> tuple[list, list]:
+    """The states bisim observes and keys from now on, as two lists."""
+    observed, keyed = [], []
+    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
+    monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or state_key(l))
+    return observed, keyed
+
+
+def _match_the_oracles(make, rng, calls, seen):
+    """Search the two lists `make()` builds, both kinds, at a budget of
+    1-6 and of 10^4, against the oracle search, and replay every
+    certificate around the outcome (`_mutants`) against the oracle
+    replay.  Each search and each replay makes exactly the observations
+    and keys that `_calls` counts for the states it steps; `calls` holds
+    the lists `_counting` fills.  `seen` gathers the outcomes met."""
+    observed, keyed = calls
+    for kind in ("weak", "strong"):
+        for budget in (rng.randint(1, 6), 10_000):
+            l1, l2 = make()
+            observed.clear()
+            keyed.clear()
+            outcome = find_bisimulation(l1, l2, budget, kind)
+            assert outcome == _oracle_search(*make(), budget, kind), (kind, budget)
+            made = [_calls(l, _positions(outcome)) for l in (l1, l2)]
+            assert (len(observed), len(keyed)) == tuple(map(sum, zip(*made))), (kind, budget)
+            seen.add(type(outcome))
+        if not isinstance(outcome, Certificate):
+            continue
+        for cert in _mutants(rng, outcome, *make()):
+            l1, l2 = make()
+            observed.clear()
+            keyed.clear()
+            verdict = _outcome(verify_certificate, cert, l1, l2)
+            assert verdict == _outcome(_oracle_verify, cert, *make()), cert
+            made = [_calls(l, len(cert.pairs) + 1) for l in (l1, l2)]
+            assert (len(observed), len(keyed)) == tuple(map(sum, zip(*made))), cert
+            seen.add(verdict if isinstance(verdict, tuple) else bool(verdict))
+
+
 def test_search_and_replay_match_the_oracles(monkeypatch):
     """Random lists and machine lists, both kinds, budgets from 1 up:
     search returns what the oracle search returns, and every certificate
-    around it (`_mutants`) replays to the oracle's verdict or exception.
-    Each search observes at most each distinct state of each list once,
-    and each replay observes exactly the states it walks."""
-    observed = []
-    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
+    around it (`_mutants`) replays to the oracle's verdict or exception,
+    each with exactly one observation per stepped state outside a bare
+    cons run and one key per root and per tail outside one."""
+    calls = _counting(monkeypatch)
     rng = random.Random(59)
     machines = [random_machine(rng, f"m{i}") for i in range(6)]
     seen = set()
     for i in range(400):
-        l1, l2 = _random_lists(rng, machines) if i % 2 else _machine_lists(rng, i)
-        distinct = len(walk_states(l1, 10_000)) + len(walk_states(l2, 10_000))
-        for kind in ("weak", "strong"):
-            for budget in (rng.randint(1, 6), 10_000):
-                observed.clear()
-                outcome = find_bisimulation(l1, l2, budget, kind)
-                assert outcome == _oracle_search(l1, l2, budget, kind), (i, kind, budget)
-                assert len(observed) <= distinct
-                seen.add(type(outcome))
-            if not isinstance(outcome, Certificate):
-                continue
-            for cert in _mutants(rng, outcome, l1, l2):
-                observed.clear()
-                verdict = _outcome(verify_certificate, cert, l1, l2)
-                assert verdict == _outcome(_oracle_verify, cert, l1, l2), (i, cert)
-                walked = [len(walk_states(l, len(cert.pairs))) for l in (l1, l2)]
-                assert len(observed) == sum(walked)
-                seen.add(verdict if isinstance(verdict, tuple) else bool(verdict))
+        pair = _random_lists(rng, machines) if i % 2 else _machine_lists(rng, i)
+        _match_the_oracles(lambda: pair, rng, calls, seen)
     assert {Certificate, Counterexample, BoundExceeded, True, False} <= seen
     assert {v[0] for v in seen if isinstance(v, tuple)} == {RootMissing, UnresolvableKey}
+
+
+_RESTS = ("nil", "lconst(a)", "lconst(b)", "iterates(rot,a)", "corec(m0,m0_s0)",
+          "map(flip,iterates(rot,b))", "append(cons(a,nil),lconst(a))",
+          "append(nil,corec(m1,m1_s0))")
+
+
+def _run_side(rng, defs, heads, rest):
+    """A builder of fresh states for the symbols `heads`, then the list
+    the text `rest` reads as, in one of eight shapes: one reader-built
+    run; two runs, the first one's rest the second (one run for a single
+    head); runs of one, as `cons` builds them; a run read from a nonzero
+    offset, with its key not memoized, or memoized; that run inside a
+    map tower, or an `append(nil, .)` tower, under other keys; or inside
+    `append(., lconst(c))`."""
+    text = "".join(f"cons({h}," for h in heads) + rest + ")" * len(heads)
+    shape = rng.randrange(8)
+    cut = rng.randint(1, max(1, len(heads) - 1))
+    junk = tuple(rng.choice("abc") for _ in range(rng.randint(1, 3)))
+
+    def make():
+        if shape == 0:
+            return read_states(text, defs)
+        tail = read_states(rest, defs)
+        if shape == 1:
+            inner = ConsList(heads[cut:], 0, tail) if cut < len(heads) else tail
+            return ConsList(heads[:cut], 0, inner)
+        if shape == 2:
+            for h in reversed(heads):
+                tail = cons(h, tail, ABC)
+            return tail
+        run = ConsList(junk + heads, len(junk), tail)
+        if shape == 3:
+            return run
+        if shape == 4:
+            state_key(run)
+            return run
+        if shape == 5:
+            return lmap(FLIP, lmap(FLIP, run))
+        if shape == 6:
+            return lappend(nil(), run)
+        return lappend(run, lconst("c", ABC))
+
+    return make
+
+
+def _run_lists(rng, defs, machines):
+    """A builder of two fresh lists around cons runs: the same symbols
+    and rest on both sides (equal keys when neither side is in a tower),
+    one head changed, more `a` cells before an all-`a` rest, or a random
+    list on one side."""
+    heads = tuple(rng.choice("abc") for _ in range(rng.randint(1, 8)))
+    rest = rng.choice(_RESTS)
+    other_heads, other_rest = heads, rest
+    case = rng.randrange(5)
+    if case == 1:
+        i = rng.randrange(len(heads))
+        other_heads = heads[:i] + (rng.choice("abc"),) + heads[i + 1:]
+    elif case == 2:
+        rest = other_rest = "lconst(a)"
+        other_heads = heads + ("a",) * rng.randint(1, 3)
+    left = _run_side(rng, defs, heads, rest)
+    if case == 3:
+        other = random_state(rng, machines)
+        right = lambda: other  # noqa: E731
+    else:
+        right = _run_side(rng, defs, other_heads, other_rest)
+    if rng.random() < 0.5:
+        left, right = right, left
+    return lambda: (left(), right())
+
+
+def test_runs_match_the_oracles(monkeypatch):
+    """`_match_the_oracles` over lists around cons runs: reader-built
+    runs, a run whose rest is another run, runs at a nonzero offset with
+    and without a memoized key, runs inside map and append towers, where
+    no cursor applies, and equal runs on both sides, where the strong
+    kind closes inside a run."""
+    calls = _counting(monkeypatch)
+    rng = random.Random(67)
+    machines = [random_machine(rng, f"m{i}") for i in range(3)]
+    defs = Definitions(ABC, {"rot": ROT, "flip": FLIP}, {m.name: m for m in machines})
+    seen = set()
+    inside = 0
+    for _ in range(300):
+        make = _run_lists(rng, defs, machines)
+        _match_the_oracles(make, rng, calls, seen)
+        cert = find_bisimulation(*make(), kind="strong")
+        inside += isinstance(cert, Certificate) and len(cert.pairs) == 1 and cert.root[0] == cert.root[1]
+    assert {Certificate, Counterexample, BoundExceeded, True, False} <= seen
+    assert {v[0] for v in seen if isinstance(v, tuple)} == {RootMissing, UnresolvableKey}
+    assert inside > 0
 
 
 def test_closure_check_matches_the_oracle():

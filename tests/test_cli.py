@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import coinduct
+from coinduct import dsl
 from coinduct.bisim import KEY_TEXT_BOUND
 from coinduct.cli import _build_parser, run_command
 from coinduct.syntax import NUMERAL_DIGITS
@@ -71,6 +72,24 @@ def test_bisim_counterexample(capsys):
         capsys, "bisim", "--defs", DEFS, "cons(a,cons(a,lconst(a)))", "cons(a,cons(b,lconst(a)))"
     )
     assert (code, out) == (1, "FAIL heads differ @ 1\n")
+
+
+def test_one_grammar_table_per_command(capsys, monkeypatch, tmp_path):
+    """A command builds the expression grammar's table once over its
+    definitions, however many expressions it reads."""
+    built = []
+    real = dsl._elaborating
+    monkeypatch.setattr(dsl, "_elaborating", lambda defs: built.append(defs) or real(defs))
+    cert = tmp_path / "cert.json"
+    pairs = [["CONST(a)", "CONS(a,CONST(a))"], ["CONST(a)", "CONST(a)"]]
+    cert.write_text(json.dumps({"kind": "weak", "root": pairs[0], "pairs": pairs}))
+    exprs = ("lconst(a)", "cons(a,lconst(a))")
+    for argv in (("eq", "--defs", DEFS, *exprs), ("bisim", "--defs", DEFS, *exprs),
+                 ("cert", "verify", "--defs", DEFS, "--cert", str(cert), *exprs),
+                 ("eval", "--defs", DEFS, exprs[1])):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) == 1, argv
 
 
 def run_fresh(*argv, entry=("-c", "from coinduct.cli import main; main()")):

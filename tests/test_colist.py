@@ -1071,6 +1071,22 @@ def test_alphabet_refuses_a_symbol_that_is_no_string():
     assert str(exc.value) == "alphabet: bad symbol 1"
 
 
+@pytest.mark.parametrize("symbols, message", [
+    ([["a"]], "alphabet: bad symbol ['a']"),
+    (["a", {"b": 1}], "alphabet: bad symbol {'b': 1}"),
+    ([1, ["a"]], "alphabet: bad symbol 1"),
+    (["a", "a", ["b"]], "alphabet: bad symbol ['b']"),
+    (["a", "a", "!"], "alphabet: duplicate symbol"),
+])
+def test_alphabet_refuses_an_unhashable_symbol(symbols, message):
+    """A symbol that cannot be hashed is a bad symbol, a DefsError, not
+    the TypeError of building the member set; duplicates among hashable
+    symbols still come before a symbol that is no word."""
+    with pytest.raises(DefsError) as exc:
+        Alphabet(symbols)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: MapList((), lconst("a", AB)), "a map run needs at least one function"),
     (lambda: AppendList(nil(), lconst("a", AB), 0), "an append run needs at least one layer, got 0"),
