@@ -328,40 +328,33 @@ def eq_upto(k: int, l1: CoList, l2: CoList) -> Verdict:
     """
     p1: list[int] = []
     p2: list[int] = []
-    r1, r2 = lasso(l1, p1), lasso(l2, p2)
-    seen1: list[str] = []
-    seen2: list[str] = []
+    side1, side2 = [lasso(l1, p1), [], p1], [lasso(l2, p2), [], p2]
     for i in range(k):
-        if r1 is not None:
-            h1 = next(r1, None)
-            if h1 is None:
-                r1 = None
-            else:
-                seen1.append(h1)
-        if r1 is None:
-            h1 = _repeat(seen1, p1, i)
-        if r2 is not None:
-            h2 = next(r2, None)
-            if h2 is None:
-                r2 = None
-            else:
-                seen2.append(h2)
-        if r2 is None:
-            h2 = _repeat(seen2, p2, i)
+        h1 = _head(side1, i)
+        h2 = _head(side2, i)
         if h1 != h2:
             ended = h1 is None or h2 is None
             return Verdict(False, "nil/cons mismatch" if ended else "heads differ", i)
         if h1 is None:
             break
-        if r1 is None and r2 is None:
-            index = _lassos_differ(seen1, p1[0], seen2, p2[0], i + 1, k)
+        if side1[0] is None and side2[0] is None:
+            index = _lassos_differ(side1[1], p1[0], side2[1], p2[0], i + 1, k)
             return Verdict(True) if index is None else Verdict(False, "heads differ", index)
     return Verdict(True)
 
 
-def _repeat(seen: list[str], period: list[int], i: int) -> Optional[str]:
-    """Head i of a list whose reading has stopped after the heads `seen`:
-    None if it ended, else the head its cycle of `period[0]` repeats."""
+def _head(side: list, i: int) -> Optional[str]:
+    """Head i of one side of `eq_upto`, `[lasso, seen, period]`: the
+    lasso's next head, kept in `seen`, while it reads; once it stops, the
+    lasso is dropped and the head is None if the list ended, else the
+    head its cycle of `period[0]` repeats."""
+    heads, seen, period = side
+    if heads is not None:
+        head = next(heads, None)
+        if head is not None:
+            seen.append(head)
+            return head
+        side[0] = None
     if not period:
         return None
     n = len(seen)

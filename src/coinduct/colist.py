@@ -30,19 +30,25 @@ heads (`take`, `check_llist_upto`, `bisim.eq_upto`) read them with
 `lasso`, which keeps the live state in locals, reads a cons run's heads
 from its tuple, builds no tail states, and stops once the list's cycle
 closes: a list built from finitely many symbols, seeds and constants
-ends, or is a finite prefix and then one cycle, repeated.  Everything
-is immutable and pure, apart from key and map memos.
+ends, or is a finite prefix and then one cycle, repeated.
+
+Every state is a frozen dataclass, so assigning or deleting any of its
+attributes raises `FrozenInstanceError`.  A state that holds no other
+state compares, hashes and prints by its fields; a cons run or a tower
+by its key (`_Keyed`).  Everything is immutable and pure, apart from key
+and map memos: a cons run's key memo is no field, and only `state_key`
+and `ConsList.tail` write it, past the frozen `__setattr__`; a tower's
+memos live in its frames.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
-from .syntax import WORD
+from .syntax import WORD, all_words
 from .trees import FiniteTree, NIL_TREE, ONE_ATOM, branch_union, EMPTY_TREE, leaf, ntrunc
 
 
@@ -62,7 +68,7 @@ class Alphabet:
             raise DefsError("alphabet: must be nonempty")
         if members is not None and len(members) != len(syms):
             raise DefsError("alphabet: duplicate symbol")
-        if members is None or not _all_words(syms):
+        if members is None or not all_words(syms):
             for s in syms:
                 if not isinstance(s, str) or not WORD.fullmatch(s):
                     raise DefsError(f"alphabet: bad symbol {s!r}")
@@ -80,8 +86,12 @@ class Alphabet:
         return len(self.symbols)
 
 
+@dataclass(init=False, repr=False)
 class AtomFun:
     """A named total function on the alphabet, given by a finite table."""
+
+    name: str
+    table: dict[str, str]
 
     def __init__(self, name: str, table: dict[str, str]):
         self.name = name
@@ -93,13 +103,6 @@ class AtomFun:
         except KeyError:
             raise UnknownAtom(f"{self.name}: no entry for {sym!r}") from None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AtomFun)
-            and self.name == other.name
-            and self.table == other.table
-        )
-
     def __hash__(self) -> int:
         return hash(("fn", self.name))
 
@@ -107,6 +110,7 @@ class AtomFun:
         return f"AtomFun({self.name})"
 
 
+@dataclass(init=False, repr=False)
 class StepFn:
     """A named machine: a finite seed space and a total step table.
 
@@ -116,6 +120,10 @@ class StepFn:
     (`_check_steps`) checks it and builds the stored table, and errors
     name the offending key as a definitions-file path.
     """
+
+    name: str
+    seeds: tuple[str, ...]
+    table: dict[str, Optional[tuple[str, str]]]
 
     def __init__(
         self,
@@ -131,14 +139,6 @@ class StepFn:
         if seed not in self.table:
             raise UnknownSeed(f"{self.name}: unknown seed {seed!r}")
         return self.table[seed]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StepFn)
-            and self.name == other.name
-            and self.seeds == other.seeds
-            and self.table == other.table
-        )
 
     def __hash__(self) -> int:
         return hash(("machine", self.name))
@@ -182,75 +182,18 @@ def _check_steps(name: str, seeds: tuple, table: dict) -> dict:
     return steps
 
 
-def _all_words(strings) -> bool:
-    """Whether every item of `strings` is a string and a word."""
-    return (all(map(isinstance, strings, repeat(str))) and "" not in strings
-            and _WORD_CHARS.issuperset("".join(strings)))
-
-
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
-
-
 class CoList:
     """Base class for lazy-list states."""
 
-    __slots__ = ()
-
-
-class _Frozen:
-    """Immutable slot fields, as a frozen dataclass has: the constructor
-    writes them through the slots' member descriptors (`_setters`), and
-    copies and pickles are built by the constructor from the fields."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __reduce__(self):
-        return type(self), self._astuple()
-
-
-def _setters(cls) -> list:
-    """The `__set__` of each slot of `cls`, in slot order."""
-    return [cls.__dict__[name].__set__ for name in cls.__slots__]
-
-
-class _Plain(_Frozen, CoList):
-    """A state that holds no other state, compared, hashed and shown by
-    its fields as the frozen dataclass it replaces: equal when the
-    classes match and the field tuples are equal, hashed as that tuple,
-    shown as e.g. `ConstList(sym='a')`."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
-        return f"{type(self).__qualname__}({fields})"
-
 
 class _Keyed(CoList):
-    """A state that holds other states: a cons cell or a tower.  It is
-    compared, hashed and shown by its key, which `state_key` writes with
-    loops, so any depth works at the default recursion limit, and a nested
-    tower equals the zipper that names the same state.  `repr` is the
-    class name around the key, e.g. `ConsList(CONS(a,CONST(a)))`."""
-
-    __slots__ = ()
+    """A state that holds other states: a cons run or a tower.  Its
+    subclasses are frozen dataclasses declared with `eq=False,
+    repr=False`, so they are compared, hashed and shown by their key, not
+    by their fields: `state_key` writes keys with loops, so any depth
+    works at the default recursion limit, and a nested tower equals the
+    zipper that names the same state.  `repr` is the class name around
+    the key, e.g. `ConsList(CONS(a,CONST(a)))`."""
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -270,27 +213,27 @@ class _Tower(_Keyed):
     """A map or append state, nested as built or in the zipper form that
     observation returns."""
 
-    __slots__ = ()
+
+@dataclass(frozen=True)
+class NilList(CoList):
+    pass
 
 
-class NilList(_Plain):
-    __slots__ = __match_args__ = ()
-
-
+@dataclass(frozen=True, eq=False, repr=False)
 class ConsList(_Keyed):
     """A run of cons cells as one state: the symbols `heads[at:]`, in
     order, then `rest`.  Its head is `heads[at]` and its tail the same
     run at `at + 1`, or `rest` after the last symbol; `cons` builds a run
     of one."""
 
-    # _key memoizes state_key, filled when asked for or, as a slice, when
-    # the state's tail is taken from a keyed parent; threads that race to
-    # fill it store equal strings.
-    __slots__ = ("heads", "at", "rest", "_key")
+    heads: tuple[str, ...]
+    at: int
+    rest: CoList
+    # Not a field: memoizes state_key, filled when asked for or, as a
+    # slice, when the state's tail is taken from a keyed parent; threads
+    # that race to fill it store equal strings.
+    _key = None
     __match_args__ = ("head", "tail")
-
-    def __init__(self, heads: tuple[str, ...], at: int, rest: CoList):
-        self.heads, self.at, self.rest, self._key = heads, at, rest, None
 
     @property
     def head(self) -> str:
@@ -304,7 +247,7 @@ class ConsList(_Keyed):
         tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
         key = self._key
         if key is not None and isinstance(tail, ConsList) and tail._key is None:
-            tail._key = _cons_tail_key(key, self.heads[at - 1])
+            object.__setattr__(tail, "_key", _cons_tail_key(key, self.heads[at - 1]))
         return tail
 
 
@@ -314,66 +257,55 @@ def _cons_tail_key(key: str, head: str) -> str:
     return key[len(head) + 6:-1]
 
 
-class ConstList(_Plain):
-    __slots__ = __match_args__ = ("sym",)
-
-    def __init__(self, sym: str):
-        _const_sym(self, sym)
+@dataclass(frozen=True)
+class ConstList(CoList):
+    sym: str
 
 
-class IterList(_Plain):
-    __slots__ = __match_args__ = ("fn", "sym")
-
-    def __init__(self, fn: AtomFun, sym: str):
-        _iter_fn(self, fn)
-        _iter_sym(self, sym)
+@dataclass(frozen=True)
+class IterList(CoList):
+    fn: AtomFun
+    sym: str
 
 
-class MachineList(_Plain):
-    __slots__ = __match_args__ = ("machine", "seed")
-
-    def __init__(self, machine: StepFn, seed: str):
-        _machine_machine(self, machine)
-        _machine_seed(self, seed)
+@dataclass(frozen=True)
+class MachineList(CoList):
+    machine: StepFn
+    seed: str
 
 
-class MapList(_Frozen, _Tower):
+@dataclass(frozen=True, eq=False, repr=False)
+class MapList(_Tower):
     """A run of maps as one state: the functions `fns`, outermost first,
     applied to `source`; `lmap` builds a run of one.  No function is a
     ValueError."""
 
-    __slots__ = __match_args__ = ("fns", "source")
+    fns: tuple[AtomFun, ...]
+    source: CoList
 
-    def __init__(self, fns: tuple[AtomFun, ...], source: CoList):
-        if not fns:
+    def __post_init__(self):
+        if not self.fns:
             raise ValueError("a map run needs at least one function")
-        _map_fns(self, fns)
-        _map_source(self, source)
 
 
-class AppendList(_Frozen, _Tower):
+@dataclass(frozen=True, eq=False, repr=False)
+class AppendList(_Tower):
     """`layers` appends as one state: append(nil, .) taken `layers` - 1
     times around append(left, right).  `lappend` builds one layer; more
     than one has nil on the left, a run of `append(nil, .)` layers, and
     any other count is a ValueError."""
 
-    __slots__ = __match_args__ = ("left", "right", "layers")
+    left: CoList
+    right: CoList
+    layers: int
 
-    def __init__(self, left: CoList, right: CoList, layers: int):
-        if layers < 1:
-            raise ValueError(f"an append run needs at least one layer, got {layers}")
-        if layers > 1 and not isinstance(left, NilList):
-            raise ValueError(f"an append run of {layers} layers needs nil on the left")
-        _append_left(self, left)
-        _append_right(self, right)
-        _append_layers(self, layers)
+    def __post_init__(self):
+        if self.layers < 1:
+            raise ValueError(f"an append run needs at least one layer, got {self.layers}")
+        if self.layers > 1 and not isinstance(self.left, NilList):
+            raise ValueError(f"an append run of {self.layers} layers needs nil on the left")
 
 
-(_const_sym,) = _setters(ConstList)
-_iter_fn, _iter_sym = _setters(IterList)
-_machine_machine, _machine_seed = _setters(MachineList)
-_map_fns, _map_source = _setters(MapList)
-_append_left, _append_right, _append_layers = _setters(AppendList)
 _NIL = NilList()
 
 
@@ -411,16 +343,15 @@ class _Frame:
             self.table = {}
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TowerList(_Tower):
     """A map/append tower in zipper form (Huet, *The Zipper*, 1997): the
     live state and the frames around it, innermost first.  Observing a
     map or append state returns one of these as the tail; each tail
     shares the frames of the state it was observed from."""
 
-    __slots__ = ("live", "frames")
-
-    def __init__(self, live: CoList, frames: _Frame):
-        self.live, self.frames = live, frames
+    live: CoList
+    frames: _Frame
 
 
 Observation = Optional[tuple[str, CoList]]
@@ -687,7 +618,8 @@ def state_key(l: CoList) -> str:
         return pre + _join([l]) + post
     key = l._key
     if key is None:
-        key = l._key = _join([l])
+        key = _join([l])
+        object.__setattr__(l, "_key", key)
     return pre + key + post
 
 
@@ -887,7 +819,7 @@ class Definitions:
             step = spec.get("step") if isinstance(spec, dict) else None
             if not isinstance(seeds, list) or not seeds:
                 raise DefsError(f"machines.{name}.seeds: must be a nonempty array")
-            if not _all_words(seeds):
+            if not all_words(seeds):
                 for s in seeds:
                     if isinstance(s, str) and not WORD.fullmatch(s):
                         raise DefsError(f"machines.{name}.seeds: bad seed {s!r}")

@@ -35,7 +35,7 @@ from functools import partial
 from typing import Callable
 
 from . import colist
-from .colist import AppendList, AtomFun, CoList, ConsList, ConstList, Definitions, MapList, StepFn
+from .colist import AppendList, AtomFun, CoList, ConsList, Definitions, MapList, StepFn
 from .errors import UnknownAtom, UnknownFunction, UnknownMachine
 from .syntax import TERM, Grammar
 
@@ -82,18 +82,13 @@ def _elaborating(defs: Definitions) -> list:
         except KeyError:
             raise UnknownMachine(f"machine {name!r} not defined") from None
 
-    # colist.cons for a whole run and colist.lconst, checking symbols
-    # against the alphabet's frozenset as the term closes
+    # colist.cons for a whole run, checking its symbols against the
+    # alphabet's frozenset as the term closes
     def cons(heads: list[str], tail: CoList) -> CoList:
         if not members.issuperset(heads):
             sym = next(sym for sym in reversed(heads) if sym not in members)
             raise UnknownAtom(f"symbol {sym!r} not in alphabet")
         return ConsList(tuple(heads), 0, tail)
-
-    def lconst(sym: str) -> CoList:
-        if sym not in members:
-            raise UnknownAtom(f"symbol {sym!r} not in alphabet")
-        return ConstList(sym)
 
     def iterates(fn: AtomFun, sym: str) -> CoList:
         # colist.iterates words this "not in domain of <fn>"
@@ -104,7 +99,7 @@ def _elaborating(defs: Definitions) -> list:
     return _EXPR.table({
         "nil": (colist.nil, ()),
         "cons": (None, ("symbol", TERM), cons),
-        "lconst": (lconst, ("symbol",)),
+        "lconst": (partial(colist.lconst, alphabet=alphabet), ("symbol",)),
         "iterates": (iterates, (("name", function), "symbol")),
         "map": (None, (("name", function), TERM), _maps),
         "append(nil,": (None, (TERM,), _nils),

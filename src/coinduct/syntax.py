@@ -59,6 +59,7 @@ whitespace.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Optional
 
 from .errors import CoinductError, ParseError
@@ -66,11 +67,19 @@ from .errors import CoinductError, ParseError
 _WORD_CHARS = "A-Za-z0-9_"
 
 WORD = re.compile(f"[{_WORD_CHARS}]+")
+_WORD_SET = frozenset(filter(WORD.fullmatch, map(chr, range(128))))
 
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|[(),]")
 _STRAY = re.compile(rf"[^{_WORD_CHARS}(),\s]")
 _NOT_TOKEN = re.compile(f"[^{_WORD_CHARS}(),]")
 _WORD_GAP = re.compile(rf"[{_WORD_CHARS}]\s+[{_WORD_CHARS}]")
+
+
+def all_words(strings) -> bool:
+    """Whether every item of `strings` is a string and a word."""
+    return (all(map(isinstance, strings, repeat(str))) and "" not in strings
+            and _WORD_SET.issuperset("".join(strings)))
+
 
 _NOT_WORD = frozenset(("(", ")", ",", ""))
 

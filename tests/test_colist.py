@@ -1029,10 +1029,12 @@ def test_deep_states_compare_hash_and_show_by_key():
     assert repr(cons("a", nil(), AB)) == "ConsList(CONS(a,NIL))"
 
 
-def test_plain_states_behave_as_frozen_dataclasses(succ):
-    """The states that hold no other state compare, hash and print by
-    their field tuples, as the frozen dataclasses they replace did, stay
-    immutable, and survive `copy` and `pickle`."""
+def test_states_are_frozen_dataclasses(succ):
+    """Every list state is a frozen dataclass: assigning or deleting a
+    field, or any other name, raises `FrozenInstanceError`, and `copy`
+    and `pickle` give equal states.  A state that holds no other state
+    compares, hashes and prints by its field tuple; a cons run or a tower
+    by its key, and a cons run's memoized key survives the copies."""
     two = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
     cases = [
         (nil(), (), "NilList()"),
@@ -1044,15 +1046,41 @@ def test_plain_states_behave_as_frozen_dataclasses(succ):
         twin = type(state)(*fields)
         assert state == twin and twin is not state and hash(state) == hash(fields)
         assert repr(state) == text
-        assert copy.deepcopy(state) == pickle.loads(pickle.dumps(state)) == state
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            state.extra = 1
     assert nil() is nil() and NilList() == nil() and nil() != ConstList("a")
     assert ConstList("a") != ConstList("b") and ConstList("a") != lmap(succ, ConstList("a"))
+    run = read_states("cons(a,cons(b,cons(a,lconst(b))))", RUN_DEFS)
+    keyed = read_states("cons(b,cons(a,lconst(a)))", RUN_DEFS)
+    key = state_key(keyed)
     tower = lmap(succ, lappend(nil(), iterates(succ, "x0")))
-    assert pickle.loads(pickle.dumps(tower)) == copy.copy(tower) == tower
+    zipper = observe(tower)[1]
+    assert isinstance(run, ConsList) and run.heads == ("a", "b", "a") and run._key is None
+    assert isinstance(zipper, TowerList) and keyed._key == key
+    states = [state for state, _, _ in cases] + [
+        cons("a", nil(), AB), run, keyed, keyed.tail, tower,
+        lappend(cons("a", nil(), AB), nil()), zipper,
+    ]
+    for state in states:
+        for name in [f.name for f in dataclasses.fields(state)] + ["_key", "extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, nil())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(state, name)
+        twins = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        if isinstance(state, ConsList):
+            assert all(twin._key == state._key for twin in twins)
+        for twin in twins:
+            assert twin == state and hash(twin) == hash(state) and repr(twin) == repr(state)
+    assert keyed._key == key and keyed.tail._key == key[len("CONS(b,"):-1]
+
+
+def test_a_hashed_cons_run_refuses_a_new_rest():
+    """A cons run memoizes its key once hashed, so a new `rest` would
+    leave the key stale; assigning one raises instead."""
+    c = cons("a", lconst("a", AB), AB)
+    assert c in {c}
     with pytest.raises(dataclasses.FrozenInstanceError):
-        tower.fn = succ
+        c.rest = lconst("b", AB)
+    assert c.rest == lconst("a", AB) and state_key(c) == "CONS(a,CONST(a))"
 
 
 def test_alphabet_membership():
