@@ -4,15 +4,12 @@ A certificate is a finite relation on canonical state keys submitted as a
 bisimulation witness.  Verification replays one observation step per
 pair; the weak rule demands the tails be related again, the strong rule
 additionally accepts tails with equal keys.  `find_bisimulation` builds
-such witnesses for eventually-periodic lists.  Each list is one chain of
-states, which search and replay record as they read it (`_Chain`),
-stepping each state once and holding its key, up to `KEY_TEXT_BOUND`
-characters.  A bare cons run is stepped from a cursor into its tuple of
-heads, each tail keyed by a slice of the state's key, its rest's too,
-so the run's states are never built, observed or keyed one by one; any
-other state is observed and its tail keyed.  Search, replay and `closure_check`
-check each pair by one closure rule (`_closes`), which names the fault
-or none, and build a `Verdict` or `Counterexample` only for the outcome
+such witnesses for eventually-periodic lists.  Each list is one chain
+of states, which search and replay record (`_Chain`) as `colist.steps`
+steps them, once each, holding their keys up to `KEY_TEXT_BOUND`
+characters in all.  Search, replay and `closure_check` check each pair
+by one closure rule (`_closes`), which names the fault or none, and
+build a `Verdict` or `Counterexample` only for the outcome
 they return.  `bisimilarity_gfp` computes the largest bisimulation
 between two machines, the greatest fixedpoint of the one-step operator
 `llistd_fun` on the seed-pair lattice, by partition refinement of the
@@ -30,13 +27,13 @@ from typing import Optional, Union
 from . import lattice  # noqa: F401  bench/tracing.py wraps bisim.lattice
 from .colist import (
     CoList,
-    ConsList,
+    Step,
     StepFn,
-    _cons_tail_key,
     _machine_key,
     lasso,
-    observe,
+    observe,  # noqa: F401  bench/tracing.py wraps bisim.observe
     state_key,
+    steps,
     unroll,
 )
 from .errors import (
@@ -51,7 +48,6 @@ from .trees import in0, in1, scons
 from .wf import PairView
 
 KeyPair = tuple[str, str]
-Step = Optional[tuple[str, str]]  # None at the end of the list, else (head, tail key)
 
 Relation = frozenset  # of KeyPair
 
@@ -163,45 +159,20 @@ KEY_TEXT_BOUND = 10**8  # characters of state keys one `_Chain` may hold
 class _Chain(dict):
     """A list's states as read so far, state key -> step, from `root`, the
     list's key.  Keys are asked for in chain order, so a missing key is
-    the next state's, which `__missing__` steps, once.  A bare cons run
-    is stepped from a cursor, its tuple of heads and an offset into it:
-    the head is read from the tuple and the tail's key is a slice of the
-    missing key (`_cons_tail_key`), so no state is built, observed or
-    keyed inside the run; its last tail, the run's `rest`, is keyed by
-    that slice too.  Any other state is observed and its tail keyed.
-    The chain counts the characters of the keys it holds, the root's and
-    each tail's, and raises `SizeExceeded` once they pass
-    `KEY_TEXT_BOUND`."""
+    the next state's, whose step `colist.steps` yields.  The chain counts
+    the characters of the keys it holds, the root's and each tail's, and
+    raises `SizeExceeded` once they pass `KEY_TEXT_BOUND`."""
 
     def __init__(self, l: CoList):
-        super().__init__()
         self._held = 0
-        self._enter(l)
         self.root = self._hold(state_key(l))
-
-    def _enter(self, l: CoList) -> None:
-        """Make `l` the next state to step: a cursor on it if it is a cons
-        run, with `_next` the run's rest, else `l` itself as `_next`."""
-        if isinstance(l, ConsList):
-            self._heads, self._at, self._next = l.heads, l.at, l.rest
-        else:
-            self._heads, self._next = None, l
+        self._steps = steps(l, self.root)
 
     def __missing__(self, key: str) -> Step:
-        heads = self._heads
-        if heads is None:
-            obs = observe(self._next)
-            if obs is not None:
-                self._next = obs[1]
-                obs = obs[0], self._hold(state_key(obs[1]))
-        else:
-            head = heads[self._at]
-            self._at += 1
-            if self._at == len(heads):
-                self._enter(self._next)
-            obs = head, self._hold(_cons_tail_key(key, head))
-        self[key] = obs
-        return obs
+        step = self[key] = next(self._steps)
+        if step is not None:
+            self._hold(step[1])
+        return step
 
     def _hold(self, key: str) -> str:
         self._held += len(key)

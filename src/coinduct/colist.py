@@ -14,9 +14,9 @@ number of layers (a run that names no list is refused with ValueError).
 The expression reader (`dsl.read_states`) builds one state per run;
 the library constructors (`cons`, `lmap`, `lappend`) build a run of
 one.  Observing a cons run at offset i gives head i and the run at
-offset i + 1, and its key there is a slice of its key at i; search and
-replay (`bisim._Chain`) step a bare run from its tuple and an offset
-instead, with the same key slices and no state per offset.
+offset i + 1, and its key there is a slice of its key at i; `steps`,
+which walks chains for `bisim`, takes the same slices with no state
+per offset.
 
 A map/append tower is observed as a zipper (`TowerList`): its live state
 inside a shared stack of frames, so one step touches the live state
@@ -36,9 +36,9 @@ Every state is a frozen dataclass, so assigning or deleting any of its
 attributes raises `FrozenInstanceError`.  A state that holds no other
 state compares, hashes and prints by its fields; a cons run or a tower
 by its key (`_Keyed`).  Everything is immutable and pure, apart from key
-and map memos: a cons run's key memo is no field, and only `state_key`
-and `ConsList.tail` write it, past the frozen `__setattr__`; a tower's
-memos live in its frames.
+and map memos: a cons run's key memo is no field, written past the
+frozen `__setattr__` by `state_key` or as a slice by `_tail_key`; a
+tower's memos live in its frames.
 """
 
 from __future__ import annotations
@@ -245,16 +245,19 @@ class ConsList(_Keyed):
         state's key, when this one has its key and it has none."""
         at = self.at + 1
         tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
-        key = self._key
-        if key is not None and isinstance(tail, ConsList) and tail._key is None:
-            object.__setattr__(tail, "_key", _cons_tail_key(key, self.heads[at - 1]))
+        if self._key is not None and isinstance(tail, ConsList) and tail._key is None:
+            _tail_key(self._key, self.heads[at - 1], tail)
         return tail
 
 
-def _cons_tail_key(key: str, head: str) -> str:
+def _tail_key(key: str, head: str, tail: Optional[CoList] = None) -> str:
     """The key of a cons state's tail, from the state's key and head: the
-    text between `CONS(head,` and the last `)`, as `_join` writes it."""
-    return key[len(head) + 6:-1]
+    text between `CONS(head,` and the last `)`, as `_join` writes it.  A
+    cons run `tail` memoizes it; the one writer of a memo by slice."""
+    key = key[len(head) + 6:-1]
+    if isinstance(tail, ConsList):
+        object.__setattr__(tail, "_key", key)
+    return key
 
 
 @dataclass(frozen=True)
@@ -355,6 +358,7 @@ class TowerList(_Tower):
 
 
 Observation = Optional[tuple[str, CoList]]
+Step = Optional[tuple[str, str]]  # None at the end of the list, else (head, tail key)
 
 
 def nil() -> CoList:
@@ -439,6 +443,30 @@ def observe(l: CoList) -> Observation:
         if popped is None:
             return None
         l, frames = popped
+
+
+def steps(l: CoList, key: str) -> Iterator[Step]:
+    """The step of each state along `l`'s chain, whose key is `key`:
+    (head, tail key), then None where the list ends.  A cons run is
+    stepped by offset, each head read from its tuple and each tail keyed
+    by a slice (`_tail_key`), and its `rest` by its key memo or else the
+    slice, which it memoizes; any other state is observed and its tail
+    keyed."""
+    while True:
+        if isinstance(l, ConsList):
+            heads, l = l.heads[l.at:], l.rest
+            for head in heads[:-1]:
+                key = _tail_key(key, head)
+                yield head, key
+            key = (l._key if isinstance(l, ConsList) else None) or _tail_key(key, heads[-1], l)
+            yield heads[-1], key
+            continue
+        obs = observe(l)
+        if obs is None:
+            yield None
+            return
+        l, key = obs[1], state_key(obs[1])
+        yield obs[0], key
 
 
 def lasso(l: CoList, period: list[int]) -> Iterator[str]:
@@ -593,9 +621,9 @@ def state_key(l: CoList) -> str:
     """Canonical, injective serialization of a state.
 
     A cons state's first key costs O(n) for its n cells and the state
-    memoizes it; taking its tail (`ConsList.tail`, as `observe` does)
-    gives the tail, if keyless, its key as a slice, so walking a cons
-    chain, or a run one offset at a time, costs one slice per suffix.
+    memoizes it; its tails then take their keys as slices (`_tail_key`),
+    so walking a cons chain, or a run one offset at a time, costs one
+    slice per suffix, and none where a memo is already set.
     A tower is keyed as `observe` reads it, by `_descend`: the key of
     its live state inside the text of its frames (`_frame_text`), which
     the innermost frame memoizes.  A zipper keeps its frames, so its key

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import accumulate, islice
 
 import pytest
@@ -295,14 +296,52 @@ def test_counterexample_carries_diverging_keys():
     assert outcome.keys == ("MAP(swap,CONS(b,CONST(a)))", "MAP(swap,CONS(a,CONST(a)))")
 
 
-def test_deep_chain_bisimulation_without_recursion():
+def _chain_of_cells(n):
+    """n cells of `a` built one `cons` at a time over `lconst(a)`, and the
+    constant."""
     const = lconst("a", AB)
     chain = const
-    for _ in range(2000):
+    for _ in range(n):
         chain = cons("a", chain, AB)
+    return chain, const
+
+
+def test_deep_chain_bisimulation_without_recursion():
+    chain, const = _chain_of_cells(2000)
     outcome = find_bisimulation(chain, const, 10_000, kind="weak")
     assert isinstance(outcome, Certificate) and len(outcome.pairs) == 2001
     assert verify_certificate(outcome, chain, const)
+
+
+def test_replay_after_search_reuses_its_keys():
+    """Replay run after search on the same 2000-cell chain finds each
+    cell's key memoized by search, so its `tracemalloc` peak stays within
+    10% of the search's: slicing the keys again held their O(n^2)
+    characters twice over.  A ratio, so the check holds on any Python."""
+    chain, const = _chain_of_cells(2000)
+    tracemalloc.start()
+    try:
+        cert = find_bisimulation(chain, const, 10_000)
+        search_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_certificate(cert, chain, const)
+        replay_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.pairs) == 2001
+    assert replay_peak <= 1.1 * search_peak, (search_peak, replay_peak)
+
+
+def test_replay_after_search_slices_no_key_again(monkeypatch):
+    """In replay after search on a 2000-cell chain, only the last cell's
+    tail, `CONST(a)`, which holds no memo, is keyed by a slice."""
+    chain, const = _chain_of_cells(2000)
+    cert = find_bisimulation(chain, const, 10_000)
+    sliced = []
+    real = colist._tail_key
+    monkeypatch.setattr(colist, "_tail_key", lambda *args: sliced.append(args) or real(*args))
+    assert verify_certificate(cert, chain, const)
+    assert len(sliced) <= 1
 
 
 def test_walks_refuse_key_text_past_the_bound(monkeypatch):
@@ -439,14 +478,13 @@ def test_search_keys_each_pair_once(monkeypatch):
     keys are read from the recorded chains.  A bare cons run's states
     are not observed: each tail's key, the run's `rest`'s included, is a
     slice of the state's key."""
-    keyed = []
-    real = bisim.state_key
-    monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or real(l))
+    _, keyed = _counting(monkeypatch)
     const = lconst("a", AB)
     cert = find_bisimulation(const, cons("a", const, AB))
     assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
-    # the roots; const's tail, twice (once per chain)
-    assert keyed == [const, cons("a", const, AB), const, const]
+    # the roots; const's tail, twice (once per chain).  A snapshot, as
+    # comparing a cons run keys it through the counting `state_key`
+    assert keyed[:] == [const, cons("a", const, AB), const, const]
     keyed.clear()
     two, three = ring_machine(2), rename_seeds(ring_machine(3), "r_")
     cert = find_bisimulation(corec("s0", two), corec("r_s0", three))
@@ -465,25 +503,19 @@ def test_replay_walks_each_list_once(monkeypatch):
     as far as the certificate has pairs, keys each root once, observes
     each walked state outside a bare cons run once and steps a run's
     states from its tuple of heads."""
-    walks, keyed, observed = [], [], []
-    real_walk, real_key = bisim.reachable_states, colist.state_key
+    walks = []
+    real_walk = bisim.reachable_states
 
     def walk(l, limit):
         walks.append((l, limit))
         return real_walk(l, limit)
-
-    def key(l):
-        keyed.append(l)
-        return real_key(l)
 
     l1 = lmap(SWAP, lmap(SWAP, lconst("a", AB)))
     l2 = cons("a", lconst("a", AB), AB)
     cert = find_bisimulation(l1, l2)
     assert len(cert.pairs) == 2
     monkeypatch.setattr(bisim, "reachable_states", walk)
-    monkeypatch.setattr(bisim, "state_key", key)
-    monkeypatch.setattr(colist, "state_key", key)
-    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
+    observed, keyed = _counting(monkeypatch)
     assert verify_certificate(cert, l1, l2)
     assert [limit for _, limit in walks] == [len(cert.pairs)] * 2
     assert walks[0][0] is l1 and walks[1][0] is l2
@@ -641,10 +673,14 @@ def _mutants(rng, cert, l1, l2):
 
 
 def _counting(monkeypatch) -> tuple[list, list]:
-    """The states bisim observes and keys from now on, as two lists."""
+    """The states observed and keyed from now on, as two lists: `bisim`
+    keys each chain's root, and `colist.steps` observes states and keys
+    their tails.  `==` and `hash` of a cons run or a tower key it through
+    `colist.state_key` too, so compare a snapshot of `keyed`."""
     observed, keyed = [], []
-    monkeypatch.setattr(bisim, "observe", lambda l: observed.append(l) or observe(l))
-    monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or state_key(l))
+    monkeypatch.setattr(colist, "observe", lambda l: observed.append(l) or observe(l))
+    for module in (bisim, colist):
+        monkeypatch.setattr(module, "state_key", lambda l: keyed.append(l) or state_key(l))
     return observed, keyed
 
 
@@ -770,8 +806,8 @@ def test_runs_match_the_oracles(monkeypatch):
     """`_match_the_oracles` over lists around cons runs: reader-built
     runs, a run whose rest is another run, runs at a nonzero offset with
     and without a memoized key, runs inside map and append towers, where
-    no cursor applies, and equal runs on both sides, where the strong
-    kind closes inside a run."""
+    no run is stepped by offset, and equal runs on both sides, where the
+    strong kind closes inside a run."""
     calls = _counting(monkeypatch)
     rng = random.Random(67)
     machines = [random_machine(rng, f"m{i}") for i in range(3)]

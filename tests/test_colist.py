@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     ABC,
     MOD4_SYMS,
+    ROT,
     CountingFun,
     random_machine,
     random_state,
@@ -743,6 +744,91 @@ def test_run_states_match_layer_states(ops, steps):
                     break
                 assert obs[0] == obs_twin[0] == obs_ref[0]
                 state, twin, ref = obs[1], obs_twin[1], obs_ref[1]
+
+
+def _oracle_steps(l, n):
+    """The first n steps of `l`'s chain read as `walk_states` reads it,
+    with `unfold` and `state_key`: (head, tail key) per state, then None
+    if the list ended within them."""
+    out = [(head, state_key(tail)) for head, tail in islice(unfold(l), n)]
+    return out + [None] * (len(out) < n)
+
+
+def _steps_match_the_oracle(make, n):
+    """`colist.steps` on the state `make()` builds, from its key, against
+    `_oracle_steps` on a second build; every key memo that the steps
+    write through `_tail_key` is the key the recursive serializer writes
+    with no memo read."""
+    written = []
+    real = colist._tail_key
+
+    def record(key, head, tail=None):
+        out = real(key, head, tail)
+        if isinstance(tail, ConsList):
+            written.append((tail, out))
+        return out
+
+    expected = _oracle_steps(make(), n)
+    state = make()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colist, "_tail_key", record)
+        got = list(islice(colist.steps(state, state_key(state)), len(expected)))
+    assert got == expected
+    for tail, key in written:
+        assert tail._key == key == _reference_key(tail)
+    return len(written)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_recipes(max_ops=20, towers=True, heads=tuple(HEADS)), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=30))
+@example(_RUNS_ON_TAILS, True, True, 12)
+@example(_SHARED_TAIL, False, True, 8)
+def test_steps_match_the_oracle(ops, runs, keyed, n):
+    """`colist.steps` over every state of a random recipe -- runs built
+    as the reader builds them or cell by cell, towers and zippers whose
+    live state is a run, machines -- with each state keyed first or not,
+    so that runs inside towers do or do not memoize their keys."""
+
+    def make():
+        built = build_states(ops, fns=RUN_FNS, runs=runs)
+        if keyed:
+            for state in built:
+                state_key(state)
+        return built[-1]
+
+    _steps_match_the_oracle(make, n)
+
+
+def test_steps_of_random_states_match_the_oracle():
+    """`colist.steps` over random mixed states and over cons chains and
+    runs around them, read as one run, cell by cell, from an offset, or
+    inside a map tower whose live run memoizes its key: the oracle's
+    steps, and memos equal to fresh keys."""
+    rng = random.Random(71)
+    machines = [random_machine(rng, f"m{i}") for i in range(4)]
+    written = 0
+    for i in range(300):
+        seed = rng.random()
+        heads = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+        shape = i % 4
+
+        def make():
+            rest = random_state(random.Random(seed), machines)
+            if shape == 0 or not heads:
+                return rest
+            if shape == 1:
+                return ConsList(heads, 0, rest)
+            if shape == 2:
+                for head in reversed(heads):
+                    rest = cons(head, rest, ABC)
+                return rest
+            run = ConsList(("c",) + heads, 1, rest)
+            state_key(run)
+            return lmap(ROT, run)
+
+        written += _steps_match_the_oracle(make, rng.randint(0, 12))
+    assert written > 0
 
 
 def _oracle_take(k, l):
