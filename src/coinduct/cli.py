@@ -4,6 +4,11 @@ Exit codes: 0 on pass/equal or after help, 1 on fail/counterexample, 2 on usage 
 validation errors or when memory runs out (reported on stderr), 3 when
 a search exhausts its pair budget.  Each expression is read straight into engine states
 (`dsl.reader`, one grammar table per command), in one loop at any depth.
+
+`eval` and `trunc` write from one read of the list's lasso (`colist.read_lasso`),
+in writes of about `_CHUNK` characters: `eval` holds O(prefix + period) heads
+and writes the cycle repeated, and `trunc` builds no tree and holds one line
+of its dump at a time (`trees.list_dump`).
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain, cycle
+from typing import Iterable, Iterator
 
 from . import bisim, colist, lattice
 from .colist import Definitions
@@ -18,7 +25,14 @@ from .colist import Definitions
 # both stay bound here because bench/tracing.py wraps them by name.
 from .dsl import elaborate, parse_expr, reader  # noqa: F401
 from .errors import CoinductError, LatticeFileError, read_json
-from .trees import dump_tree
+# The CLI no longer calls dump_tree, colist.take or colist.tree_trunc;
+# all three stay bound because bench/tracing.py wraps them by name.
+from .trees import dump_tree, list_dump  # noqa: F401
+
+# Characters per write of `eval` and `trunc` output.  Each write is much
+# larger than a pipe's capacity plus stdout's buffer, so a reader that
+# closes early fails a write before any of its bytes are left buffered.
+_CHUNK = 1 << 20
 
 
 class _Exit(Exception):
@@ -102,6 +116,48 @@ def _render_prefix(elems: list[str], ended: bool) -> str:
     return f"[{inner},...]" if elems else "[...]"
 
 
+def _eval_text(k: int, l: colist.CoList) -> Iterator[str]:
+    """`_render_prefix(*take(k, l))` and a newline, in pieces: the heads
+    up to the lasso's first repeat, then its cycle repeated in pieces of
+    about _CHUNK characters, so O(prefix + period) heads are held."""
+    heads, period = colist.read_lasso(k, l)
+    if not period:
+        yield _render_prefix(heads, len(heads) < k) + "\n"
+        return
+    yield "[" + ",".join(heads) + ","
+    ring = heads[len(heads) - period:]
+    text = ",".join(ring) + ","
+    reps, rest = divmod(k - len(heads), period)
+    per = max(1, _CHUNK // len(text))
+    chunks, reps = divmod(reps, per)
+    if chunks:
+        chunk = text * per
+        for _ in range(chunks):
+            yield chunk
+    yield text * reps + "".join(h + "," for h in ring[:rest]) + "...]\n"
+
+
+def _trunc_text(k: int, l: colist.CoList) -> Iterator[str]:
+    """`dump_tree(tree_trunc(k, l))` one line at a time: the k // 2 heads
+    it needs, read from the lasso and its cycle repeated."""
+    heads, period = colist.read_lasso(k // 2, l)
+    return list_dump(k, chain(heads, cycle(heads[len(heads) - period:])) if period else heads)
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write `pieces` to stdout, joined into writes of at least _CHUNK
+    characters but the last."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(held))
+            held, size = [], 0
+    if held:
+        sys.stdout.write("".join(held))
+
+
 def run_command(argv) -> int:
     """Dispatch one command; prints the report and returns the exit status."""
     try:
@@ -125,13 +181,8 @@ def run_command(argv) -> int:
         read = reader(defs)
         terms = [read(text) for text in texts]
 
-        if args.command == "eval":
-            elems, ended = colist.take(args.depth, *terms)
-            print(_render_prefix(elems, ended))
-            return 0
-
-        if args.command == "trunc":
-            sys.stdout.write(dump_tree(colist.tree_trunc(args.depth, *terms)))
+        if args.command in ("eval", "trunc"):
+            _write((_eval_text if args.command == "eval" else _trunc_text)(args.depth, *terms))
             return 0
 
         if args.command == "bisim":

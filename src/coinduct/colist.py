@@ -26,7 +26,8 @@ key text writes and a head's mapping walks O(runs) frames; within a
 run, the text is one join.  One descent (`_descend`) reads a tower's
 nesting, for observations and keys alike, and one writer
 (`_frame_text`) writes its frames' key text.  Loops that read only
-heads (`take`, `check_llist_upto`, `bisim.eq_upto`) read them with
+heads (`read_lasso`, and through it `take` and the CLI's `eval` and
+`trunc`; `check_llist_upto`; `bisim.eq_upto`) read them with
 `lasso`, which keeps the live state in locals, reads a cons run's heads
 from its tuple, builds no tail states, and stops once the list's cycle
 closes: a list built from finitely many symbols, seeds and constants
@@ -735,18 +736,28 @@ def _join(items: list) -> str:
     return "".join(parts)
 
 
+def read_lasso(k: int, l: CoList) -> tuple[list[str], int]:
+    """The heads `lasso` reads, at most k of them, and the period of the
+    cycle they close, or 0 when the list ended or k heads came first.
+
+    With a period p, the first k heads of `l` are these heads, then their
+    last p repeated (`unroll`), and fewer than k heads were read."""
+    period: list[int] = []
+    heads = list(islice(lasso(l, period), max(k, 0)))
+    return heads, period[0] if period else 0
+
+
 def take(k: int, l: CoList) -> tuple[list[str], bool]:
     """First k elements and whether the list was seen to end.
 
     Observes at most k heads, and none past the point where the list's
-    cycle closes (`lasso`): the elements after it repeat that cycle.  In
-    particular take(0, .) observes nothing and reports ended=False even
-    on nil().
+    cycle closes (`read_lasso`): the elements after it repeat that cycle.
+    In particular take(0, .) observes nothing and reports ended=False
+    even on nil().
     """
-    period: list[int] = []
-    elems = list(islice(lasso(l, period), max(k, 0)))
+    elems, period = read_lasso(k, l)
     if period:
-        elems = unroll(elems, period[0], k)
+        elems = unroll(elems, period, k)
     return elems, len(elems) < k
 
 

@@ -19,7 +19,8 @@ only `case_tree` builds a shape object for its caller.  With CPython
 linear in the trie nodes it rebuilds above the cut; the node view
 (`nodes`, iteration, `sort_key`, `repr`, `dump_tree`) is derived on
 demand in O(size * depth).  Walks use explicit stacks, so trees of any
-depth are safe.
+depth are safe.  `list_dump` writes the dump of a truncated list
+encoding from the encoding's closed-form positions, building no tree.
 """
 
 from __future__ import annotations
@@ -289,6 +290,32 @@ def cons_tree(m: FiniteTree, n: FiniteTree) -> FiniteTree:
     if not (m._size and n._size):
         raise EmptyOperand("scons operands must be nonempty")
     return _tree(None, ONE_ATOM, _tree(None, m, n))
+
+
+def list_dump(k: int, heads: Iterable[str]) -> Iterator[str]:
+    """`dump_tree(ntrunc(k, t))`, one line at a time, where t is the tree
+    of the list whose heads are `heads`: `cons_tree` cells of `leaf`
+    heads, closed by NIL_TREE where `heads` runs out.
+
+    No tree is built.  Cell i sits at position 1^(2i), with ONE_ATOM at
+    1^(2i)0 and its head at 1^(2i)10; the NIL_TREE after j cells has
+    ZERO_ATOM at 1^(2j)0 and 1^(2j)1.  Those are the lines in
+    lexicographic order, and only positions shallower than k are written,
+    so at most k // 2 heads are read and a line holds O(k) characters.
+    """
+    tag = f"0 {ONE_ATOM._label.render()}\n"
+    end = ZERO_ATOM._label.render()
+    heads = iter(heads)
+    cell = ""  # the position of the current cell
+    while len(cell) + 1 < k:
+        head = next(heads, None)
+        if head is None:
+            yield f"{cell}0 {end}\n{cell}1 {end}\n"
+            return
+        yield cell + tag
+        if len(cell) + 2 < k:
+            yield f"{cell}10 {UserAtom(head).render()}\n"
+        cell += "11"
 
 
 @dataclass(frozen=True)

@@ -211,9 +211,10 @@ class WFRelation:
 
     Construction checks acyclicity by Kahn's topological sort, O(V + E),
     and keeps each element's rank in that sort, so every element ranks
-    after all those below it.  `below` answers a direct pair at once;
-    otherwise it finds everything below its second argument in one
-    search and keeps that set.  `closure` is built when first read.
+    after all those below it.  `closure` is built when first read.
+    `below` answers a direct pair at once, and any other pair by one
+    lookup in `closure`'s bitsets, so it holds O(V^2 / 64) words however
+    many elements it is asked about.
     """
 
     carrier: tuple
@@ -258,7 +259,6 @@ class WFRelation:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_below", {})  # i -> positions below elems[i]
 
     @cached_property
     def closure(self) -> AbstractSet:
@@ -268,23 +268,17 @@ class WFRelation:
 
     def below(self, y, x) -> bool:
         """True when y is strictly below x in the transitive closure."""
-        if (y, x) in self.pairs:
-            return True
-        i, j = self._index.get(x), self._index.get(y)
-        return i is not None and j is not None and j in self._reach(i)
+        return (y, x) in self.pairs or (y, x) in self.closure
 
     def _reach(self, i: int) -> set:
         """Positions strictly below position i, found by one search over
-        predecessors and kept for the next question about i."""
-        reached = self._below.get(i)
-        if reached is None:
-            reached, stack = set(), list(self._preds[i])
-            while stack:
-                k = stack.pop()
-                if k not in reached:
-                    reached.add(k)
-                    stack.extend(self._preds[k])
-            self._below[i] = reached  # threads that race here store equal sets
+        predecessors."""
+        reached, stack = set(), list(self._preds[i])
+        while stack:
+            k = stack.pop()
+            if k not in reached:
+                reached.add(k)
+                stack.extend(self._preds[k])
         return reached
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: golden reports, exit codes, file workflows."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -7,14 +8,17 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import coinduct
-from coinduct import dsl
+from coinduct import cli, colist, dsl
 from coinduct.bisim import KEY_TEXT_BOUND
 from coinduct.cli import _build_parser, run_command
+from coinduct.errors import CoinductError
 from coinduct.syntax import NUMERAL_DIGITS
+from coinduct.trees import dump_tree
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFS = str(DATA / "defs.json")
@@ -343,14 +347,134 @@ def test_long_numeral_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "trunc"])
 def test_out_of_memory_exits_2(capsys, monkeypatch, command):
-    """A depth whose heads do not fit in memory is one `error:` line and
-    exit 2, not a traceback."""
-    def take(*args):
+    """Memory that runs out while `eval` or `trunc` reads its list is one
+    `error:` line and exit 2, not a traceback.  Both read the list once,
+    through `read_lasso`."""
+    def read_lasso(*args):
         raise MemoryError
 
-    monkeypatch.setattr(coinduct.cli.colist, "take", take)
+    monkeypatch.setattr(coinduct.cli.colist, "read_lasso", read_lasso)
     assert run(capsys, command, "--defs", DEFS, "--depth", "100000000", "lconst(a)") == (
         2, "", "error: out of memory\n")
+
+
+def _eval_oracle(k, l):
+    return cli._render_prefix(*colist.take(k, l)) + "\n"
+
+
+def _trunc_oracle(k, l):
+    return dump_tree(colist.tree_trunc(k, l))
+
+
+def test_eval_and_trunc_match_their_oracles_on_the_corpus(capsys, monkeypatch, tmp_path):
+    """`eval` and `trunc` write what `take` in `_render_prefix`'s format and
+    `dump_tree(tree_trunc(k, l))` write, on the corpus's expressions at
+    depths -1 to 64, and at 10^3 and 10^4: `eval` on all of them, `trunc`
+    on those that end within 64 heads, at 10^3 on ten that do not and at
+    10^4 on one (the oracle takes seconds there).  Through `run_command`,
+    writes of a few characters join the same text."""
+    from corpus import DEFS as CORPUS_DEFS, Corpus
+
+    corpus = Corpus(tmp_path, seed=3)
+    read = dsl.reader(colist.Definitions.from_dict(CORPUS_DEFS))
+    cases = []
+    while len(cases) < 40:
+        text = corpus.expr()
+        try:
+            cases.append((text, read(text)))
+        except CoinductError:
+            pass
+    infinite = 0
+    for text, l in cases:
+        for k in range(-1, 65):
+            assert "".join(cli._eval_text(k, l)) == _eval_oracle(k, l), (text, k)
+            assert "".join(cli._trunc_text(k, l)) == _trunc_oracle(k, l), (text, k)
+        ends = colist.take(64, l)[1]
+        infinite += not ends
+        for k in (10**3, 10**4):
+            assert "".join(cli._eval_text(k, l)) == _eval_oracle(k, l), (text, k)
+            if ends or infinite <= (10 if k == 10**3 else 1):
+                assert "".join(cli._trunc_text(k, l)) == _trunc_oracle(k, l), (text, k)
+    assert 10 < infinite < len(cases)
+    monkeypatch.setattr(cli, "_CHUNK", 5)
+    for text, l in cases[:20]:
+        for command, oracle in (("eval", _eval_oracle), ("trunc", _trunc_oracle)):
+            argv = (command, "--defs", corpus.defs, "--depth", "37", text)
+            assert run(capsys, *argv) == (0, oracle(37, l), ""), argv
+
+
+class _Sink:
+    """A stdout that keeps the length and a digest of what is written to it."""
+
+    def __init__(self):
+        self.size, self.digest = 0, hashlib.blake2b()
+
+    def write(self, text):
+        self.size += len(text)
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def _digest(pieces):
+    """(length, digest) of the text `pieces` join."""
+    sink = _Sink()
+    for piece in pieces:
+        sink.write(piece)
+    return sink.size, sink.digest.hexdigest()
+
+
+def _trunc_const(k):
+    """`trunc --depth k "lconst(a)"` by the depth of each line: the cell at
+    depth 2j + 1 has its tag there and its head one deeper."""
+    for d in range(1, k):
+        yield "1" * (d - 1) + ("0 atom:a\n" if d % 2 == 0 else "0 num:1\n")
+
+
+@pytest.mark.parametrize("command, depth, expected", [
+    ("eval", 10**7, lambda: iter(["[", *["a," * 10**4] * 10**3, "...]\n"])),
+    ("trunc", 10**4, lambda: _trunc_const(10**4)),
+])
+def test_eval_and_trunc_memory_does_not_grow_with_depth(monkeypatch, command, depth, expected):
+    """`eval` at depth 10^7 and `trunc` at depth 10^4 write their 20 MB and
+    50 MB within a `tracemalloc` peak of 8 MB: a few writes of
+    `cli._CHUNK` characters (10^6), one line of `trunc` and no list of
+    heads.  Building the k heads (80 MB of list alone) or the joined dump
+    would exceed it."""
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = run_command([command, "--defs", DEFS, "--depth", str(depth), "lconst(a)"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.size, sink.digest.hexdigest()) == _digest(expected())
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command, depth", [("eval", 10**6), ("trunc", 3000)])
+def test_a_closed_pipe_exits_2(command, depth, unbuffered):
+    """Output into a pipe that its reader closes after one byte: one
+    `error:` line, exit 2, and no complaint at exit about bytes left in
+    stdout's buffer, with stdout buffered or not (`PYTHONUNBUFFERED`).
+    Both outputs are far larger than a pipe holds."""
+    src = str(pathlib.Path(coinduct.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)  # "" leaves it buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coinduct", command, "--defs", DEFS, "--depth", str(depth),
+         "lconst(a)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(1) == (b"[" if command == "eval" else b"0")
+        proc.stdout.close()
+        assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_usage_errors(capsys):

@@ -27,7 +27,7 @@ from conftest import (
     unfold,
     walk_states,
 )
-from coinduct import colist
+from coinduct import cli, colist
 from coinduct.dsl import read_states
 from coinduct.colist import (
     Alphabet,
@@ -78,6 +78,7 @@ from coinduct.trees import (
     UserAtom,
     case_tree,
     cons_tree,
+    dump_tree,
     leaf,
     ntrunc,
     numb,
@@ -391,6 +392,8 @@ def _reference_key(l):
         return f"APP({_reference_key(left)},{_reference_key(right)})"
     if isinstance(l, MachineList):
         return f"M({l.machine.name},{l.seed})"
+    if isinstance(l, TowerList):  # an observed tail, as a cons cell's rest
+        return _reference_key(_unzip(l))
     raise TypeError(l)
 
 
@@ -779,11 +782,18 @@ def _steps_match_the_oracle(make, n):
     return len(written)
 
 
+# cons cells on an observed map tower: the second cell's tail, keyed by
+# a slice, is a cons cell whose rest is a zipper
+_CONS_ON_A_ZIPPER = [("nil",), ("cons", "a", 0), ("cons", "a", 1), ("map", 1), ("tail", 3, 1),
+                     ("cons", "a", 4), ("cons", "a", 5)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(state_recipes(max_ops=20, towers=True, heads=tuple(HEADS)), st.booleans(), st.booleans(),
        st.integers(min_value=0, max_value=30))
 @example(_RUNS_ON_TAILS, True, True, 12)
 @example(_SHARED_TAIL, False, True, 8)
+@example(_CONS_ON_A_ZIPPER, False, False, 1)
 def test_steps_match_the_oracle(ops, runs, keyed, n):
     """`colist.steps` over every state of a random recipe -- runs built
     as the reader builds them or cell by cell, towers and zippers whose
@@ -931,6 +941,21 @@ def test_head_streams_match_the_observe_oracle(ops, depth, hole, other):
             expected, oracle_calls = run(oracle, k)
             assert outcome == expected
             assert all(map(int.__le__, calls, oracle_calls)), (calls, oracle_calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_recipes(max_ops=20, towers=True, heads=tuple(HEADS)), st.booleans(),
+       st.integers(min_value=-1, max_value=40), st.integers(min_value=41, max_value=400))
+def test_eval_and_trunc_writers_match_their_oracles(ops, runs, depth, deep):
+    """The `eval` and `trunc` texts, written from one `read_lasso`, against
+    `take` through `observe` in `_render_prefix`'s format and against
+    `dump_tree(tree_trunc(k, l))`, on recipes of cons runs, towers and
+    machines (some of which stop), at depths up to and past where their
+    cycles close."""
+    l = build_states(ops, fns=RUN_FNS, runs=runs)[-1]
+    for k in (depth, deep):
+        assert "".join(cli._eval_text(k, l)) == cli._render_prefix(*_oracle_take(k, l)) + "\n"
+        assert "".join(cli._trunc_text(k, l)) == dump_tree(tree_trunc(k, l))
 
 
 def _lasso_list(prefix, cycle, shape):

@@ -28,6 +28,7 @@ from coinduct.trees import (
     inject,
     leaf,
     list_case,
+    list_dump,
     ndepth,
     ntrunc,
     numb,
@@ -244,6 +245,31 @@ def test_dump_format():
     )
     assert dump_tree(leaf("a")) == ". atom:a\n"
     assert dump_tree(EMPTY_TREE) == ""
+
+
+def test_list_dump_is_the_dump_of_the_truncated_list_tree():
+    """`list_dump` writes the lines of `dump_tree(ntrunc(k, t))` for t the
+    cons_tree/NIL_TREE encoding of a finite list, and for t the cells of
+    an endless list (no NIL_TREE under them), and reads at most k // 2
+    heads."""
+    rng = random.Random(41)
+    for _ in range(300):
+        heads = [rng.choice(("a", "b", "x0", "q00")) for _ in range(rng.randrange(8))]
+        for k in range(-1, 2 * len(heads) + 4):
+            closed = NIL_TREE
+            for h in reversed(heads):
+                closed = cons_tree(leaf(h), closed)
+            assert "".join(list_dump(k, heads)) == dump_tree(ntrunc(k, closed)), (heads, k)
+            if not heads:
+                continue
+            endless = list(itertools.islice(itertools.cycle(heads), max(k // 2, 0)))
+            cells = EMPTY_TREE
+            for h in reversed(endless):
+                cells = branch_union(numb(1), branch_union(leaf(h), cells))
+            read = []
+            lines = list_dump(k, (read.append(h) or h for h in itertools.cycle(heads)))
+            assert "".join(lines) == dump_tree(ntrunc(k, cells)), (heads, k)
+            assert len(read) <= max(k // 2, 0)
 
 
 def test_tree_duplicate_positions_rejected():
