@@ -14,9 +14,13 @@ number of layers (a run that names no list is refused with ValueError).
 The expression reader (`dsl.read_states`) builds one state per run;
 the library constructors (`cons`, `lmap`, `lappend`) build a run of
 one.  Observing a cons run at offset i gives head i and the run at
-offset i + 1, and its key there is a slice of its key at i; `steps`,
-which walks chains for `bisim`, takes the same slices with no state
-per offset.
+offset i + 1, and its key there is a slice of its key at i.
+
+`steps`, which walks chains for `bisim`, names states by ids from a
+hash-cons table (`Interner`) and writes no cons key: a chain's leading
+cons cells, as one run or cell by cell, are interned as (head, tail id)
+in one backward pass, and only the states past them are keyed by text.
+A zipper over a long live cons run is keyed by text at every step.
 
 A map/append tower is observed as a zipper (`TowerList`): its live state
 inside a shared stack of frames, so one step touches the live state
@@ -38,14 +42,16 @@ attributes raises `FrozenInstanceError`.  A state that holds no other
 state compares, hashes and prints by its fields; a cons run or a tower
 by its key (`_Keyed`).  Everything is immutable and pure, apart from key
 and map memos: a cons run's key memo is no field, written past the
-frozen `__setattr__` by `state_key` or as a slice by `_tail_key`; a
-tower's memos live in its frames.
+frozen `__setattr__` by `state_key` or as a slice by `ConsList.tail`;
+a tower's memos live in its frames.  A chain of cons runs copies and
+pickles with loops (`ConsList.__reduce__`), at any length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from threading import Lock
 from typing import Iterable, Iterator, Optional
 
 from .errors import DefsError, UnknownAtom, UnknownSeed, Verdict, read_json
@@ -247,18 +253,30 @@ class ConsList(_Keyed):
         at = self.at + 1
         tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
         if self._key is not None and isinstance(tail, ConsList) and tail._key is None:
-            _tail_key(self._key, self.heads[at - 1], tail)
+            # the text between `CONS(head,` and the last `)`, as `_join` writes it
+            object.__setattr__(tail, "_key", self._key[len(self.heads[at - 1]) + 6:-1])
         return tail
 
+    def __reduce__(self):
+        """Copy and pickle a chain of cons runs with loops: its runs are
+        listed outermost first, each with its key memo, and rebuilt
+        innermost first (`_cons_chain`), so a chain built cell by cell
+        copies at any length."""
+        runs, l = [], self
+        while isinstance(l, ConsList):
+            runs.append((l.heads, l.at, l._key))
+            l = l.rest
+        return _cons_chain, (runs, l)
 
-def _tail_key(key: str, head: str, tail: Optional[CoList] = None) -> str:
-    """The key of a cons state's tail, from the state's key and head: the
-    text between `CONS(head,` and the last `)`, as `_join` writes it.  A
-    cons run `tail` memoizes it; the one writer of a memo by slice."""
-    key = key[len(head) + 6:-1]
-    if isinstance(tail, ConsList):
-        object.__setattr__(tail, "_key", key)
-    return key
+
+def _cons_chain(runs: list, rest: CoList) -> CoList:
+    """The chain that `ConsList.__reduce__` lists: each run around `rest`,
+    the last one innermost, with its key memo."""
+    for heads, at, key in reversed(runs):
+        rest = ConsList(heads, at, rest)
+        if key is not None:
+            object.__setattr__(rest, "_key", key)
+    return rest
 
 
 @dataclass(frozen=True)
@@ -359,7 +377,93 @@ class TowerList(_Tower):
 
 
 Observation = Optional[tuple[str, CoList]]
-Step = Optional[tuple[str, str]]  # None at the end of the list, else (head, tail key)
+Step = Optional[tuple[str, int]]  # None at the end of the list, else (head, tail id)
+
+
+class Interner:
+    """A hash-cons table for the states one search or replay reads
+    (Filliatre & Conchon, *Type-safe Modular Hash-consing*, ML 2006):
+    each state gets a small int id, equal exactly when the keys are.
+
+    A cons state is interned as (head, id of its tail), so a chain of n
+    cells takes n entries and writes no key text; any other state by its
+    key text.  The two never meet, as only cons states have keys that
+    begin `CONS(`.  `sizes` holds each key's length, and `texts` writes
+    the keys of ids, so key text is written only where it is read.
+    Lookups read the table as it is; a new entry is added under a lock,
+    so walks in several threads may share one table.
+    """
+
+    __slots__ = ("ids", "entries", "sizes", "_adding")
+
+    def __init__(self):
+        self.ids: dict = {}  # key text, or (head, tail id) -> id
+        self.entries: list = []  # id -> key text, or (head, tail id)
+        self.sizes: list[int] = []  # id -> length of its key text
+        self._adding = Lock()
+
+    def text_id(self, key: str) -> int:
+        """The id of the state keyed `key`, which is no cons key."""
+        i = self.ids.get(key)
+        if i is None:
+            with self._adding:
+                i = self.ids.get(key)
+                if i is None:
+                    i = self.ids[key] = len(self.entries)
+                    self.entries.append(key)
+                    self.sizes.append(len(key))
+        return i
+
+    def cons_ids(self, heads: list[str], tail: int) -> list[int]:
+        """The ids of the states along a chain of cons cells with `heads`
+        around the state `tail`: the first cell's, each next cell's, then
+        `tail`; folded from the last cell in one pass that writes no
+        text."""
+        ids, entries, sizes = self.ids, self.entries, self.sizes
+        out = [tail]
+        with self._adding:
+            for head in reversed(heads):
+                cell = head, tail
+                tail = ids.get(cell)
+                if tail is None:
+                    tail = ids[cell] = len(entries)
+                    entries.append(cell)
+                    sizes.append(len(head) + 7 + sizes[cell[1]])
+                out.append(tail)
+        out.reverse()
+        return out
+
+    def texts(self, ids: Iterable[int]) -> list[str]:
+        """The key text of each of `ids`.  A cons cell's key is a slice of
+        the first text written that holds it, so each cell is visited
+        once however many of `ids` lie on one chain."""
+        entries, sizes = self.entries, self.sizes
+        where: dict = {}  # cons id -> (a written text that holds its key, offset)
+        out = []
+        for i in ids:
+            held = where.get(i)
+            if held is not None:
+                text, at = held
+                out.append(text[at:at + sizes[i]])
+                continue
+            heads, cells, j = [], [], i
+            entry = entries[j]
+            while type(entry) is tuple and j not in where:
+                heads.append(entry[0])
+                cells.append(j)
+                j = entry[1]
+                entry = entries[j]
+            if type(entry) is tuple:
+                text, at = where[j]
+                entry = text[at:at + sizes[j]]
+            if heads:
+                entry = "CONS(" + ",CONS(".join(heads) + "," + entry + ")" * len(heads)
+                at = 0
+                for j, head in zip(cells, heads):
+                    where[j] = entry, at
+                    at += len(head) + 6
+            out.append(entry)
+        return out
 
 
 def nil() -> CoList:
@@ -446,28 +550,51 @@ def observe(l: CoList) -> Observation:
         l, frames = popped
 
 
-def steps(l: CoList, key: str) -> Iterator[Step]:
-    """The step of each state along `l`'s chain, whose key is `key`:
-    (head, tail key), then None where the list ends.  A cons run is
-    stepped by offset, each head read from its tuple and each tail keyed
-    by a slice (`_tail_key`), and its `rest` by its key memo or else the
-    slice, which it memoizes; any other state is observed and its tail
-    keyed."""
-    while True:
-        if isinstance(l, ConsList):
-            heads, l = l.heads[l.at:], l.rest
-            for head in heads[:-1]:
-                key = _tail_key(key, head)
-                yield head, key
-            key = (l._key if isinstance(l, ConsList) else None) or _tail_key(key, heads[-1], l)
-            yield heads[-1], key
-            continue
-        obs = observe(l)
+def steps(l: CoList, table: Interner, key) -> Iterator:
+    """`l`'s id in `table`, then the step of each state along `l`'s chain:
+    (head, tail id), then None where the list ends.
+
+    The chain's leading cons cells, one run or many, cell by cell or
+    not, are read at once: their heads are gathered with a loop and
+    their ids folded back from the first state past them
+    (`Interner.cons_ids`), so no cons key is written.  Any other state
+    holds no cons state ahead of it on the chain; it is observed, and
+    its tail keyed by `key` and interned by that text (`_Observed`).
+    The steps are C-level iterators and one plain object, with no frame
+    to close, so dropping them allocates nothing, even while an
+    out-of-memory error unwinds.
+    """
+    heads: list[str] = []
+    while isinstance(l, ConsList):
+        heads += l.heads[l.at:]
+        l = l.rest
+    state = table.text_id(key(l))
+    if not heads:
+        return chain((state,), _Observed(l, table, key))
+    ids = table.cons_ids(heads, state)
+    return chain((ids[0],), zip(heads, islice(ids, 1, None)), _Observed(l, table, key))
+
+
+class _Observed:
+    """The steps of `steps` from the state `l` on, one observation each."""
+
+    __slots__ = ("l", "table", "key")
+
+    def __init__(self, l: Optional[CoList], table: Interner, key):
+        self.l, self.table, self.key = l, table, key
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> Step:
+        if self.l is None:
+            raise StopIteration
+        obs = observe(self.l)
         if obs is None:
-            yield None
-            return
-        l, key = obs[1], state_key(obs[1])
-        yield obs[0], key
+            self.l = None
+            return None
+        self.l = obs[1]
+        return obs[0], self.table.text_id(self.key(obs[1]))
 
 
 def lasso(l: CoList, period: list[int]) -> Iterator[str]:
@@ -622,9 +749,8 @@ def state_key(l: CoList) -> str:
     """Canonical, injective serialization of a state.
 
     A cons state's first key costs O(n) for its n cells and the state
-    memoizes it; its tails then take their keys as slices (`_tail_key`),
-    so walking a cons chain, or a run one offset at a time, costs one
-    slice per suffix, and none where a memo is already set.
+    memoizes it; its tails observed with `ConsList.tail` then take their
+    keys as slices, and none where a memo is already set.
     A tower is keyed as `observe` reads it, by `_descend`: the key of
     its live state inside the text of its frames (`_frame_text`), which
     the innermost frame memoizes.  A zipper keeps its frames, so its key

@@ -332,89 +332,152 @@ def test_replay_after_search_reuses_its_keys():
     assert replay_peak <= 1.1 * search_peak, (search_peak, replay_peak)
 
 
-def test_replay_after_search_slices_no_key_again(monkeypatch):
-    """In replay after search on a 2000-cell chain, only the last cell's
-    tail, `CONST(a)`, which holds no memo, is keyed by a slice."""
+def test_replay_after_search_writes_no_cons_key(monkeypatch):
+    """Replay of a search's certificate on the same 2000-cell chain reads
+    the search's ids: its walks key only the constant past the chain,
+    and no key text is written, for the certificate or the walks."""
     chain, const = _chain_of_cells(2000)
     cert = find_bisimulation(chain, const, 10_000)
-    sliced = []
-    real = colist._tail_key
-    monkeypatch.setattr(colist, "_tail_key", lambda *args: sliced.append(args) or real(*args))
+    keyed, written = [], []
+    monkeypatch.setattr(bisim, "state_key", lambda l: keyed.append(l) or state_key(l))
+    real = colist.Interner.texts
+    monkeypatch.setattr(colist.Interner, "texts", lambda t, ids: written.append(ids) or real(t, ids))
     assert verify_certificate(cert, chain, const)
-    assert len(sliced) <= 1
+    assert keyed == [const] * 4 and not written  # each list's CONST(a) and its tail
+    assert cert._pairs is None and len(cert.pairs) == 2001 and written
 
 
 def test_walks_refuse_key_text_past_the_bound(monkeypatch):
-    """Each list's walk counts the characters of the keys it holds, its
-    root's and each tail's, and raises `SizeExceeded` once they pass
-    `KEY_TEXT_BOUND`.  With the bound at exactly what the longer walk
-    holds, search and replay return what they return under 10^8; one
-    character less, each raises."""
+    """Each list's walk counts the characters of the key text it writes,
+    a tower's or a leaf's key, never a cons cell's, and raises
+    `SizeExceeded` once they pass `KEY_TEXT_BOUND`.  With the bound at
+    exactly what the tower's walk writes, search and replay return what
+    they return under 10^8; one character less, each raises.  The cons
+    chain writes only the key of its end, `NIL`."""
     assert bisim.KEY_TEXT_BOUND == 10**8
     n = 40
     l1 = nil()
     for i in range(n):
         l1 = cons("ab"[i % 2], l1, AB)
-    l2 = lmap(SWAP, lmap(SWAP, l1))  # the same list under longer keys
-    walks = [list(bisim.reachable_states(l, n + 1)) for l in (l1, l2)]
-    held = [sum(map(len, keys)) for keys in walks]
-    assert len(walks[0]) == len(walks[1]) == n + 1 and held[0] < held[1]
+    l2 = lmap(SWAP, lmap(SWAP, l1))  # the same list under tower keys
+    written = []
+    monkeypatch.setattr(bisim, "state_key", lambda l: written.append(l) or state_key(l))
     cert = find_bisimulation(l1, l2, kind="weak")
-    assert cert == Certificate("weak", frozenset(zip(*walks)), (walks[0][0], walks[1][0]))
+    assert [x for x in written if x is l1 or isinstance(x, ConsList)] == []
+    assert sum(isinstance(x, colist.NilList) for x in written) == 1
+    walk = list(bisim.reachable_states(l2, n + 1))
+    held = sum(map(len, walk))
+    assert len(walk) == n + 1 and cert == Certificate(
+        "weak", frozenset(zip(bisim.reachable_states(l1, n + 1), walk)), (state_key(l1), walk[0]))
     assert verify_certificate(cert, l1, l2)
 
-    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held[1])
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held)
     assert find_bisimulation(l1, l2, kind="weak") == cert
     assert verify_certificate(cert, l1, l2)
-    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held[1] - 1)
-    message = f"state keys of one list hold more than {held[1] - 1} characters"
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", held - 1)
+    message = f"state keys of one list hold more than {held - 1} characters"
     with pytest.raises(SizeExceeded, match=message):
         find_bisimulation(l1, l2, kind="weak")
     with pytest.raises(SizeExceeded, match=message):
         verify_certificate(cert, l1, l2)
-    # each walk counts its own keys: two walks of l1 together hold more
-    assert 2 * held[0] > held[1] - 1
-    assert find_bisimulation(l1, l1, kind="weak") == Certificate(
-        "weak", frozenset(zip(walks[0], walks[0])), (walks[0][0], walks[0][0]))
-    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", len(walks[1][0]) - 1)
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", len("NIL"))
+    assert isinstance(find_bisimulation(l1, l1, kind="weak"), Certificate)
+    monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", len(walk[0]) - 1)
     with pytest.raises(SizeExceeded):
         closure_check((l1, l2), cert.pairs, "weak")
 
 
+def test_certificate_text_is_refused_past_the_bound(monkeypatch):
+    """A search certificate's pairs are written when first read, and
+    refused, before any text is written, once one side's keys would pass
+    `KEY_TEXT_BOUND` characters: the ids carry the lengths."""
+    run = read_states("cons(a,cons(b," * 20 + "nil" + "))" * 20, RUN_DEFS)
+    chain = nil()
+    for i in range(40):
+        chain = cons("ba"[i % 2], chain, AB)
+    keys = list(bisim.reachable_states(run, 50))
+    held = sum(map(len, keys))
+    for bound in (held - 1, held):
+        monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", bound)
+        cert = find_bisimulation(run, chain, kind="strong")
+        assert cert.root == (keys[0], keys[0]) and len(cert._ids) == 1
+        cert = find_bisimulation(run, chain, kind="weak")
+        assert len(cert._ids) == 41
+        if bound < held:
+            for read in (lambda: cert.pairs, cert.to_dict, lambda: hash(cert)):
+                with pytest.raises(SizeExceeded, match=f"more than {bound} characters"):
+                    read()
+            assert cert._pairs is None
+        else:
+            assert cert.pairs == frozenset(zip(keys, keys)) and verify_certificate(cert, run, chain)
+
+
 def test_key_text_bound_is_met_at_the_same_pair(monkeypatch):
     """With `KEY_TEXT_BOUND` set low, search through a reader-built run
-    raises `SizeExceeded` at the pair at which the keys its chain holds,
-    the root's and each stepped state's tail's, first pass the bound, as
-    when every state of the run was observed and keyed: the pairs before
-    it have been checked, and it has not.  Replay raises exactly when its
-    walk's keys pass the bound."""
-    text = "cons(a,cons(b," * 4 + "map(swap,lconst(a))" + "))" * 4
+    around a tower raises `SizeExceeded` at the pair at which the key
+    text its walk writes first passes the bound: the tower's key, written
+    when the walk meets it past the run, then its tail's when it is
+    stepped.  The pairs before it have been checked, and it has not; no
+    key is written for a cell of the run.  Replay raises exactly when its
+    walk's text passes the bound."""
+    text = "cons(a,cons(b," * 4 + "map(swap," * 9 + "lconst(a)" + ")" * 9 + "))" * 4
     machine = StepFn("w", [f"s{i}" for i in range(9)],
                      {**{f"s{i}": ("ab"[i % 2], f"s{i + 1}") for i in range(8)}, "s8": ("b", "s8")})
-    run = read_states(text, RUN_DEFS)
-    # the root's key, then the key of each stepped state's tail
-    keys = [state_key(run)] + [state_key(tail) for _, tail in islice(unfold(run), 9)]
-    held = list(accumulate(map(len, keys)))
-    assert keys[-1] == keys[-2] == "MAP(swap,CONST(a))" and held[0] > 10 * len("M(w,s0)")
-    cert = find_bisimulation(run, corec("s0", machine))
+    closed, written = [], []
+    real_closes, real_key = bisim._closes, bisim.state_key
+    monkeypatch.setattr(bisim, "_closes", lambda *args: closed.append(args) or real_closes(*args))
+
+    def key(l):
+        if not isinstance(l, colist.MachineList):
+            written.append((len(closed), len(real_key(l))))
+        return real_key(l)
+
+    monkeypatch.setattr(bisim, "state_key", key)
+    cert = find_bisimulation(read_states(text, RUN_DEFS), corec("s0", machine))
     assert len(cert.pairs) == 9
-    closed = []
-    real = bisim._closes
-    monkeypatch.setattr(bisim, "_closes", lambda *args: closed.append(args) or real(*args))
+    held = list(accumulate(size for _, size in written))
+    assert [at for at, _ in written] == [0, 8] and held[0] > sum(
+        len(k) for k in bisim.reachable_states(corec("s0", machine), 10))
+    monkeypatch.setattr(bisim, "state_key", real_key)
     for j, bound in enumerate(held):
         monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", bound - 1)
         closed.clear()
         with pytest.raises(SizeExceeded, match=f"more than {bound - 1} characters"):
             find_bisimulation(read_states(text, RUN_DEFS), corec("s0", machine))
-        assert len(closed) == max(j - 1, 0), j
+        assert len(closed) == written[j][0], j
         monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", bound)
         closed.clear()
         outcome = _outcome(find_bisimulation, read_states(text, RUN_DEFS), corec("s0", machine))
-        assert outcome == cert if j == len(held) - 1 else outcome[0] is SizeExceeded, j
-        assert len(closed) == (len(cert.pairs) if j == len(held) - 1 else j), j
+        last = j == len(held) - 1
+        assert len(closed) == (len(cert.pairs) if last else written[j + 1][0]), j
         replayed = _outcome(verify_certificate, cert, read_states(text, RUN_DEFS),
                             corec("s0", machine))
-        assert replayed == Verdict(True) if j == len(held) - 1 else replayed[0] is SizeExceeded
+        # the certificate's text, written to compare, is bounded too
+        monkeypatch.setattr(bisim, "KEY_TEXT_BOUND", 10**8)
+        assert outcome == cert if last else outcome[0] is SizeExceeded, j
+        assert replayed == Verdict(True) if last else replayed[0] is SizeExceeded
+
+
+def _peak(n):
+    """The `tracemalloc` peak of search then replay of `_chain_of_cells(n)`
+    against the constant, the certificate's text unread."""
+    chain, const = _chain_of_cells(n)
+    tracemalloc.start()
+    try:
+        cert = find_bisimulation(chain, const, 10_000, kind="strong")
+        assert verify_certificate(cert, chain, const) and cert._pairs is None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_and_replay_grow_linearly_in_memory():
+    """Search and replay hold ids, not key text, so their `tracemalloc`
+    peak on a chain built cell by cell grows about twofold when the chain
+    doubles, where held key text grew fourfold; a 10^4-cell chain stays
+    far under 100 MB."""
+    assert _peak(4000) <= 2.2 * _peak(2000)
+    assert _peak(10**4) < 100 * 2**20
 
 
 def test_find_bisimulation_strong_closes_on_diag():
@@ -473,18 +536,20 @@ def test_synchronized_observation_counts():
 
 
 def test_search_keys_each_pair_once(monkeypatch):
-    """The search keys each list's root once and, once each, the tail of
-    each state it observes, however many pairs hold the state: the pair
-    keys are read from the recorded chains.  A bare cons run's states
-    are not observed: each tail's key, the run's `rest`'s included, is a
-    slice of the state's key."""
+    """The search keys each list's first state past its leading cons
+    cells (its root, when it has none) once and, once each, the tail of
+    each state it observes, however many pairs hold the state: the pairs
+    are read from the recorded chains.  Cons cells are not observed, and
+    no cons key is written: a cell is interned from its head and its
+    tail's id."""
     _, keyed = _counting(monkeypatch)
     const = lconst("a", AB)
     cert = find_bisimulation(const, cons("a", const, AB))
+    # const as the first root, as the cons cell's rest, and as its own
+    # tail, twice (once per chain).  A snapshot, as comparing the
+    # certificate's pairs keys nothing, but hashing a cons run would
+    assert keyed[:] == [const] * 4
     assert cert.pairs == {("CONST(a)", "CONS(a,CONST(a))"), ("CONST(a)", "CONST(a)")}
-    # the roots; const's tail, twice (once per chain).  A snapshot, as
-    # comparing a cons run keys it through the counting `state_key`
-    assert keyed[:] == [const, cons("a", const, AB), const, const]
     keyed.clear()
     two, three = ring_machine(2), rename_seeds(ring_machine(3), "r_")
     cert = find_bisimulation(corec("s0", two), corec("r_s0", three))
@@ -493,22 +558,23 @@ def test_search_keys_each_pair_once(monkeypatch):
     run = read_states("cons(a,cons(a,cons(a,cons(a,lconst(a)))))", RUN_DEFS)
     cert = find_bisimulation(run, cons("a", cons("a", const, AB), AB), kind="weak")
     assert len(cert.pairs) == 5
-    # the roots and the tails of the two CONST(a) states: no key inside
-    # either run or for either run's rest
+    # the two runs' rests and the tails of those CONST(a) states: no key
+    # inside either run
     assert len(keyed) == 2 + 2
 
 
 def test_replay_walks_each_list_once(monkeypatch):
     """Replay walks each queried list once through `reachable_states`,
-    as far as the certificate has pairs, keys each root once, observes
-    each walked state outside a bare cons run once and steps a run's
-    states from its tuple of heads."""
+    as far as the certificate has pairs, in one table for both walks,
+    keys each list's first state past its cons cells once, observes each
+    walked state outside a bare cons run once and steps a run's states
+    from its tuple of heads."""
     walks = []
     real_walk = bisim.reachable_states
 
-    def walk(l, limit):
-        walks.append((l, limit))
-        return real_walk(l, limit)
+    def walk(l, limit, table):
+        walks.append((l, limit, table))
+        return real_walk(l, limit, table)
 
     l1 = lmap(SWAP, lmap(SWAP, lconst("a", AB)))
     l2 = cons("a", lconst("a", AB), AB)
@@ -517,9 +583,12 @@ def test_replay_walks_each_list_once(monkeypatch):
     monkeypatch.setattr(bisim, "reachable_states", walk)
     observed, keyed = _counting(monkeypatch)
     assert verify_certificate(cert, l1, l2)
-    assert [limit for _, limit in walks] == [len(cert.pairs)] * 2
-    assert walks[0][0] is l1 and walks[1][0] is l2
-    assert sum(x is l1 for x in keyed) == sum(x is l2 for x in keyed) == 1
+    assert [limit for _, limit, _ in walks] == [len(cert.pairs)] * 2
+    assert walks[0][0] is l1 and walks[1][0] is l2 and walks[0][2] is walks[1][2]
+    # l1 as its root; l2's rest as the first state past its cell, and as
+    # its own tail
+    assert sum(x is l1 for x in keyed) == 1 and sum(x is l2.rest for x in keyed) == 2
+    assert not any(x is l2 for x in keyed)
     # l1 repeats its key after one step; l2's cons cell is stepped from
     # its heads, then its rest observed once
     assert len(observed) == 1 + 1 and observed[0] is l1 and observed[1] == lconst("a", AB)
@@ -528,16 +597,17 @@ def test_replay_walks_each_list_once(monkeypatch):
     keyed.clear()
     observed.clear()
     assert verify_certificate(cert, run, l1) and len(cert.pairs) == 4
-    # a key for each root and for the tails of CONST(a) and of l1; one
-    # observation of each of those two states
+    # a key for the run's rest, CONST(a), and for l1, and for the tails
+    # of those two; one observation of each of them
     assert len(keyed) == 2 + 1 + 1 and len(observed) == 1 + 1
 
 
 def _calls(l, states):
     """The `observe` and `state_key` calls a chain makes to step the first
     `states` states of `l`'s chain: one observation per state outside a
-    bare cons run (a `ConsList` state), one key for the root and one for
-    the tail of each observed state that does not end the list."""
+    bare cons run (a `ConsList` state), one key for the chain's first
+    state past its leading cons cells, keyed when the walk starts, and
+    one for the tail of each observed state that does not end the list."""
     walked = [x for x in list(walk_states(l, 10_000).values())[:states] if not isinstance(x, ConsList)]
     return len(walked), 1 + sum(observe(x) is not None for x in walked)
 
@@ -620,10 +690,18 @@ def _outcome(fn, *args):
 def _random_lists(rng, machines):
     """Two random lists: one list twice, two unrelated ones, or a list
     and an equal one under other keys (mapped by a function power that
-    is the identity, appended to nil, or with its first cell rebuilt)."""
+    is the identity, appended to nil, or with its first cell rebuilt),
+    or up to 12 random heads, as one run ending in a tower and cell by
+    cell, around a list and that tower, equal to it."""
     l = random_state(rng, machines)
-    case = rng.randrange(5)
-    if case == 0:
+    case = rng.randrange(7)
+    if case >= 5:
+        heads = tuple(rng.choice(ABC.symbols) for _ in range(rng.randint(1, 12)))
+        tower = lappend(nil(), l) if case == 5 else lmap(ROT, lmap(ROT, lmap(ROT, l)))
+        l, other = ConsList(heads, 0, tower), l
+        for head in reversed(heads):
+            other = cons(head, other, ABC)
+    elif case == 0:
         other = l
     elif case == 1:
         other = random_state(rng, machines)
@@ -650,7 +728,13 @@ def _mutants(rng, cert, l1, l2):
     """Certificates around `cert`: itself and under the other kind, with
     a non-root pair dropped, with a pair added (keys from both walks in
     either order, or from one walk), with a key past the walk, with a
-    key no state has, and with a wrong root."""
+    key no state has, and with a wrong root.  And file-shaped ones, the
+    pairs given as JSON lists to `Certificate.from_dict`: with a pair
+    given twice; with one pair added whose key lies at the walk bound,
+    the number of distinct pairs, or exactly one state past it, and a
+    pair given twice, so a walk as long as the pairs given would reach
+    it; and with a cons key forged from a walk's by another head of the
+    same length, which names no state."""
     keys1, keys2 = list(walk_states(l1, 10_000)), list(walk_states(l2, 10_000))
     pairs, root = set(cert.pairs), cert.root
     other = "weak" if cert.kind == "strong" else "strong"
@@ -669,14 +753,33 @@ def _mutants(rng, cert, l1, l2):
             out.append(Certificate(cert.kind, pairs | {(keys[far], keys[far])}, root))
     swapped = root[::-1]
     out.append(Certificate(cert.kind, pairs | {swapped}, swapped))
+
+    listed = [list(root)] + [list(p) for p in rest]
+
+    def doc(*more):
+        return Certificate.from_dict({"kind": cert.kind, "root": list(root), "pairs": listed + list(more)})
+
+    out.append(doc(list(rng.choice(sorted(pairs)))))
+    for keys in (keys1, keys2):
+        for at in (len(pairs) + 1, len(pairs) + 2):
+            if len(keys) > at:
+                out.append(doc([keys[at], keys[at]], list(root)))
+        runs = [k for k in keys if k.startswith("CONS(")]
+        if runs:
+            key = rng.choice(runs)
+            head = key[5:key.index(",")]
+            forged = "CONS(" + "bca"["abc".index(head)] + key[6:]
+            out.append(doc([forged, rng.choice(keys)]))
+            out.append(doc([rng.choice(keys), forged]))
     return out
 
 
 def _counting(monkeypatch) -> tuple[list, list]:
-    """The states observed and keyed from now on, as two lists: `bisim`
-    keys each chain's root, and `colist.steps` observes states and keys
-    their tails.  `==` and `hash` of a cons run or a tower key it through
-    `colist.state_key` too, so compare a snapshot of `keyed`."""
+    """The states observed and keyed from now on, as two lists:
+    `colist.steps` observes states, and `bisim` keys the states it steps
+    to outside a chain's leading cons cells.  `==` and `hash` of a cons
+    run or a tower key it through `colist.state_key` too, so compare a
+    snapshot of `keyed`."""
     observed, keyed = [], []
     monkeypatch.setattr(colist, "observe", lambda l: observed.append(l) or observe(l))
     for module in (bisim, colist):

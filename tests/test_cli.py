@@ -595,10 +595,13 @@ KEY_TEXT_ERROR = f"error: state keys of one list hold more than {KEY_TEXT_BOUND}
 
 def test_key_text_bound_at_the_argument_size_limit(capsys, tmp_path):
     """A cons chain as long as one command-line argument can be (128 KiB)
-    is keyed in one pass, and a query that reads two of its states is
-    answered; a walk down the whole chain would hold about 10^9
-    characters of keys, and both `bisim` and `cert` refuse it once it
-    passes the bound."""
+    is walked by ids, with no key text but its end's: a query that reads
+    two of its states is answered, and a certificate is replayed down the
+    whole chain to its verdict.  `bisim` finds a certificate for 10^4 of
+    its cells under the default budget, and for 16000 under a larger
+    one; their reports would write about 3.5 * 10^8 and 9 * 10^8
+    characters of keys a side, and `bisim` refuses both once the ids
+    tell that the text passes the bound."""
     n = 16000
     deep = "cons(a," * n + "nil" + ")" * n
     key = "CONS(a," * n + "NIL" + ")" * n
@@ -611,11 +614,18 @@ def test_key_text_bound_at_the_argument_size_limit(capsys, tmp_path):
 
     deep = "cons(a," * n + "lconst(a)" + ")" * n
     key = "CONS(a," * n + "CONST(a)" + ")" * n
-    assert run(capsys, "bisim", "--defs", DEFS, deep, "lconst(a)") == (2, "", KEY_TEXT_ERROR)
+    assert run(capsys, "bisim", "--defs", DEFS, deep, "lconst(a)") == (3, "BOUND\n", "")
+    assert run(capsys, "bisim", "--defs", DEFS, "--max-pairs", "20000", deep, "lconst(a)") == (
+        2, "", KEY_TEXT_ERROR)
+    cells = "cons(a," * 10**4 + "lconst(a)" + ")" * 10**4
+    assert run(capsys, "bisim", "--defs", DEFS, cells, "lconst(a)") == (2, "", KEY_TEXT_ERROR)
     pairs = [[key, "CONST(a)"]] + [[f"x{i}", f"x{i}"] for i in range(n)]
     cert.write_text(json.dumps({"kind": "strong", "root": pairs[0], "pairs": pairs}))
     assert run(capsys, "cert", "verify", "--defs", DEFS, "--cert", str(cert), deep, "lconst(a)") == (
-        2, "", KEY_TEXT_ERROR)
+        2, "", "error: key x0 names no reachable state\n")
+    cert.write_text(json.dumps({"kind": "strong", "root": pairs[0], "pairs": pairs[:1]}))
+    assert run(capsys, "cert", "verify", "--defs", DEFS, "--cert", str(cert), deep, "lconst(a)") == (
+        1, f"FAIL tail pair escapes the relation @ ('{key[7:-1]}', 'CONST(a)')\n", "")
 
 
 def test_key_text_bound_counts_characters_held(capsys, tmp_path):
@@ -687,3 +697,30 @@ def test_readme_bisim_session(capsys, monkeypatch):
     monkeypatch.chdir(README.parent)
     code, out, err = run(capsys, *shlex.split(session.group(1)))
     assert (code, out, err) == (0, session.group(2), "")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_out_of_memory_is_one_line(tmp_path):
+    """`bisim` on coprime rings of 10^4 and 10^4 + 1 seeds under a pair
+    budget of 10^8 runs out of the address space CI's `ulimit -v 400000`
+    allows, set on the child process alone.  Its stderr is the one line `error: out of memory`:
+    no finalizer allocates while the error unwinds, so none reports an
+    ignored exception before it."""
+    import resource
+
+    def ring(n, p):
+        return {"seeds": [f"{p}{i}" for i in range(n)],
+                "step": {f"{p}{i}": {"emit": ["a", f"{p}{(i + 1) % n}"]} for i in range(n)}}
+
+    defs = tmp_path / "rings.json"
+    defs.write_text(json.dumps({"alphabet": ["a"], "machines": {"p": ring(10**4, "s"), "q": ring(10**4 + 1, "t")}}))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400000 << 10, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "coinduct", "bisim", "--defs", str(defs), "--max-pairs", "100000000",
+         "corec(p,s0)", "corec(q,t0)"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(coinduct.__file__).parents[1])})
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")

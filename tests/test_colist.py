@@ -12,7 +12,7 @@ import time
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -758,28 +758,53 @@ def _oracle_steps(l, n):
 
 
 def _steps_match_the_oracle(make, n):
-    """`colist.steps` on the state `make()` builds, from its key, against
-    `_oracle_steps` on a second build; every key memo that the steps
-    write through `_tail_key` is the key the recursive serializer writes
-    with no memo read."""
-    written = []
-    real = colist._tail_key
-
-    def record(key, head, tail=None):
-        out = real(key, head, tail)
-        if isinstance(tail, ConsList):
-            written.append((tail, out))
-        return out
-
+    """`colist.steps` on the state `make()` builds, into a fresh table,
+    against `_oracle_steps` on a second build: the root's id and each
+    tail id it yields name the key the recursive serializer writes, read
+    one id at a time and all at once.  Its key function is called for no
+    cons state.  Returns the number of cons cells interned."""
     expected = _oracle_steps(make(), n)
     state = make()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(colist, "_tail_key", record)
-        got = list(islice(colist.steps(state, state_key(state)), len(expected)))
-    assert got == expected
-    for tail, key in written:
-        assert tail._key == key == _reference_key(tail)
-    return len(written)
+    table = colist.Interner()
+    keyed = []
+    stepper = colist.steps(state, table, lambda l: keyed.append(l) or state_key(l))
+    root = next(stepper)
+    got = list(islice(stepper, len(expected)))
+    ids = [root] + [step[1] for step in got if step is not None]
+    texts = [table.texts([i])[0] for i in ids]
+    assert texts == table.texts(ids) == [_reference_key(state)] + [key for _, key in filter(None, expected)]
+    assert [None if step is None else step[0] for step in got] == [
+        None if step is None else step[0] for step in expected]
+    assert not any(isinstance(l, ConsList) for l in keyed)
+    assert [table.sizes[i] for i in ids] == list(map(len, texts))
+    return sum(type(entry) is tuple for entry in table.entries)
+
+
+def _key_size(ops) -> int:
+    """An upper estimate of the key length of the last state a recipe
+    builds, read from the recipe alone: a recipe that appends a state to
+    itself doubles it, and writing such keys, not stepping, would take
+    a test's time."""
+    size = []
+    for op in ops:
+        kind, args = op[0], op[1:]
+        if kind in ("nil", "const", "iter", "machine"):
+            size.append(16)
+        elif kind == "cons":
+            size.append(len(args[0]) + 7 + size[args[1]])
+        elif kind == "map":
+            size.append(12 + size[args[0]])
+        elif kind == "append":
+            size.append(6 + size[args[0]] + size[args[1]])
+        elif kind == "maps":
+            size.append(12 * len(args[1]) + size[args[0]])
+        elif kind == "nils":
+            size.append(9 * args[1] + size[args[0]])
+        elif kind == "conses":
+            size.append(sum(len(h) + 7 for h in args[0]) + size[args[1]])
+        else:  # a tail: its key is at most a seed's or symbol's longer
+            size.append(16 + size[args[0]])
+    return size[-1]
 
 
 # cons cells on an observed map tower: the second cell's tail, keyed by
@@ -788,7 +813,7 @@ _CONS_ON_A_ZIPPER = [("nil",), ("cons", "a", 0), ("cons", "a", 1), ("map", 1), (
                      ("cons", "a", 4), ("cons", "a", 5)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(state_recipes(max_ops=20, towers=True, heads=tuple(HEADS)), st.booleans(), st.booleans(),
        st.integers(min_value=0, max_value=30))
 @example(_RUNS_ON_TAILS, True, True, 12)
@@ -798,7 +823,9 @@ def test_steps_match_the_oracle(ops, runs, keyed, n):
     """`colist.steps` over every state of a random recipe -- runs built
     as the reader builds them or cell by cell, towers and zippers whose
     live state is a run, machines -- with each state keyed first or not,
-    so that runs inside towers do or do not memoize their keys."""
+    so that runs inside towers do or do not memoize their keys.  Recipes
+    whose keys would pass 10^4 characters are skipped."""
+    assume(_key_size(ops) <= 10**4)
 
     def make():
         built = build_states(ops, fns=RUN_FNS, runs=runs)
@@ -814,10 +841,10 @@ def test_steps_of_random_states_match_the_oracle():
     """`colist.steps` over random mixed states and over cons chains and
     runs around them, read as one run, cell by cell, from an offset, or
     inside a map tower whose live run memoizes its key: the oracle's
-    steps, and memos equal to fresh keys."""
+    steps, with the chains' cons cells interned with no text."""
     rng = random.Random(71)
     machines = [random_machine(rng, f"m{i}") for i in range(4)]
-    written = 0
+    interned = 0
     for i in range(300):
         seed = rng.random()
         heads = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
@@ -837,8 +864,8 @@ def test_steps_of_random_states_match_the_oracle():
             state_key(run)
             return lmap(ROT, run)
 
-        written += _steps_match_the_oracle(make, rng.randint(0, 12))
-    assert written > 0
+        interned += _steps_match_the_oracle(make, rng.randint(0, 12))
+    assert interned > 0
 
 
 def _oracle_take(k, l):
@@ -1145,7 +1172,9 @@ def test_states_are_frozen_dataclasses(succ):
     field, or any other name, raises `FrozenInstanceError`, and `copy`
     and `pickle` give equal states.  A state that holds no other state
     compares, hashes and prints by its field tuple; a cons run or a tower
-    by its key, and a cons run's memoized key survives the copies."""
+    by its key, and a cons run's memoized key survives the copies.  A
+    chain of 2 * 10^4 cells built one `cons` at a time copies and
+    pickles cell for cell, each cell with its key memo."""
     two = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
     cases = [
         (nil(), (), "NilList()"),
@@ -1166,9 +1195,13 @@ def test_states_are_frozen_dataclasses(succ):
     zipper = observe(tower)[1]
     assert isinstance(run, ConsList) and run.heads == ("a", "b", "a") and run._key is None
     assert isinstance(zipper, TowerList) and keyed._key == key
+    deep = inner = cons("b", keyed, AB)
+    for _ in range(2 * 10**4 - 1):
+        deep = cons("a", deep, AB)
+    inner_key = state_key(inner)
     states = [state for state, _, _ in cases] + [
         cons("a", nil(), AB), run, keyed, keyed.tail, tower,
-        lappend(cons("a", nil(), AB), nil()), zipper,
+        lappend(cons("a", nil(), AB), nil()), zipper, deep,
     ]
     for state in states:
         for name in [f.name for f in dataclasses.fields(state)] + ["_key", "extra"]:
@@ -1179,6 +1212,15 @@ def test_states_are_frozen_dataclasses(succ):
         twins = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
         if isinstance(state, ConsList):
             assert all(twin._key == state._key for twin in twins)
+        if state is deep:
+            for twin in twins:
+                cells = []
+                while isinstance(twin, ConsList):
+                    cells.append(twin)
+                    twin = twin.rest
+                assert len(cells) == 2 * 10**4 + 1 and all(len(c.heads) == 1 for c in cells[:-1])
+                assert cells[-2]._key == inner_key and cells[-3]._key is None
+                assert cells[-1] == keyed and cells[-1]._key == key
         for twin in twins:
             assert twin == state and hash(twin) == hash(state) and repr(twin) == repr(state)
     assert keyed._key == key and keyed.tail._key == key[len("CONS(b,"):-1]
