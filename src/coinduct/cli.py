@@ -5,6 +5,16 @@ validation errors or when memory runs out (reported on stderr), 3 when
 a search exhausts its pair budget.  Each expression is read straight into engine states
 (`dsl.reader`, one grammar table per command), in one loop at any depth.
 
+Every command's options and positionals are declared once, in `_COMMANDS`.
+A command line of the plain shape (a command, then `--option value` pairs of
+its own, each at most once, then exactly its positionals, no value or
+positional starting with `-`, every required option given and every value
+accepted) is read from that table by `_read_plain`, which builds no parser.
+Anything else (help, `--opt=value`, abbreviations, options after
+positionals, repeats, `--`, refused values, missing arguments) goes to the
+argparse parser built from the same table, so usage errors and help read as
+argparse writes them.
+
 `eval` and `trunc` write from one read of the list's lasso (`colist.read_lasso`),
 in writes of about `_CHUNK` characters: `eval` holds O(prefix + period) heads
 and writes the cycle repeated, and `trunc` builds no tree and holds one line
@@ -17,7 +27,7 @@ import argparse
 import functools
 import sys
 from itertools import chain, cycle
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bisim, colist, lattice
 from .colist import Definitions
@@ -65,48 +75,121 @@ def _count(minimum: int):
     return parse
 
 
+class _Option(NamedTuple):
+    """One `--name value` option of a command."""
+
+    name: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """Its Namespace entry, named as argparse names it."""
+        return self.name[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """One command: its words (`cert verify` has two), help, options by
+    name in declaration order, and positionals."""
+
+    words: tuple[str, ...]
+    help: str
+    options: dict[str, _Option]
+    positionals: tuple[str, ...]
+
+    @property
+    def chosen(self) -> dict[str, str]:
+        """The Namespace entries its words set: `command`, then
+        `<first word>_command`."""
+        return dict(zip(("command", f"{self.words[0]}_command"), self.words))
+
+
+def _command(words: str, help: str, options: tuple, positionals: tuple = ()) -> _Command:
+    return _Command(tuple(words.split()), help, {o.name: o for o in options}, positionals)
+
+
+_DEFS = _Option("--defs", required=True)
+_DEPTH = _Option("--depth", _count(0), default=20)
+
+# Every command line the CLI reads, declared once: `_build_parser` builds
+# argparse's parser from it and `_read_plain` reads the plain shape by it.
+_COMMANDS = {c.words: c for c in (
+    _command("eval", "print a prefix of a list expression", (_DEFS, _DEPTH), ("expr",)),
+    _command("trunc", "dump the depth-truncated tree encoding", (_DEFS, _DEPTH), ("expr",)),
+    _command("eq", "bounded take-lemma equality", (_DEFS, _DEPTH), ("left", "right")),
+    _command("bisim", "search for a bisimulation certificate",
+             (_DEFS, _Option("--kind", choices=("weak", "strong"), default="strong"),
+              _Option("--max-pairs", _count(1), default=10_000)), ("left", "right")),
+    _command("cert verify", "verify a certificate file",
+             (_DEFS, _Option("--cert", required=True)), ("left", "right")),
+    _command("check", "depth-bounded list membership check",
+             (_DEFS, _DEPTH, _Option("--atoms", help="CSV of allowed atoms")), ("expr",)),
+    _command("lattice", "run a lattice demo file", (_Option("--spec", required=True),)),
+)}
+# Help for a first word that takes a second.
+_GROUP_HELP = {"cert": "certificate operations"}
+
+
 @functools.cache
 def _build_parser() -> _ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
-    defs = argparse.ArgumentParser(add_help=False)
-    defs.add_argument("--defs", required=True)
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=_count(0), default=20)
-
+    """The command-line parser, built from `_COMMANDS` once per process;
+    parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="coinduct")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[defs, depth], help="print a prefix of a list expression")
-    p.add_argument("expr")
-
-    p = sub.add_parser("trunc", parents=[defs, depth], help="dump the depth-truncated tree encoding")
-    p.add_argument("expr")
-
-    p = sub.add_parser("eq", parents=[defs, depth], help="bounded take-lemma equality")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("bisim", parents=[defs], help="search for a bisimulation certificate")
-    p.add_argument("--kind", choices=("weak", "strong"), default="strong")
-    p.add_argument("--max-pairs", type=_count(1), default=10_000)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("cert", help="certificate operations")
-    certsub = p.add_subparsers(dest="cert_command", required=True)
-    pv = certsub.add_parser("verify", parents=[defs], help="verify a certificate file")
-    pv.add_argument("--cert", required=True)
-    pv.add_argument("left")
-    pv.add_argument("right")
-
-    p = sub.add_parser("check", parents=[defs, depth], help="depth-bounded list membership check")
-    p.add_argument("--atoms", default=None, help="CSV of allowed atoms")
-    p.add_argument("expr")
-
-    p = sub.add_parser("lattice", help="run a lattice demo file")
-    p.add_argument("--spec", required=True)
-
+    groups = {}
+    for command in _COMMANDS.values():
+        if len(command.words) == 1:
+            p = sub.add_parser(command.words[0], help=command.help)
+        else:
+            first, word = command.words
+            if first not in groups:
+                group = sub.add_parser(first, help=_GROUP_HELP[first])
+                dest = list(command.chosen)[1]  # cert_command
+                groups[first] = group.add_subparsers(dest=dest, required=True)
+            p = groups[first].add_parser(word, help=command.help)
+        for o in command.options.values():
+            p.add_argument(o.name, type=o.type, choices=o.choices, default=o.default,
+                           required=o.required, help=o.help)
+        for name in command.positionals:
+            p.add_argument(name)
     return parser
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """`_build_parser().parse_args(argv)` for an `argv` of the plain shape
+    (see the module docstring), else None.  It builds no parser and keeps
+    nothing."""
+    if not isinstance(argv, (list, tuple)):  # None (sys.argv) or an iterator
+        return None
+    command = _COMMANDS.get(tuple(argv[:1])) or _COMMANDS.get(tuple(argv[:2]))
+    if command is None:
+        return None
+    options, given = command.options, {}
+    at, end = len(command.words), len(argv)
+    while at < end and argv[at][:1] == "-":
+        option = options.get(argv[at])
+        if option is None or option.dest in given or at + 1 == end or argv[at + 1][:1] == "-":
+            return None
+        value = argv[at + 1]
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except argparse.ArgumentTypeError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.dest] = value
+        at += 2
+    positionals = argv[at:]
+    if (len(positionals) != len(command.positionals) or any(p[:1] == "-" for p in positionals)
+            or any(o.required and o.dest not in given for o in options.values())):
+        return None
+    values = {o.dest: o.default for o in options.values()} | given
+    values.update(zip(command.positionals, positionals))
+    return argparse.Namespace(**command.chosen, **values)
 
 
 def _render_prefix(elems: list[str], ended: bool) -> str:
@@ -160,12 +243,14 @@ def _write(pieces: Iterable[str]) -> None:
 
 def run_command(argv) -> int:
     """Dispatch one command; prints the report and returns the exit status."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except _Exit as exc:
-        status, message = exc.args
-        sys.stderr.write(message)
-        return status
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _Exit as exc:
+            status, message = exc.args
+            sys.stderr.write(message)
+            return status
 
     try:
         if args.command == "lattice":

@@ -136,6 +136,164 @@ def test_help_returns_0(capsys, monkeypatch, argv):
     assert run_fresh(*argv) == (code, out, err)
 
 
+def _parse(argv):
+    """argparse's Namespace entries for `argv`, or its exit: (status, text)."""
+    try:
+        return vars(_build_parser().parse_args(argv))
+    except cli._Exit as exc:
+        return exc.args
+
+
+def _plain_misreads(argvs):
+    """The commands of `argvs` that the plain reader reads other than
+    argparse does, and how many it accepts."""
+    accepted = [argv for argv in argvs if cli._read_plain(argv) is not None]
+    return [argv for argv in accepted if vars(cli._read_plain(argv)) != _parse(argv)], len(accepted)
+
+
+# Command lines at the edge of the plain shape: whether the plain reader
+# accepts each, and the command line.
+PLAIN_EDGES = {
+    "repeated option": (False, ["eval", "--defs", DEFS, "--depth", "3", "--depth", "4", "lconst(a)"]),
+    "--opt=value": (False, ["bisim", "--defs", DEFS, "--kind=weak", "lconst(a)", "lconst(a)"]),
+    "abbreviation": (False, ["eval", "--de", DEFS, "lconst(a)"]),
+    "--": (False, ["eval", "--defs", DEFS, "--", "lconst(a)"]),
+    "negative count": (False, ["eval", "--defs", DEFS, "--depth", "-1", "lconst(a)"]),
+    "value led by -": (False, ["check", "--defs", DEFS, "--atoms", "-a", "lconst(a)"]),
+    "positional led by -": (False, ["eval", "--defs", DEFS, "-x"]),
+    "empty positional": (True, ["eval", "--defs", DEFS, ""]),
+    "space-led positional": (True, ["eval", "--defs", DEFS, " -x"]),
+    "options after positionals": (False, ["eq", "lconst(a)", "lconst(a)", "--defs", DEFS, "--depth", "3"]),
+    "cert alone": (False, ["cert"]),
+    "cert verify without --cert": (False, ["cert", "verify", "--defs", DEFS, "lconst(a)", "lconst(a)"]),
+    "-h before the command": (False, ["-h", "eval"]),
+    "-h after the command": (False, ["eval", "-h"]),
+    "tuple argv": (True, ("eq", "--defs", DEFS, "--depth", "5", "lconst(a)", "cons(a,lconst(a))")),
+}
+
+
+@pytest.mark.parametrize("case", PLAIN_EDGES)
+def test_plain_edges_run_alike_on_both_paths(capsys, monkeypatch, case):
+    """Each edge case is accepted by the plain reader or not as listed, and
+    `run_command` gives the same exit code, stdout and stderr whether the
+    reader reads it or declines and argparse does."""
+    plain, argv = PLAIN_EDGES[case]
+    assert _plain_misreads([argv]) == ([], plain)
+
+    def outcome():
+        code = run_command(argv)
+        return (code, *capsys.readouterr())
+
+    either = outcome()
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert outcome() == either
+
+
+def test_argv_none_or_an_iterator_is_read_by_argparse(capsys, monkeypatch):
+    """`run_command(None)` reads `sys.argv[1:]` and an iterator is read once,
+    as argparse reads them."""
+    argv = ["eval", "--defs", DEFS, "--depth", "3", "lconst(a)"]
+    assert run_command(iter(argv)) == 0
+    monkeypatch.setattr(sys, "argv", ["coinduct", *argv])
+    assert run_command(None) == 0
+    assert capsys.readouterr() == ("[a,a,a,...]\n" * 2, "")
+
+
+def test_plain_reader_matches_argparse_on_the_corpus(tmp_path):
+    """Every corpus command the plain reader accepts gets argparse's
+    Namespace entries, `command`, `cert_command` and defaults included;
+    the corpus's abbreviations, `--opt=value` and shuffled options leave
+    it a little under half."""
+    from corpus import Corpus
+
+    argvs = Corpus(tmp_path, seed=0).commands(4000)
+    misread, accepted = _plain_misreads(argvs)
+    assert misread == []
+    assert 0.4 < accepted / len(argvs) < 0.5, accepted
+
+
+def test_corpus_runs_alike_with_the_plain_reader_declining(tmp_path, monkeypatch):
+    """Every corpus command gives the same exit code, stdout and stderr
+    through the plain reader as through argparse alone."""
+    from corpus import Corpus, replay
+
+    argvs = Corpus(tmp_path, seed=0).commands(4000)
+    either = replay(argvs)
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert [argv for argv, a, b in zip(argvs, either, replay(argvs)) if a != b] == []
+
+
+@pytest.mark.parametrize("check, loose", [("choices", None), ("required", False)])
+def test_oracle_catches_a_reader_that_skips_a_check(tmp_path, monkeypatch, check, loose):
+    """A plain reader that skips the choices check, or the required-option
+    check, misreads a command of the corpus or of PLAIN_EDGES.  The mutant
+    reads a table with that check loosened; argparse keeps the parser built
+    from the real one."""
+    from corpus import Corpus
+
+    _build_parser()
+    mutant = {words: command._replace(options={name: option._replace(**{check: loose})
+                                               for name, option in command.options.items()})
+              for words, command in cli._COMMANDS.items()}
+    argvs = Corpus(tmp_path, seed=0).commands(4000) + [argv for _, argv in PLAIN_EDGES.values()]
+    assert _plain_misreads(argvs)[0] == []
+    monkeypatch.setattr(cli, "_COMMANDS", mutant)
+    assert _plain_misreads(argvs)[0] != []
+
+
+_PLAIN_PATH = """
+import io, json, sys
+from contextlib import redirect_stdout
+from coinduct import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.run_command(argv)
+    seen.append([cli._read_plain(argv) is not None, code, cli._build_parser.cache_info().currsize])
+print(json.dumps(seen))
+"""
+
+
+def _readme_commands(cert):
+    """The README's `coinduct` command lines, with their placeholders
+    filled in and their files named by path."""
+    fill = {"[--kind weak|strong]": "--kind weak", "[--max-pairs N]": "--max-pairs 40",
+            "[--atoms a,b]": "--atoms a,b", "EXPR EXPR": "lconst(a) cons(a,lconst(a))",
+            "EXPR": "corec(two,s0)"}
+    files = {"defs.json": DEFS, "cert.json": str(cert), "demo.json": str(DATA / "lattice_fin.json")}
+    commands = []
+    for line in re.findall(r"^(?:\$ )?coinduct (.*)$", README.read_text(), re.M):
+        for placeholder, text in fill.items():
+            line = line.replace(placeholder, text)
+        commands.append([files.get(word, word) for word in shlex.split(line)])
+    return commands
+
+
+def test_plain_path_is_taken_in_a_fresh_process(tmp_path, monkeypatch):
+    """In a new interpreter the argv shapes the benchmark runs (those of
+    `bench/workloads.py`) and the README's examples are each read by the
+    plain reader and run to exit 0, and argparse's parser is never built."""
+    cert = tmp_path / "cert.json"
+    pairs = [["CONST(a)", "CONS(a,CONST(a))"], ["CONST(a)", "CONST(a)"]]
+    cert.write_text(json.dumps({"kind": "weak", "root": pairs[0], "pairs": pairs}))
+    exprs = ["lconst(a)", "cons(a,lconst(a))"]
+    bench_shapes = [
+        ["eval", "--defs", DEFS, "--depth", "4", "iterates(succ,x0)"],
+        ["trunc", "--defs", DEFS, "--depth", "5", "cons(a,nil)"],
+        ["eq", "--defs", DEFS, "--depth", "20", *exprs],
+        ["check", "--defs", DEFS, "--depth", "20", "--atoms", "a,b", "corec(two,s0)"],
+        ["bisim", "--defs", DEFS, "--kind", "strong", *exprs],
+        ["cert", "verify", "--defs", DEFS, "--cert", str(cert), *exprs],
+        ["lattice", "--spec", str(DATA / "lattice_fin.json")],
+    ]
+    readme = _readme_commands(cert)
+    assert len(readme) == 8 and {argv[0] for argv in readme} == {argv[0] for argv in bench_shapes}
+    monkeypatch.chdir(README.parent)  # the README's session names its file from there
+    code, out, err = run_fresh(json.dumps(bench_shapes + readme), entry=("-c", _PLAIN_PATH))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[True, 0, 0]] * (len(bench_shapes) + len(readme))
+
+
 def test_bisim_bound(capsys):
     code, out, _ = run(
         capsys,
