@@ -13,9 +13,9 @@ chain of n cons cells is walked with no cons key written; the key text
 a walk does write, a tower's or a leaf's, is counted and refused past
 `KEY_TEXT_BOUND` characters.  Key text is written only at the edge: a
 search certificate's pairs when first read, a counterexample's keys,
-and the CLI report, which the ids can refuse before writing; a file
-certificate's keys are named without hashing a cons key (`_resolver`).
-Search, replay and `closure_check` check each pair
+and the CLI report, which the ids can refuse before writing; the table
+names a file certificate's keys without hashing a cons key
+(`Interner.resolver`).  Search, replay and `closure_check` check each pair
 by one closure rule (`_closes`), which names the fault or none, and
 build a `Verdict` or `Counterexample` only for the outcome
 they return.  `bisimilarity_gfp` computes the largest bisimulation
@@ -97,7 +97,7 @@ class Certificate:
     pair; certificates compare, hash and print by (kind, pairs, root).
     Pairs given to the constructor are shape-checked by C-level passes
     and kept as given, unhashed, until `pairs` is first read; replay
-    names their keys without hashing a cons key (`_resolver`).  A
+    names their keys without hashing a cons key (`Interner.resolver`).  A
     certificate that `find_bisimulation` returns keeps its pairs as ids
     in search order, with the search's table, and writes their text
     when `pairs` is first read; replay reads the ids.
@@ -357,50 +357,6 @@ def _keyed(table: Interner, walk: dict) -> dict:
     return {text[i]: None if step is None else (step[0], text[step[1]]) for i, step in walk.items()}
 
 
-def _resolver(table: Interner, walks: list[dict]):
-    """A function from a list of keys to the id of the state each names
-    on one of `walks`, or None.  A walk's cons states are its leading
-    cons cells, whose key lengths differ, so a cons key is matched by its
-    length and one in-place `startswith` against the text of that run,
-    written once; any other key is looked up in `table`.  A list of keys
-    that are all cons keys of one run, or all others, is resolved by
-    C-level passes."""
-    entries, sizes, ids, runs = table.entries, table.sizes, table.ids, []
-    w0, w1 = walks
-    for walk in walks:
-        cells, at = {}, 0
-        for i in walk:
-            entry = entries[i]
-            if type(entry) is not tuple:
-                break
-            cells[sizes[i]] = i, at
-            at += len(entry[0]) + 6
-        if cells:
-            runs.append((table.texts([next(iter(walk))])[0], cells))
-
-    def one(key: str) -> Optional[int]:
-        if not key.startswith("CONS("):
-            i = ids.get(key)
-            return i if i in w0 or i in w1 else None
-        for text, cells in runs:
-            cell = cells.get(len(key))
-            if cell is not None and text.startswith(key, cell[1]):
-                return cell[0]
-        return None
-
-    def resolve(keys: list[str]) -> list[Optional[int]]:
-        if not runs or not any(map(str.startswith, keys, repeat("CONS("))):
-            return [i if i in w0 or i in w1 else None for i in map(ids.get, keys)]
-        if len(runs) == 1:
-            text, cells = runs[0]
-            hits = list(map(cells.get, map(len, keys)))
-            if None not in hits and all(map(text.startswith, keys, [at for _, at in hits])):
-                return [i for i, _ in hits]
-        return list(map(one, keys))
-
-    return resolve
-
-
 def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     """Replay every certificate pair against one observation step.
 
@@ -414,7 +370,7 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     the one in the smallest pair is reported.
 
     The walks share one table: a search certificate's, whose ids its
-    pairs are, or a fresh one, which names the given keys (`_resolver`).
+    pairs are, or a fresh one, whose `resolver` names the given keys.
     """
     ids = cert._ids
     table = Interner() if ids is None else cert._table
@@ -422,7 +378,7 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
     walks = [reachable_states(l, limit, table) for l in (l1, l2)]
     root = tuple(next(iter(walk)) for walk in walks)
     if ids is None:
-        resolve = _resolver(table, walks)
+        resolve = table.resolver(walks)
         sides = list(map(resolve, zip(*cert._given)))
         at = cert._given.index(cert.root)
         found = sides[0][at], sides[1][at]
@@ -432,7 +388,7 @@ def verify_certificate(cert: Certificate, l1: CoList, l2: CoList) -> Verdict:
         raise RootMissing(f"certificate root {cert.root} does not match queried pair "
                           f"{_written(table, [root])[0]}")
     steps = walks[0]
-    steps.update(walks[1])  # both walks' steps, once `_resolver` has read each walk
+    steps.update(walks[1])  # both walks' steps, once `resolve` has read each walk
     if ids is None:
         if None in sides[0] or None in sides[1]:
             pair = min(p for p, a, b in zip(cert._given, *sides) if a is None or b is None)

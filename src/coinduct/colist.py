@@ -14,7 +14,7 @@ number of layers (a run that names no list is refused with ValueError).
 The expression reader (`dsl.read_states`) builds one state per run;
 the library constructors (`cons`, `lmap`, `lappend`) build a run of
 one.  Observing a cons run at offset i gives head i and the run at
-offset i + 1, and its key there is a slice of its key at i.
+offset i + 1.
 
 `steps`, which walks chains for `bisim`, names states by ids from a
 hash-cons table (`Interner`) and writes no cons key: a chain's leading
@@ -40,17 +40,16 @@ ends, or is a finite prefix and then one cycle, repeated.
 Every state is a frozen dataclass, so assigning or deleting any of its
 attributes raises `FrozenInstanceError`.  A state that holds no other
 state compares, hashes and prints by its fields; a cons run or a tower
-by its key (`_Keyed`).  Everything is immutable and pure, apart from key
-and map memos: a cons run's key memo is no field, written past the
-frozen `__setattr__` by `state_key` or as a slice by `ConsList.tail`;
-a tower's memos live in its frames.  A chain of cons runs copies and
-pickles with loops (`ConsList.__reduce__`), at any length.
+by its key (`_Keyed`), written afresh each time.  A state holds its
+fields and nothing else; a tower's key and map memos live in its
+frames.  A chain of cons runs copies and pickles with loops
+(`ConsList.__reduce__`), at any length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, takewhile
 from threading import Lock
 from typing import Iterable, Iterator, Optional
 
@@ -197,10 +196,10 @@ class _Keyed(CoList):
     """A state that holds other states: a cons run or a tower.  Its
     subclasses are frozen dataclasses declared with `eq=False,
     repr=False`, so they are compared, hashed and shown by their key, not
-    by their fields: `state_key` writes keys with loops, so any depth
-    works at the default recursion limit, and a nested tower equals the
-    zipper that names the same state.  `repr` is the class name around
-    the key, e.g. `ConsList(CONS(a,CONST(a)))`."""
+    by their fields: `state_key` writes the key at each call, with
+    loops, so any depth works at the default recursion limit, and a
+    nested tower equals the zipper that names the same state.  `repr` is
+    the class name around the key, e.g. `ConsList(CONS(a,CONST(a)))`."""
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -231,15 +230,11 @@ class ConsList(_Keyed):
     """A run of cons cells as one state: the symbols `heads[at:]`, in
     order, then `rest`.  Its head is `heads[at]` and its tail the same
     run at `at + 1`, or `rest` after the last symbol; `cons` builds a run
-    of one."""
+    of one.  It holds only these three fields."""
 
     heads: tuple[str, ...]
     at: int
     rest: CoList
-    # Not a field: memoizes state_key, filled when asked for or, as a
-    # slice, when the state's tail is taken from a keyed parent; threads
-    # that race to fill it store equal strings.
-    _key = None
     __match_args__ = ("head", "tail")
 
     @property
@@ -248,34 +243,25 @@ class ConsList(_Keyed):
 
     @property
     def tail(self) -> CoList:
-        """The state after the head; it takes its key as a slice of this
-        state's key, when this one has its key and it has none."""
         at = self.at + 1
-        tail = self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
-        if self._key is not None and isinstance(tail, ConsList) and tail._key is None:
-            # the text between `CONS(head,` and the last `)`, as `_join` writes it
-            object.__setattr__(tail, "_key", self._key[len(self.heads[at - 1]) + 6:-1])
-        return tail
+        return self.rest if at == len(self.heads) else ConsList(self.heads, at, self.rest)
 
     def __reduce__(self):
         """Copy and pickle a chain of cons runs with loops: its runs are
-        listed outermost first, each with its key memo, and rebuilt
-        innermost first (`_cons_chain`), so a chain built cell by cell
-        copies at any length."""
+        listed outermost first and rebuilt innermost first (`_cons_chain`),
+        so a chain built cell by cell copies at any length."""
         runs, l = [], self
         while isinstance(l, ConsList):
-            runs.append((l.heads, l.at, l._key))
+            runs.append((l.heads, l.at))
             l = l.rest
         return _cons_chain, (runs, l)
 
 
 def _cons_chain(runs: list, rest: CoList) -> CoList:
     """The chain that `ConsList.__reduce__` lists: each run around `rest`,
-    the last one innermost, with its key memo."""
-    for heads, at, key in reversed(runs):
+    the last one innermost."""
+    for heads, at in reversed(runs):
         rest = ConsList(heads, at, rest)
-        if key is not None:
-            object.__setattr__(rest, "_key", key)
     return rest
 
 
@@ -388,8 +374,9 @@ class Interner:
     A cons state is interned as (head, id of its tail), so a chain of n
     cells takes n entries and writes no key text; any other state by its
     key text.  The two never meet, as only cons states have keys that
-    begin `CONS(`.  `sizes` holds each key's length, and `texts` writes
-    the keys of ids, so key text is written only where it is read.
+    begin `CONS(`.  `sizes` holds each key's length; `texts` writes the
+    keys of ids, and `resolver` names the states of walks by their keys,
+    so key text is written only where it is read.
     Lookups read the table as it is; a new entry is added under a lock,
     so walks in several threads may share one table.
     """
@@ -437,33 +424,71 @@ class Interner:
         """The key text of each of `ids`.  A cons cell's key is a slice of
         the first text written that holds it, so each cell is visited
         once however many of `ids` lie on one chain."""
+        where: dict = {}
+        return [self._text(i, where) for i in ids]
+
+    def _text(self, i: int, where: dict) -> str:
+        """The key text of `i`.  `where` maps each cons id whose key a text
+        written before holds to that text and the key's offset in it, and
+        takes in the cells of the text written now."""
         entries, sizes = self.entries, self.sizes
-        where: dict = {}  # cons id -> (a written text that holds its key, offset)
-        out = []
-        for i in ids:
-            held = where.get(i)
-            if held is not None:
-                text, at = held
-                out.append(text[at:at + sizes[i]])
-                continue
-            heads, cells, j = [], [], i
+        heads, cells, j = [], [], i
+        entry = entries[j]
+        while type(entry) is tuple and j not in where:
+            heads.append(entry[0])
+            cells.append(j)
+            j = entry[1]
             entry = entries[j]
-            while type(entry) is tuple and j not in where:
-                heads.append(entry[0])
-                cells.append(j)
-                j = entry[1]
-                entry = entries[j]
-            if type(entry) is tuple:
-                text, at = where[j]
-                entry = text[at:at + sizes[j]]
-            if heads:
-                entry = "CONS(" + ",CONS(".join(heads) + "," + entry + ")" * len(heads)
-                at = 0
-                for j, head in zip(cells, heads):
-                    where[j] = entry, at
-                    at += len(head) + 6
-            out.append(entry)
-        return out
+        if type(entry) is tuple:
+            text, at = where[j]
+            entry = text[at:at + sizes[j]]
+        if heads:
+            entry = "CONS(" + ",CONS(".join(heads) + "," + entry + ")" * len(heads)
+            at = 0
+            for j, head in zip(cells, heads):
+                where[j] = entry, at
+                at += len(head) + 6
+        return entry
+
+    def resolver(self, walks: list[dict]):
+        """A function from a list of keys to the id of the state each names
+        on one of the two `walks`, or None; a walk lists its ids in chain
+        order.  A walk's cons states are its leading cons cells, whose key
+        lengths differ, so a cons key is matched by its length and one
+        in-place `startswith` against the text of that run, written once;
+        any other key is looked up in the table.  A list of keys that are
+        all cons keys of one run, or all others, is named by C-level
+        passes."""
+        ids, sizes, runs = self.ids, self.sizes, []
+        w0, w1 = walks
+        for walk in walks:
+            where: dict = {}
+            text = self._text(next(iter(walk)), where)
+            if where:
+                runs.append((text, {sizes[i]: (i, where[i][1])
+                                    for i in takewhile(where.__contains__, walk)}))
+
+        def one(key: str) -> Optional[int]:
+            if not key.startswith("CONS("):
+                i = ids.get(key)
+                return i if i in w0 or i in w1 else None
+            for text, cells in runs:
+                cell = cells.get(len(key))
+                if cell is not None and text.startswith(key, cell[1]):
+                    return cell[0]
+            return None
+
+        def resolve(keys: list[str]) -> list[Optional[int]]:
+            if not runs or not any(map(str.startswith, keys, repeat("CONS("))):
+                return [i if i in w0 or i in w1 else None for i in map(ids.get, keys)]
+            if len(runs) == 1:
+                text, cells = runs[0]
+                hits = list(map(cells.get, map(len, keys)))
+                if None not in hits and all(map(text.startswith, keys, [at for _, at in hits])):
+                    return [i for i, _ in hits]
+            return list(map(one, keys))
+
+        return resolve
 
 
 def nil() -> CoList:
@@ -748,19 +773,18 @@ def _frame_fns(m: _Frame) -> Iterator[AtomFun]:
 def state_key(l: CoList) -> str:
     """Canonical, injective serialization of a state.
 
-    A cons state's first key costs O(n) for its n cells and the state
-    memoizes it; its tails observed with `ConsList.tail` then take their
-    keys as slices, and none where a memo is already set.
+    A cons state's key costs O(n) for its n cells, each time it is
+    asked for: no list state keeps its key.
     A tower is keyed as `observe` reads it, by `_descend`: the key of
     its live state inside the text of its frames (`_frame_text`), which
     the innermost frame memoizes.  A zipper keeps its frames, so its key
     costs O(1) string operations per step after the first, plus copying
     its text; a tower as built is descended afresh, one frame per run.
     The first text pushes O(runs) items on an explicit stack, as a run
-    of maps, of `append(nil, .)` layers or of keyless cons cells is
-    written with one join or multiplication.  Keys are written with
-    loops, never recursion, and name the nested state: memoizing and
-    zippers change no key.
+    of maps, of `append(nil, .)` layers or of cons cells is written with
+    one join or multiplication.  Keys are written with loops, never
+    recursion, and name the nested state: memoizing and zippers change
+    no key.
     """
     pre = post = ""
     if isinstance(l, _Tower):
@@ -769,13 +793,7 @@ def state_key(l: CoList) -> str:
             text, rest = _frame_text(f)
             f.prefix, f.suffix = "".join(text), _join(rest)
         pre, post = f.prefix, f.suffix
-    if not isinstance(l, ConsList):
-        return pre + _join([l]) + post
-    key = l._key
-    if key is None:
-        key = _join([l])
-        object.__setattr__(l, "_key", key)
-    return pre + key + post
+    return pre + _join([l]) + post
 
 
 def _machine_key(machine: StepFn, seed: str) -> str:
@@ -784,10 +802,7 @@ def _machine_key(machine: StepFn, seed: str) -> str:
 
 
 def _leaf_key(l: CoList) -> Optional[str]:
-    """The key of a state that holds no other state, or of a cons cell
-    that memoizes its key; else None."""
-    if isinstance(l, ConsList):
-        return l._key
+    """The key of a state that holds no other state; else None."""
     if isinstance(l, ConstList):
         return f"CONST({l.sym})"
     if isinstance(l, IterList):
@@ -826,9 +841,8 @@ def _frame_text(f: _Frame) -> tuple[list[str], list]:
 def _join(items: list) -> str:
     """The text of `items`, strings and states, in order, written with an
     explicit stack: a tower pushes its frames' text (`_frame_text`) once
-    `_descend` has read it, and a run of keyless cons cells is gathered
-    one state at a time and pushed once; a cons state's memoized key is
-    copied, and none is stored."""
+    `_descend` has read it, and a chain of cons runs is gathered one run
+    at a time and pushed once."""
     if len(items) == 1:
         key = _leaf_key(items[0])
         if key is not None:
@@ -852,7 +866,7 @@ def _join(items: list) -> str:
             parts.append(key)
         elif isinstance(x, ConsList):
             heads = []
-            while isinstance(x, ConsList) and x._key is None:
+            while isinstance(x, ConsList):
                 heads += x.heads[x.at:]
                 x = x.rest
             parts.append("CONS(" + ",CONS(".join(heads) + ",")

@@ -314,10 +314,11 @@ def test_deep_chain_bisimulation_without_recursion():
 
 
 def test_replay_after_search_reuses_its_keys():
-    """Replay run after search on the same 2000-cell chain finds each
-    cell's key memoized by search, so its `tracemalloc` peak stays within
-    10% of the search's: slicing the keys again held their O(n^2)
-    characters twice over.  A ratio, so the check holds on any Python."""
+    """Replay run after search on the same 2000-cell chain reads the
+    search's ids and writes no cell's key, so its `tracemalloc` peak
+    stays within 10% of the search's: writing the keys again held their
+    O(n^2) characters twice over.  A ratio, so the check holds on any
+    Python."""
     chain, const = _chain_of_cells(2000)
     tracemalloc.start()
     try:
@@ -845,9 +846,9 @@ def _run_side(rng, defs, heads, rest):
     the text `rest` reads as, in one of eight shapes: one reader-built
     run; two runs, the first one's rest the second (one run for a single
     head); runs of one, as `cons` builds them; a run read from a nonzero
-    offset, with its key not memoized, or memoized; that run inside a
-    map tower, or an `append(nil, .)` tower, under other keys; or inside
-    `append(., lconst(c))`."""
+    offset, not keyed before, or keyed before the search; that run inside
+    a map tower, or an `append(nil, .)` tower, under other keys; or
+    inside `append(., lconst(c))`."""
     text = "".join(f"cons({h}," for h in heads) + rest + ")" * len(heads)
     shape = rng.randrange(8)
     cut = rng.randint(1, max(1, len(heads) - 1))
@@ -907,8 +908,8 @@ def _run_lists(rng, defs, machines):
 
 def test_runs_match_the_oracles(monkeypatch):
     """`_match_the_oracles` over lists around cons runs: reader-built
-    runs, a run whose rest is another run, runs at a nonzero offset with
-    and without a memoized key, runs inside map and append towers, where
+    runs, a run whose rest is another run, runs at a nonzero offset keyed
+    before the search or not, runs inside map and append towers, where
     no run is stepped by offset, and equal runs on both sides, where the
     strong kind closes inside a run."""
     calls = _counting(monkeypatch)

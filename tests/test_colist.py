@@ -354,7 +354,7 @@ def test_state_keys():
 
 def _cons_layer(l):
     """The head and tail of a cons state, a run read as its outermost
-    cell; no key memo is read or written."""
+    cell, from its fields alone."""
     at = l.at + 1
     return l.heads[l.at], l.rest if at == len(l.heads) else ConsList(l.heads, at, l.rest)
 
@@ -823,7 +823,7 @@ def test_steps_match_the_oracle(ops, runs, keyed, n):
     """`colist.steps` over every state of a random recipe -- runs built
     as the reader builds them or cell by cell, towers and zippers whose
     live state is a run, machines -- with each state keyed first or not,
-    so that runs inside towers do or do not memoize their keys.  Recipes
+    so that towers do or do not memoize their frames' text.  Recipes
     whose keys would pass 10^4 characters are skipped."""
     assume(_key_size(ops) <= 10**4)
 
@@ -840,7 +840,7 @@ def test_steps_match_the_oracle(ops, runs, keyed, n):
 def test_steps_of_random_states_match_the_oracle():
     """`colist.steps` over random mixed states and over cons chains and
     runs around them, read as one run, cell by cell, from an offset, or
-    inside a map tower whose live run memoizes its key: the oracle's
+    inside a map tower keyed before the walk: the oracle's
     steps, with the chains' cons cells interned with no text."""
     rng = random.Random(71)
     machines = [random_machine(rng, f"m{i}") for i in range(4)]
@@ -866,6 +866,82 @@ def test_steps_of_random_states_match_the_oracle():
 
         interned += _steps_match_the_oracle(make, rng.randint(0, 12))
     assert interned > 0
+
+
+_REST_TEXTS = ("nil", "lconst(a)", "iterates(rot,b)", "corec(m0,m0_s0)", "corec(m1,m1_s0)",
+               "map(rot,lconst(c))", "append(cons(a,nil),lconst(b))")
+
+
+def _walked_list(rng, defs, heads, rest):
+    """A fresh list of the symbols `heads`, then the list the text `rest`
+    reads as: a reader-built run, cells built one `cons` at a time, a run
+    read from an offset, that run inside a map or an `append` tower, a
+    machine list, or a random list."""
+    shape = rng.randrange(7)
+    if shape == 0:
+        return read_states("".join(f"cons({h}," for h in heads) + rest + ")" * len(heads), defs)
+    tail = read_states(rest, defs)
+    if shape == 1:
+        for h in reversed(heads):
+            tail = cons(h, tail, ABC)
+        return tail
+    run = ConsList(("c", "a") + heads, 2, tail)
+    if shape == 2:
+        return run
+    if shape == 3:
+        return lmap(ROT, run)
+    if shape == 4:
+        return lappend(nil(), run) if rng.random() < 0.5 else lappend(run, lconst("c", ABC))
+    machines = list(defs.machines.values())
+    if shape == 5:
+        m = rng.choice(machines)
+        return corec(rng.choice(m.seeds), m)
+    return random_state(rng, machines)
+
+
+def _forged(rng, key):
+    """`key` with the head of one of its cons cells, picked at random,
+    changed to another symbol of the same length."""
+    at = rng.choice([m.end() for m in re.finditer(r"CONS\(", key)])
+    head = key[at:key.index(",", at)]
+    return key[:at] + rng.choice([s for s in "abc" if s != head]) + key[at + len(head):]
+
+
+def test_resolver_matches_the_oracle():
+    """`Interner.resolver` names keys as the hashing oracle does, the
+    texts of the walked ids, `dict(zip(table.texts(ids), ids)).get`.  Over
+    the walks of two random lists, often with the same heads or rest, it
+    agrees on every walked key, a cons key forged with another head of
+    the same length, the key one state past each walk and keys no state
+    has, one key at a time, all keys at once and a walk's keys at once."""
+    rng = random.Random(79)
+    machines = [random_machine(rng, f"m{i}") for i in range(2)]
+    defs = Definitions(ABC, {"rot": ROT}, {m.name: m for m in machines})
+    seen = set()
+    for _ in range(300):
+        heads = tuple(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        rest = rng.choice(_REST_TEXTS)
+        other = heads[:rng.randint(1, len(heads))] if rng.random() < 0.5 else heads
+        table = colist.Interner()
+        lists = [_walked_list(rng, defs, heads, rest),
+                 _walked_list(rng, defs, other, rng.choice((rest,) + _REST_TEXTS))]
+        walks = [reachable_states(l, rng.randint(0, 10), table) for l in lists]
+        walked = [i for walk in walks for i in walk]
+        oracle = dict(zip(table.texts(walked), walked)).get
+        past = [walk[last][1] for walk in walks for last in [list(walk)[-1]]
+                if walk[last] is not None and walk[last][1] not in walk]
+        keys = table.texts(walked + past)
+        keys += [_forged(rng, key) for key in keys if key.startswith("CONS(")]
+        keys += ["NOPE", "CONS(a,NOPE)", "CONST(z)", "CONS(a,NIL"]
+        resolve = table.resolver(walks)
+        expected = list(map(oracle, keys))
+        assert [resolve([key])[0] for key in keys] == expected
+        assert resolve(keys) == expected
+        for walk in walks:
+            column = table.texts(walk)
+            assert resolve(column) == list(map(oracle, column))
+        seen.update((key[:5], i is None) for key, i in zip(keys, expected))
+    assert {("CONS(", True), ("CONS(", False), ("M(m0,", False), ("MAP(r", False)} <= seen
 
 
 def _oracle_take(k, l):
@@ -1172,9 +1248,8 @@ def test_states_are_frozen_dataclasses(succ):
     field, or any other name, raises `FrozenInstanceError`, and `copy`
     and `pickle` give equal states.  A state that holds no other state
     compares, hashes and prints by its field tuple; a cons run or a tower
-    by its key, and a cons run's memoized key survives the copies.  A
-    chain of 2 * 10^4 cells built one `cons` at a time copies and
-    pickles cell for cell, each cell with its key memo."""
+    by its key.  A chain of 2 * 10^4 cells built one `cons` at a time
+    copies and pickles cell for cell."""
     two = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
     cases = [
         (nil(), (), "NilList()"),
@@ -1193,8 +1268,9 @@ def test_states_are_frozen_dataclasses(succ):
     key = state_key(keyed)
     tower = lmap(succ, lappend(nil(), iterates(succ, "x0")))
     zipper = observe(tower)[1]
-    assert isinstance(run, ConsList) and run.heads == ("a", "b", "a") and run._key is None
-    assert isinstance(zipper, TowerList) and keyed._key == key
+    assert isinstance(run, ConsList)
+    assert vars(run) == {"heads": ("a", "b", "a"), "at": 0, "rest": ConstList("b")}
+    assert isinstance(zipper, TowerList) and state_key(keyed) == key
     deep = inner = cons("b", keyed, AB)
     for _ in range(2 * 10**4 - 1):
         deep = cons("a", deep, AB)
@@ -1204,14 +1280,12 @@ def test_states_are_frozen_dataclasses(succ):
         lappend(cons("a", nil(), AB), nil()), zipper, deep,
     ]
     for state in states:
-        for name in [f.name for f in dataclasses.fields(state)] + ["_key", "extra"]:
+        for name in [f.name for f in dataclasses.fields(state)] + ["extra"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(state, name, nil())
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(state, name)
         twins = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
-        if isinstance(state, ConsList):
-            assert all(twin._key == state._key for twin in twins)
         if state is deep:
             for twin in twins:
                 cells = []
@@ -1219,21 +1293,56 @@ def test_states_are_frozen_dataclasses(succ):
                     cells.append(twin)
                     twin = twin.rest
                 assert len(cells) == 2 * 10**4 + 1 and all(len(c.heads) == 1 for c in cells[:-1])
-                assert cells[-2]._key == inner_key and cells[-3]._key is None
-                assert cells[-1] == keyed and cells[-1]._key == key
+                assert state_key(cells[-2]) == inner_key
+                assert cells[-1] == keyed and state_key(cells[-1]) == key
         for twin in twins:
             assert twin == state and hash(twin) == hash(state) and repr(twin) == repr(state)
-    assert keyed._key == key and keyed.tail._key == key[len("CONS(b,"):-1]
+    assert state_key(keyed.tail) == key[len("CONS(b,"):-1]
 
 
 def test_a_hashed_cons_run_refuses_a_new_rest():
-    """A cons run memoizes its key once hashed, so a new `rest` would
-    leave the key stale; assigning one raises instead."""
+    """A cons run hashes by its key, so a new `rest` would change the
+    hash of a run already in a set; assigning one raises instead."""
     c = cons("a", lconst("a", AB), AB)
     assert c in {c}
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.rest = lconst("b", AB)
     assert c.rest == lconst("a", AB) and state_key(c) == "CONS(a,CONST(a))"
+
+
+def test_states_hold_only_their_fields(succ):
+    """No operation adds an attribute to a list state: after `state_key`,
+    `hash`, `==`, `repr`, `observe`, `copy.copy`, `copy.deepcopy` and a
+    `pickle` round trip, the attributes of each state, of its copies and
+    of its tail are their dataclass fields, the state's as they were."""
+    two = machine("two", {"s0": ("a", "s1"), "s1": ("b", "s0")})
+    cells = lconst("a", AB)
+    for sym in "abba":
+        cells = cons(sym, cells, AB)
+    tower = lmap(succ, lappend(nil(), iterates(succ, "x0")))
+    states = [
+        cells,
+        read_states("cons(a,cons(b,cons(a,lconst(b))))", RUN_DEFS),
+        ConsList(("b", "a", "b"), 1, lconst("a", AB)),
+        tower,
+        observe(tower)[1],
+        lappend(cons("a", nil(), AB), lconst("b", AB)),
+        lconst("a", AB),
+        iterates(succ, "x1"),
+        corec("s1", two),
+        nil(),
+    ]
+    for state in states:
+        before = dict(vars(state))
+        obs = observe(state)
+        twins = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for l in [state, *twins] + ([] if obs is None else [obs[1]]):
+            state_key(l), hash(l), repr(l), observe(l)
+            assert l == copy.copy(l)
+            assert vars(l).keys() == {f.name for f in dataclasses.fields(l)}, l
+        assert vars(state).keys() == before.keys()
+        assert all(vars(state)[name] is value for name, value in before.items())
+        assert all(twin == state for twin in twins)
 
 
 def test_alphabet_membership():
@@ -1294,16 +1403,16 @@ def _cons_chain(n):
 
 def test_deep_cons_chain_keys_without_recursion():
     """A 10^4-cell chain is keyed at the default recursion limit, and its
-    tail cell takes its key as a slice.  Walking all of it would hold
-    about 4 * 10^8 characters of keys, past the bound, so the walk
-    refuses; a 3000-cell chain, about 3.6 * 10^7, is walked and compiled
-    whole."""
+    tail's key is the same text less the outer cell.  Walking all of it
+    would hold about 4 * 10^8 characters of keys, past the bound, so the
+    walk refuses; a 3000-cell chain, about 3.6 * 10^7, is walked and
+    compiled whole."""
     assert sys.getrecursionlimit() <= 10**4
     n = 10_000
     chain = _cons_chain(n)
     key = state_key(chain)
     assert key == "CONS(a," * n + "CONST(a)" + ")" * n
-    assert chain.tail._key == key[len("CONS(a,"):-1]
+    assert state_key(chain.tail) == key[len("CONS(a,"):-1]
     with pytest.raises(SizeExceeded, match="more than 100000000 characters"):
         reachable_states(chain, n + 1)
     n = 3000
